@@ -170,7 +170,7 @@ def cmd_initial(args) -> int:
     config = RunConfig("initial", p=backend.p, order=args.order, json_path=args.json)
     config.validate()
     m = config.defaulted_order()
-    check = initial_system_monomial_check(polys, candidate, m)
+    check = initial_system_monomial_check([derived_system(f, m) for f in polys], candidate)
     records = []
     for (l, k), form in check.initials:
         text = print_poly(form)

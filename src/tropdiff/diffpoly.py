@@ -18,7 +18,6 @@ from .fields import FieldBackend, FieldElem, field_val
 from .semiring import T_INF, T2_INF, TropNum, Trop2, tropically_vanishes
 from .series import (
     BoolSeries,
-    LeadingTerm,
     PowerSeries,
     TropSeries,
     rank2_val,
@@ -202,8 +201,13 @@ class DiffPoly:
             add(lam, a.derivative())
             a_low = a.truncate(n)
             for (i, j), e in lam.entries:
-                add(lam.bump(i, j), a_low.scale(self.backend.elem(e)))
+                add(lam.bump(i, j), a_low if e == 1 else a_low.scale(e))
         return DiffPoly.make(self.backend, self.nvars, n, out)
+
+    def constant_terms(self) -> "KPoly":
+        """This polynomial at t = 0, with coefficients in K."""
+        return KPoly.make(self.backend, self.nvars,
+                          {lam: c.constant_term() for lam, c in self.terms})
 
 
 @dataclass(frozen=True, slots=True)
@@ -341,19 +345,12 @@ def eval_tropical(g: TropDiffPoly, s: Sequence[TropSeries]) -> EvalReport:
     """Evaluate a tropicalized polynomial at tropical series (pair-style evaluation)."""
     if len(s) != g.nvars:
         raise MissingVariable(f"expected {g.nvars} series, got {len(s)}")
-    cache: dict[tuple[int, int], LeadingTerm] = {}
-
-    def leading(i: int, j: int) -> LeadingTerm:
-        if (i, j) not in cache:
-            cache[(i, j)] = s[i].diff_n(j).leading()
-        return cache[(i, j)]
-
     pairs = []
     for lam, coeff in g.terms:
         w = coeff
         flag = g.truncation_limited
         for (i, j), e in lam.entries:
-            lt = leading(i, j)
+            lt = s[i].diff_leading(j)
             w = w * lt.value ** e
             flag = flag or lt.truncation_limited
         pairs.append((lam, w, flag))
@@ -364,19 +361,12 @@ def eval_grigoriev(g: TropPoly1, s: Sequence[BoolSeries]) -> EvalReport:
     """Pair-style evaluation in Grigoriev (trivial-valuation) mode."""
     if len(s) != g.nvars:
         raise MissingVariable(f"expected {g.nvars} series, got {len(s)}")
-    cache: dict[tuple[int, int], LeadingTerm] = {}
-
-    def leading(i: int, j: int) -> LeadingTerm:
-        if (i, j) not in cache:
-            cache[(i, j)] = s[i].diff_n(j).leading()
-        return cache[(i, j)]
-
     pairs = []
     for lam, coeff in g.terms:
         w = coeff
         flag = False
         for (i, j), e in lam.entries:
-            lt = leading(i, j)
+            lt = s[i].diff_leading(j)
             w = w * lt.value ** e
             flag = flag or lt.truncation_limited
         pairs.append((lam, w, flag))
@@ -398,11 +388,7 @@ def eval_trop1(g: TropPoly1, b: Sequence[Sequence[TropNum]]) -> EvalReport:
 
 def f_lr(f: DiffPoly, r: int) -> KPoly:
     """The polynomial (d^r f) evaluated at t = 0, with coefficients in K."""
-    g = f
-    for _ in range(r):
-        g = g.diff()
-    return KPoly.make(f.backend, f.nvars,
-                      {lam: c.constant_term() for lam, c in g.terms})
+    return derived_system(f, r)[r].constant_terms()
 
 
 def derived_system(f: DiffPoly, m: int) -> list[DiffPoly]:

@@ -138,7 +138,10 @@ class FieldElem:
     def __neg__(self) -> "FieldElem":
         return FieldElem(self.backend, tuple(-a for a in self.coeffs))
 
-    def __mul__(self, other: "FieldElem") -> "FieldElem":
+    def __mul__(self, other: Union["FieldElem", int]) -> "FieldElem":
+        """Field product; an int factor scales the coefficient vector directly."""
+        if isinstance(other, int):
+            return FieldElem(self.backend, tuple(a * other for a in self.coeffs))
         self._check(other)
         d = self.backend.degree
         if d == 1:

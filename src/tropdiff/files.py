@@ -9,6 +9,8 @@ list only the nonzero (classical) / finite (tropical) coefficients:
 A system file is {"field": {...}, "vars": n, "truncation": N,
 "polynomials": [expr, ...]} with expressions in the polynomial grammar; a
 candidate file is {"series": [series-record, ...]} over the system's field.
+Every reader refuses a truncation above MAX_TRUNCATION before allocating
+its dense coefficient window.
 """
 
 from __future__ import annotations
@@ -23,6 +25,15 @@ from .series import PowerSeries, TropSeries
 from .verify import LinearODE
 
 SCHEMA_VERSION = 1
+MAX_TRUNCATION = 10**5
+
+
+def _read_truncation(data: dict) -> int:
+    """The record's "truncation", refused above MAX_TRUNCATION."""
+    n = int(data["truncation"])
+    if n > MAX_TRUNCATION:
+        raise ValueError(f"truncation {n} exceeds the limit {MAX_TRUNCATION}")
+    return n
 
 
 def field_to_dict(backend: FieldBackend) -> dict:
@@ -60,7 +71,7 @@ def series_to_dict(s: PowerSeries) -> dict:
 
 
 def series_from_dict(data: dict, backend: FieldBackend) -> PowerSeries:
-    n = int(data["truncation"])
+    n = _read_truncation(data)
     cs = [backend.zero()] * (n + 1)
     for rec in data.get("coeffs", []):
         k = int(rec["n"])
@@ -77,7 +88,7 @@ def trop_series_to_dict(s: TropSeries) -> dict:
 
 
 def trop_series_from_dict(data: dict, nat_val: NatValuation) -> TropSeries:
-    n = int(data["truncation"])
+    n = _read_truncation(data)
     cs = [T_INF] * (n + 1)
     for rec in data.get("coeffs", []):
         k = int(rec["n"])
@@ -111,7 +122,7 @@ def system_from_dict(data: dict):
 
     backend = field_from_dict(data["field"])
     nvars = int(data["vars"])
-    truncation = int(data["truncation"])
+    truncation = _read_truncation(data)
     if nvars < 1:
         raise ValueError("systems need at least one variable")
     if truncation < 0:
@@ -140,7 +151,7 @@ def ode_from_dict(data: dict) -> LinearODE:
     from .parser import parse_poly
 
     backend = field_from_dict(data["field"])
-    truncation = int(data["truncation"])
+    truncation = _read_truncation(data)
     g_data = data["g"]
     if isinstance(g_data, str):
         g_poly = parse_poly(g_data, backend, 1, max(truncation - 1, 0))

@@ -17,14 +17,13 @@ from .diffpoly import (
     ExponentMatrix,
     SolutionReport,
     _sorted_terms,
-    derived_system,
     is_tropical_solution,
     tropicalize_poly,
 )
 from .errors import MissingVariable, TruncationAmbiguous
 from .fields import ResidueElem, angular_component
 from .semiring import T2_INF, Trop2, trop_sum
-from .series import LeadingTerm, TropSeries, rank2_val
+from .series import TropSeries, rank2_val
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,12 +86,6 @@ def initial_form(f: DiffPoly, s: Sequence[TropSeries]) -> ResiduePoly:
     if len(s) != f.nvars:
         raise MissingVariable(f"expected {f.nvars} series, got {len(s)}")
     p = f.backend.residue_char or None
-    cache: dict[tuple[int, int], LeadingTerm] = {}
-
-    def leading(i: int, j: int) -> LeadingTerm:
-        if (i, j) not in cache:
-            cache[(i, j)] = s[i].diff_n(j).leading()
-        return cache[(i, j)]
 
     exact: list[tuple[ExponentMatrix, Trop2]] = []
     flagged_bounds: list = []  # first-coordinate lower bounds of unknown weights
@@ -102,7 +95,7 @@ def initial_form(f: DiffPoly, s: Sequence[TropSeries]) -> ResiduePoly:
         bound = w.value[0]
         limited = False
         for (i, j), e in lam.entries:
-            lt = leading(i, j)
+            lt = s[i].diff_leading(j)
             if lt.truncation_limited:
                 limited = True
                 window = s[i].truncation - j
@@ -149,20 +142,21 @@ class MonomialCheckReport:
                 else "MONOMIAL_FOUND")
 
 
-def initial_system_monomial_check(generators: Sequence[DiffPoly],
-                                  s: Sequence[TropSeries],
-                                  m: int) -> MonomialCheckReport:
-    """Compute in_S(d^k f_l) for all k <= m and look for monomial initial forms.
+def initial_system_monomial_check(families: Sequence[Sequence[DiffPoly]],
+                                  s: Sequence[TropSeries]) -> MonomialCheckReport:
+    """Compute in_S(d^k f_l) over derived families and look for monomial initial forms.
 
-    Also evaluates the derived tropical system at s and checks that the two
-    verdicts coincide (a monomial initial form is exactly a uniquely attained
-    finite minimum).
+    `families[l]` is the derived family f_l, d f_l, ..., d^m f_l of generator
+    l (see `derived_system`); the report's order is m, or -1 without
+    generators.  Also evaluates the derived tropical system at s and checks
+    that the two verdicts coincide (a monomial initial form is exactly a
+    uniquely attained finite minimum).
     """
     initials: list[tuple[tuple[int, int], ResiduePoly]] = []
     witnesses: list[tuple[int, int]] = []
     trop_system = []
-    for l, f in enumerate(generators):
-        for k, g in enumerate(derived_system(f, m)):
+    for l, family in enumerate(families):
+        for k, g in enumerate(family):
             form = initial_form(g, s)
             initials.append(((l, k), form))
             if is_monomial(form):
@@ -176,5 +170,6 @@ def initial_system_monomial_check(generators: Sequence[DiffPoly],
         raise AssertionError(
             "monomial check and tropical-solution check disagree; "
             "this indicates an internal inconsistency")
+    m = len(families[0]) - 1 if families else -1
     return MonomialCheckReport(m, monomial_free, tuple(witnesses),
                                tuple(initials), sol, cross_ok)

@@ -128,14 +128,14 @@ class PowerSeries:
             result = result * self
         return result
 
-    def scale(self, c: FieldElem) -> "PowerSeries":
-        return PowerSeries(self.backend, self.truncation, tuple(c * a for a in self.coeffs))
+    def scale(self, c: Union[FieldElem, int]) -> "PowerSeries":
+        return PowerSeries(self.backend, self.truncation, tuple(a * c for a in self.coeffs))
 
     def derivative(self) -> "PowerSeries":
         """d/dt; drops the truncation by one."""
         if self.truncation == 0:
             raise TruncationExhausted("no coefficients left to differentiate")
-        cs = tuple(self.backend.elem(k) * self.coeffs[k] for k in range(1, self.truncation + 1))
+        cs = tuple(self.coeffs[k] * k for k in range(1, self.truncation + 1))
         return PowerSeries(self.backend, self.truncation - 1, cs)
 
 
@@ -218,6 +218,21 @@ class TropSeries:
                 return LeadingTerm(Trop2((Fraction(k), c.value)))
         return LeadingTerm(T2_INF, truncation_limited=True)
 
+    def diff_leading(self, j: int) -> LeadingTerm:
+        """Phi(d_v^j S) in closed form, equal to `diff_n(j).leading()`.
+
+        Coefficient i of d_v^j S is S_{i+j} + v((i+j)!) - v(i!), so the first
+        finite index k >= j gives the leading term (k - j, S_k + v(k!) - v((k-j)!)).
+        Flagged infinity when no finite index k in [j, N] exists.
+        """
+        for k in range(j, self.truncation + 1):
+            c = self.coeffs[k]
+            if not c.is_inf:
+                fact = self.nat_val.factorial
+                return LeadingTerm(Trop2((Fraction(k - j),
+                                          c.value + fact(k).value - fact(k - j).value)))
+        return LeadingTerm(T2_INF, truncation_limited=True)
+
     def truncate(self, truncation: int) -> "TropSeries":
         if truncation >= self.truncation:
             return self
@@ -250,6 +265,13 @@ class BoolSeries:
         """Phi for the Boolean pair: t^n -> n in T; flagged if the window is empty."""
         if self.support:
             return LeadingTerm(TropNum.of(min(self.support)))
+        return LeadingTerm(T_INF, truncation_limited=True)
+
+    def diff_leading(self, j: int) -> LeadingTerm:
+        """Phi(d^j S) in closed form, equal to `diff_n(j).leading()`: min(support in [j, N]) - j."""
+        shifted = [k - j for k in self.support if k >= j]
+        if shifted:
+            return LeadingTerm(TropNum.of(min(shifted)))
         return LeadingTerm(T_INF, truncation_limited=True)
 
     def to_trop(self) -> TropSeries:
@@ -291,7 +313,7 @@ def psi(a: Sequence[Sequence[FieldElem]], backend: FieldBackend) -> tuple[PowerS
 
 
 def psi_one_inverse(s: PowerSeries) -> tuple[FieldElem, ...]:
-    return tuple(c * s.backend.elem(math.factorial(j)) for j, c in enumerate(s.coeffs))
+    return tuple(c * math.factorial(j) for j, c in enumerate(s.coeffs))
 
 
 def psi_inverse(series: Sequence[PowerSeries]) -> tuple[tuple[FieldElem, ...], ...]:

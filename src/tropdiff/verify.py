@@ -21,13 +21,13 @@ from .diffpoly import (
     EvalReport,
     ExponentMatrix,
     SolutionReport,
-    derived_tropical_system,
+    derived_system,
     eval_classical,
     eval_trop1,
     eval_grigoriev,
-    f_lr,
     is_tropical_solution,
     sigma0_poly,
+    tropicalize_poly,
 )
 from .errors import NotAClassicalSolution, TruncationExhausted
 from .fields import FieldBackend, FieldElem, ResidueElem
@@ -94,7 +94,7 @@ def exp_equation(p: int, truncation: int) -> tuple[LinearODE, DiffPoly]:
     """The p-adic exponential equation x' = p*zeta*t^(p-1)*x over Q(zeta)."""
     backend = FieldBackend("eisenstein", p)
     g = PowerSeries.monomial(backend, max(truncation - 1, p - 1),
-                             backend.elem(p) * backend.zeta(), p - 1)
+                             backend.zeta() * p, p - 1)
     ode = LinearODE(g, backend.one(), truncation)
     return ode, ode.as_diffpoly()
 
@@ -182,18 +182,19 @@ def _solution_detail(report: SolutionReport, m: int) -> str:
     return text
 
 
-def check_easy_inclusion(f: DiffPoly, sol: Sequence[PowerSeries], m: int) -> SolutionReport:
+def check_easy_inclusion(family: Sequence[DiffPoly], sol: Sequence[PowerSeries]) -> SolutionReport:
     """Tropicalized classical solutions solve the tropicalized derived system.
 
-    Raises NotAClassicalSolution unless eval(f, sol) vanishes identically
-    within the truncation window.
+    `family` is f, df, ..., d^m f (see `derived_system`).  Raises
+    NotAClassicalSolution unless eval(f, sol) vanishes identically within
+    the truncation window.
     """
-    residual = eval_classical(f, sol)
+    residual = eval_classical(family[0], sol)
     if not residual.is_zero:
         raise NotAClassicalSolution(
             f"residual has nonzero coefficient at t^{residual.order()}")
     s = tuple(tropicalize_series(a) for a in sol)
-    return is_tropical_solution(derived_tropical_system(f, m), s)
+    return is_tropical_solution([tropicalize_poly(g) for g in family], s)
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,15 +206,15 @@ class VectorCheckReport:
     failing: tuple[int, ...]
 
 
-def check_truncation_vectors(f: DiffPoly, s: Sequence[TropSeries], m: int) -> VectorCheckReport:
-    """A tropical solution truncates to a solution of the F_r tropicalizations."""
+def check_truncation_vectors(family: Sequence[DiffPoly], s: Sequence[TropSeries]) -> VectorCheckReport:
+    """A tropical solution truncates to a solution of the F_r tropicalizations.
+
+    F_r = (d^r f)|_(t=0) is read from `family`, the derived family f, ..., d^m f.
+    """
     b = tuple(psi_trop_inverse(si) for si in s)
-    reports = []
-    for r in range(m + 1):
-        trop_fr = f_lr(f, r).tropicalize()
-        reports.append(eval_trop1(trop_fr, b))
+    reports = tuple(eval_trop1(g.constant_terms().tropicalize(), b) for g in family)
     failing = tuple(r for r, rep in enumerate(reports) if not rep.vanishes)
-    return VectorCheckReport(tuple(reports), not failing, failing)
+    return VectorCheckReport(reports, not failing, failing)
 
 
 def random_linear_odes(count: int, backend: FieldBackend, truncation: int,
@@ -244,12 +245,12 @@ def verify_ft(p: int, count: int, truncation: int, order: int,
     odes = random_linear_odes(count, backend, truncation, g_degree, seed)
     steps = []
     for idx, ode in enumerate(odes):
-        f = ode.as_diffpoly()
+        family = derived_system(ode.as_diffpoly(), order)
         sol = solve_linear(ode)
-        inclusion = check_easy_inclusion(f, (sol,), order)
+        inclusion = check_easy_inclusion(family, (sol,))
         steps.append(FTStep(f"ode-{idx}-easy-inclusion", inclusion.all_vanish,
                             _solution_detail(inclusion, order)))
-        vectors = check_truncation_vectors(f, (tropicalize_series(sol),), order)
+        vectors = check_truncation_vectors(family, (tropicalize_series(sol),))
         detail = (f"all {len(vectors.reports)} F_r checks vanish" if vectors.all_vanish
                   else f"F_r fails at r in {list(vectors.failing)}")
         steps.append(FTStep(f"ode-{idx}-truncation-vectors", vectors.all_vanish, detail))
@@ -295,7 +296,8 @@ def reproduce_exponential_example(p: int, truncation: Optional[int] = None,
                 "infinity elsewhere (exact)"):
         return report()
 
-    system = derived_tropical_system(f, m)
+    family = derived_system(f, m)
+    system = [tropicalize_poly(g) for g in family]
     solution = is_tropical_solution(system, (s,))
     steps.append(FTStep("derived-system-solution", solution.all_vanish,
                         _solution_detail(solution, m), _vanishing_table(solution)))
@@ -311,7 +313,7 @@ def reproduce_exponential_example(p: int, truncation: Optional[int] = None,
                 "in_S(f) = x' + x over F_p"):
         return report()
 
-    monomials = initial_system_monomial_check([f], (s,), m)
+    monomials = initial_system_monomial_check([family], (s,))
     if not step("initial-ideal-monomial-free", monomials.monomial_free,
                 f"no monomial initial form among d^k f, k <= {m}; "
                 "verdict matches the solution check"):

@@ -12,6 +12,7 @@ from fractions import Fraction
 from tropdiff.diffpoly import (
     TropDiffPoly,
     TropPoly1,
+    derived_system,
     derived_tropical_system,
     eval_trop1,
     eval_tropical,
@@ -166,11 +167,11 @@ def test_criterion_7_ft_inclusions():
     with criterion(7, "easy inclusion and truncation-vector checks pass on 50 "
                       "seeded linear ODEs (p=3, N=20, m=8)"):
         for ode in _ft_instances():
-            f = ode.as_diffpoly()
+            family = derived_system(ode.as_diffpoly(), 8)
             sol = solve_linear(ode)
-            assert check_easy_inclusion(f, (sol,), 8).all_vanish
+            assert check_easy_inclusion(family, (sol,)).all_vanish
             s = tropicalize_series(sol)
-            assert check_truncation_vectors(f, (s,), 8).all_vanish
+            assert check_truncation_vectors(family, (s,)).all_vanish
 
 
 def test_criterion_8_monomial_check_equivalence():
@@ -180,7 +181,7 @@ def test_criterion_8_monomial_check_equivalence():
         for p in (2, 3, 5):
             _, f = exp_equation(p, 6 * p)
             s = exp_tropical_closed_form(p, 6 * p)
-            report = initial_system_monomial_check([f], (s,), 3 * p)
+            report = initial_system_monomial_check([derived_system(f, 3 * p)], (s,))
             assert report.cross_check_ok and report.monomial_free
 
         _, f = exp_equation(3, 18)
@@ -188,11 +189,11 @@ def test_criterion_8_monomial_check_equivalence():
         cs = list(s.coeffs)
         cs[3] = TropNum(cs[3].value + 1)
         perturbed = TropSeries(s.nat_val, 18, tuple(cs))
-        report = initial_system_monomial_check([f], (perturbed,), 9)
+        report = initial_system_monomial_check([derived_system(f, 9)], (perturbed,))
         assert report.cross_check_ok and not report.monomial_free
 
         for ode in _ft_instances():
             f = ode.as_diffpoly()
             s = tropicalize_series(solve_linear(ode))
-            report = initial_system_monomial_check([f], (s,), 8)
+            report = initial_system_monomial_check([derived_system(f, 8)], (s,))
             assert report.cross_check_ok and report.monomial_free

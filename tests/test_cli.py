@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tropdiff
 from tropdiff import files
 from tropdiff.cli import main
 from tropdiff.semiring import TropNum
@@ -201,3 +204,48 @@ def test_trivial_backend_check(capsys, tmp_path):
     assert main(["check", "--system", str(sys_path), "--candidate", str(cand_path),
                  "--order", "4"]) == 0
     capsys.readouterr()
+
+
+CAPPED_MAIN = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from tropdiff.cli import main
+for argv in {cases!r}:
+    print(main(argv))
+"""
+
+
+def test_huge_truncation_refused(tmp_path, exp_system):
+    """Truncation 10^9 in any input file exits 2 before the dense window exists.
+
+    The child process is capped at 1 GiB of address space, so a reader that
+    allocated 10^9 coefficients would die of MemoryError instead of exiting 2.
+    """
+    huge = 1e9
+    field = {"kind": "padic", "p": 3}
+    records = {
+        "series.json": {"field": field, "truncation": huge, "coeffs": []},
+        "trop.json": {"p": 3, "truncation": huge, "coeffs": []},
+        "cand.json": {"series": [{"truncation": huge, "coeffs": []}]},
+        "system.json": {"field": field, "vars": 1, "truncation": huge, "polynomials": ["x"]},
+        "ode.json": {"field": field, "truncation": huge, "g": "1", "c0": "1"},
+        "ode-g.json": {"field": field, "truncation": 4, "c0": "1",
+                       "g": {"truncation": huge, "coeffs": []}},
+    }
+    for name, record in records.items():
+        files.dump_json(record, str(tmp_path / name))
+    path = {name: str(tmp_path / name) for name in records}
+    cases = [
+        ["radius", "--series", path["series.json"]],
+        ["radius", "--series", path["trop.json"]],
+        ["check", "--system", str(exp_system), "--candidate", path["cand.json"]],
+        ["tropicalize", "--system", path["system.json"]],
+        ["solve-linear", "--ode", path["ode.json"]],
+        ["solve-linear", "--ode", path["ode-g.json"]],
+    ]
+    src = str(Path(tropdiff.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", CAPPED_MAIN.format(cases=cases)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.split() == ["2"] * len(cases), proc.stderr
+    assert proc.stderr.count(f"exceeds the limit {files.MAX_TRUNCATION}") == len(cases)

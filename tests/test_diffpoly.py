@@ -187,6 +187,14 @@ def test_f_lr_examples():
                                          X: TropNum.of(Fraction(3, 2))})
 
 
+def test_family_constant_terms_match_f_lr():
+    _, f = exp_equation(3, 12)
+    x = DiffPoly.var(PADIC3, 1, 6, 0, 0)
+    for g, m in ((f, 9), (x, 3)):
+        family = derived_system(g, m)
+        assert [h.constant_terms() for h in family] == [f_lr(g, r) for r in range(m + 1)]
+
+
 def closed_form_derived_trop(p: int, n: int) -> TropDiffPoly:
     """Closed form of the tropicalized n-th derivative of the exponential
     equation, in its two regimes n < p and n >= p (test oracle, built

@@ -1,0 +1,55 @@
+"""Byte-identity of canonical reports against committed golden files.
+
+The files under tests/golden/ are canonical CLI reports; any change to
+their bytes is a change of behaviour.  Inputs are the README's
+examples: sys.json, ode.json, the solve-linear output sol.json, and
+cand.json, which is sol.json tropicalized (`tropicalize_series`, written
+with `candidate_to_dict`).
+"""
+
+from pathlib import Path
+
+import pytest
+
+from tropdiff import files
+from tropdiff.cli import main
+from tropdiff.series import tropicalize_series
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden(name: str) -> str:
+    return str(GOLDEN / name)
+
+
+CASES = [
+    *((f"selftest-p{p}.json", ["selftest", "--p", str(p)]) for p in (2, 3, 5, 7)),
+    ("verify-ft.json", ["verify-ft", "--count", "50"]),
+    ("check.json", ["check", "--system", golden("sys.json"),
+                    "--candidate", golden("cand.json"), "--order", "9"]),
+    ("initial.json", ["initial", "--system", golden("sys.json"),
+                      "--candidate", golden("cand.json"), "--order", "9"]),
+    ("radius.json", ["radius", "--series", golden("sol.json"), "--rule", "p,auto"]),
+]
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
+def test_report_matches_golden(name, argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("TROPDIFF_SEED", raising=False)
+    out = tmp_path / name
+    assert main(argv + ["--json", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_solution_and_candidate_match_golden(tmp_path, capsys):
+    sol = tmp_path / "sol.json"
+    assert main(["solve-linear", "--ode", golden("ode.json"), "--out", str(sol)]) == 0
+    capsys.readouterr()
+    assert sol.read_bytes() == (GOLDEN / "sol.json").read_bytes()
+
+    data = files.load_json(str(sol))
+    series = tropicalize_series(files.series_from_dict(data, files.field_from_dict(data["field"])))
+    cand = tmp_path / "cand.json"
+    files.dump_json(files.candidate_to_dict((series,)), str(cand))
+    assert cand.read_bytes() == (GOLDEN / "cand.json").read_bytes()

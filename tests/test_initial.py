@@ -5,6 +5,7 @@ import pytest
 from tropdiff.diffpoly import (
     DiffPoly,
     ExponentMatrix,
+    derived_system,
     eval_tropical,
     tropicalize_poly,
 )
@@ -91,7 +92,7 @@ def test_monomial_check_worked_example():
     for p in (2, 3, 5):
         _, f = exp_equation(p, 6 * p)
         s = exp_tropical_closed_form(p, 6 * p)
-        report = initial_system_monomial_check([f], (s,), 3 * p)
+        report = initial_system_monomial_check([derived_system(f, 3 * p)], (s,))
         assert report.monomial_free and report.cross_check_ok
         assert report.verdict == f"MONOMIAL_FREE_UP_TO_{3 * p}"
         assert report.solution_report.all_vanish
@@ -104,7 +105,7 @@ def test_monomial_check_perturbed_witness():
     cs = list(s.coeffs)
     cs[3] = TropNum(cs[3].value + 1)
     perturbed = TropSeries(s.nat_val, 18, tuple(cs))
-    report = initial_system_monomial_check([f], (perturbed,), 9)
+    report = initial_system_monomial_check([derived_system(f, 9)], (perturbed,))
     assert not report.monomial_free
     assert report.witnesses
     l, k = report.witnesses[0]
@@ -114,7 +115,7 @@ def test_monomial_check_perturbed_witness():
 
 def test_monomial_check_empty_generators():
     s = rand_full_trop_series(rng_for("empty-gens"), EISEN3.nat_val, 6)
-    report = initial_system_monomial_check([], (s,), 4)
+    report = initial_system_monomial_check([], (s,))
     assert report.monomial_free and not report.witnesses
 
 

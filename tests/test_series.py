@@ -247,6 +247,29 @@ def check_psi_roundtrips(count=1000):
         assert psi_trop_inverse(psi_trop(b, nv)) == b
 
 
+def check_diff_leading_closed_form(count=20):
+    """Phi(d_v^j S) read in closed form equals differentiating j times, flag included.
+
+    Windows run from truncation -1 up; series are dense, sparse or all
+    infinite, and j runs past the window to N + 2.
+    """
+    rng = rng_for("diff-leading")
+    for truncation in range(-1, 11):
+        for _ in range(count):
+            nv = NatValuation(rng.choice([None, 2, 3, 5]))
+            inf_prob = rng.choice([0.0, 0.3, 0.8, 1.0])
+            s = rand_trop_series(rng, nv, truncation, inf_prob=inf_prob)
+            b = BoolSeries(truncation, frozenset(
+                k for k in range(truncation + 1) if rng.random() >= inf_prob))
+            for j in range(truncation + 3):
+                assert s.diff_leading(j) == s.diff_n(j).leading()
+                assert b.diff_leading(j) == b.diff_n(j).leading()
+
+
+def test_diff_leading_closed_form():
+    check_diff_leading_closed_form()
+
+
 def test_enhancement_commutation():
     check_enhancement_commutation()
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropdiff.diffpoly import ExponentMatrix, KPoly, f_lr
+from tropdiff.diffpoly import DiffPoly, ExponentMatrix, KPoly, derived_system, f_lr
 from tropdiff.errors import NotAClassicalSolution
 from tropdiff.fields import FieldBackend
 from tropdiff.semiring import TropNum
@@ -53,14 +53,14 @@ def test_solve_linear_degenerate():
 def test_easy_inclusion_worked_example():
     ode, f = exp_equation(3, 18)
     sol = solve_linear(ode)
-    report = check_easy_inclusion(f, (sol,), 9)
+    report = check_easy_inclusion(derived_system(f, 9), (sol,))
     assert report.all_vanish
 
 
 def test_easy_inclusion_zero_solution():
     ode, f = exp_equation(3, 12)
     zero = PowerSeries.zero(EISEN3, 12)
-    report = check_easy_inclusion(f, (zero,), 4)
+    report = check_easy_inclusion(derived_system(f, 4), (zero,))
     assert report.all_vanish  # every evaluation is infinite
     assert report.truncation_limited
 
@@ -70,13 +70,13 @@ def test_easy_inclusion_rejects_non_solutions():
     not_solution = PowerSeries.one(EISEN3, 12) + PowerSeries.monomial(
         EISEN3, 12, EISEN3.one(), 1)
     with pytest.raises(NotAClassicalSolution):
-        check_easy_inclusion(f, (not_solution,), 4)
+        check_easy_inclusion(derived_system(f, 4), (not_solution,))
 
 
 def test_truncation_vectors_exp_example():
     _, f = exp_equation(3, 18)
     s = exp_tropical_closed_form(3, 18)
-    report = check_truncation_vectors(f, (s,), 6)
+    report = check_truncation_vectors(derived_system(f, 6), (s,))
     assert report.all_vanish and len(report.reports) == 7
 
 
@@ -84,7 +84,7 @@ def test_truncation_vectors_order_zero():
     _, f = exp_equation(3, 12)
     assert f_lr(f, 0) == KPoly.make(EISEN3, 1, {ExponentMatrix.var(0, 1): EISEN3.one()})
     s = exp_tropical_closed_form(3, 12)
-    assert check_truncation_vectors(f, (s,), 0).all_vanish
+    assert check_truncation_vectors(derived_system(f, 0), (s,)).all_vanish
 
 
 def test_truncation_vectors_perturbed():
@@ -93,7 +93,7 @@ def test_truncation_vectors_perturbed():
     cs = list(s.coeffs)
     cs[3] = TropNum(cs[3].value + 1)
     perturbed = TropSeries(s.nat_val, 18, tuple(cs))
-    report = check_truncation_vectors(f, (perturbed,), 6)
+    report = check_truncation_vectors(derived_system(f, 6), (perturbed,))
     assert not report.all_vanish
     assert 2 in report.failing  # F_2 = x''' - 6*zeta*x sees the bad b_3
 
@@ -136,3 +136,17 @@ def test_report_serialization():
     assert len(table) == 7 and all("attained 2x" in row for row in table)
     text = report.format_text()
     assert "ALL PASS" in text
+
+
+def test_verify_ft_derives_each_ode_once(monkeypatch):
+    """50 ODEs derived to order 9: one derived family each, 450 DiffPoly.diff calls."""
+    calls = []
+    diff = DiffPoly.diff
+
+    def counted(self):
+        calls.append(self)
+        return diff(self)
+
+    monkeypatch.setattr(DiffPoly, "diff", counted)
+    assert verify_ft(3, 50, 18, 9, DEFAULT_SEED).passed
+    assert len(calls) == 450
