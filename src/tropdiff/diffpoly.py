@@ -107,7 +107,8 @@ class DiffPoly:
              terms: Mapping[ExponentMatrix, PowerSeries]) -> "DiffPoly":
         collected: dict[ExponentMatrix, PowerSeries] = {}
         for lam, coeff in terms.items():
-            coeff = PowerSeries.from_coeffs(backend, truncation, coeff.coeffs)
+            if coeff.truncation != truncation:
+                coeff = PowerSeries.from_coeffs(backend, truncation, coeff.coeffs)
             if lam in collected:
                 collected[lam] = collected[lam] + coeff
             else:
@@ -177,9 +178,11 @@ class DiffPoly:
     def __pow__(self, n: int) -> "DiffPoly":
         if n < 0:
             raise ValueError("polynomial powers need n >= 0")
-        result = DiffPoly.constant(self.backend, self.nvars,
-                                   PowerSeries.one(self.backend, self.truncation))
-        for _ in range(n):
+        if n == 0:
+            return DiffPoly.constant(self.backend, self.nvars,
+                                     PowerSeries.one(self.backend, self.truncation))
+        result = self
+        for _ in range(n - 1):
             result = result * self
         return result
 

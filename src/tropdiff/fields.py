@@ -7,13 +7,20 @@ Three backends:
 * ``eisenstein``  -- Q(zeta), zeta^(p-1) = -p, totally ramified of index
   e = p - 1, uniformizer zeta, residue field F_p.
 
-Eisenstein elements are vectors (c_0, ..., c_{p-2}) of rationals standing for
-sum c_i zeta^i, reduced by zeta^(p-1) = -p.  For p = 2 the vector has length
-one and zeta is the rational -2.
+An element stands for sum c_i zeta^i (degree-1 backends: the rational c_0),
+reduced by zeta^(p-1) = -p.  It is stored as integer numerators over one
+positive common denominator, c_i = num[i] / den, in canonical form:
+gcd(den, *num) == 1, and zero is (0, ..., 0) over 1.  Equal values therefore
+have equal fields, which `==` and `hash` rely on.  Every operation works on
+the integers and normalizes once with a single multi-argument gcd; the
+rational coefficients are derived on demand by `FieldElem.coeffs`.  For p = 2
+the vector has length one and zeta is the rational -2.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -68,7 +75,7 @@ class FieldBackend:
 
     def elem(self, x: Rat) -> "FieldElem":
         c = Fraction(x)
-        return FieldElem(self, (c,) + (Fraction(0),) * (self.degree - 1))
+        return _normal(self, (c.numerator,) + (0,) * (self.degree - 1), c.denominator)
 
     def zero(self) -> "FieldElem":
         return self.elem(0)
@@ -81,9 +88,7 @@ class FieldBackend:
             raise ValueError("zeta only exists over an Eisenstein backend")
         if self.degree == 1:  # p = 2: zeta^1 = -2 already lies in Q
             return self.elem(-self.p)
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[1] = Fraction(1)
-        return FieldElem(self, tuple(coeffs))
+        return _normal(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
     def uniformizer_pow(self, k: int) -> "FieldElem":
         """pi^k for the backend uniformizer pi; k may be negative."""
@@ -102,7 +107,8 @@ class FieldBackend:
         coeffs = tuple(Fraction(c) for c in coeffs)
         if len(coeffs) != self.degree:
             raise ValueError(f"expected {self.degree} coefficients, got {len(coeffs)}")
-        return FieldElem(self, coeffs)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        return _normal(self, tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
 
     def describe(self) -> str:
         if self.kind == "trivial":
@@ -114,59 +120,82 @@ class FieldBackend:
 
 @dataclass(frozen=True, slots=True)
 class FieldElem:
-    """Exact element of a valued-field backend."""
+    """Exact element of a valued-field backend: num[i] / den is the coefficient of zeta^i.
+
+    Build elements through the backend (`elem`, `from_coeffs`, `zeta`) or
+    arithmetic, which keep the canonical form described in the module
+    docstring; the fields are never set directly.
+    """
 
     backend: FieldBackend
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
 
     def _check(self, other: "FieldElem"):
-        if self.backend != other.backend:
+        if self.backend is not other.backend and self.backend != other.backend:
             raise ValueError("mixed field backends")
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients num[i] / den."""
+        return tuple(Fraction(a, self.den) for a in self.num)
+
+    @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def __add__(self, other: "FieldElem") -> "FieldElem":
         self._check(other)
-        return FieldElem(self.backend, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        da, db = self.den, other.den
+        if da == db:
+            return _normal(self.backend, tuple(map(operator.add, self.num, other.num)), da)
+        g = math.gcd(da, db)
+        sa, sb = db // g, da // g
+        num = [a * sa + b * sb for a, b in zip(self.num, other.num)]
+        return _normal(self.backend, tuple(num), da * sa)
 
     def __sub__(self, other: "FieldElem") -> "FieldElem":
         self._check(other)
-        return FieldElem(self.backend, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        da, db = self.den, other.den
+        if da == db:
+            return _normal(self.backend, tuple(map(operator.sub, self.num, other.num)), da)
+        g = math.gcd(da, db)
+        sa, sb = db // g, da // g
+        num = [a * sa - b * sb for a, b in zip(self.num, other.num)]
+        return _normal(self.backend, tuple(num), da * sa)
 
     def __neg__(self) -> "FieldElem":
-        return FieldElem(self.backend, tuple(-a for a in self.coeffs))
+        return _normal(self.backend, tuple(map(operator.neg, self.num)), self.den)
 
     def __mul__(self, other: Union["FieldElem", int]) -> "FieldElem":
-        """Field product; an int factor scales the coefficient vector directly."""
+        """Field product; an int factor scales the numerators directly."""
         if isinstance(other, int):
-            return FieldElem(self.backend, tuple(a * other for a in self.coeffs))
+            return _normal(self.backend, tuple([a * other for a in self.num]), self.den)
         self._check(other)
         d = self.backend.degree
+        den = self.den * other.den
         if d == 1:
-            return FieldElem(self.backend, (self.coeffs[0] * other.coeffs[0],))
-        out = [Fraction(0)] * d
+            return _normal(self.backend, (self.num[0] * other.num[0],), den)
+        out = [0] * d
         p = self.backend.p
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
+        b_support = [(j, b) for j, b in enumerate(other.num) if b]
+        for i, a in enumerate(self.num):
+            if not a:
                 continue
-            for j, b in enumerate(other.coeffs):
-                if b == 0:
-                    continue
+            for j, b in b_support:
                 k = i + j
                 if k < d:
                     out[k] += a * b
                 else:  # zeta^(p-1) = -p folds the overflow back
-                    out[k - d] += -p * a * b
-        return FieldElem(self.backend, tuple(out))
+                    out[k - d] -= p * a * b
+        return _normal(self.backend, tuple(out), den)
 
     def inverse(self) -> "FieldElem":
         if self.is_zero:
             raise ZeroInput("cannot invert zero")
         d = self.backend.degree
         if d == 1:
-            return FieldElem(self.backend, (1 / self.coeffs[0],))
+            return self.backend.from_coeffs((Fraction(self.den, self.num[0]),))
         # Solve (self * x) = 1 by Gaussian elimination on the multiplication matrix.
         basis = []
         power = self.backend.one()
@@ -184,7 +213,7 @@ class FieldElem:
                 if r != col and rows[r][col] != 0:
                     factor = rows[r][col]
                     rows[r] = [v - factor * w for v, w in zip(rows[r], rows[col])]
-        return FieldElem(self.backend, tuple(rows[i][d] for i in range(d)))
+        return self.backend.from_coeffs(rows[i][d] for i in range(d))
 
     def __truediv__(self, other: "FieldElem") -> "FieldElem":
         return self * other.inverse()
@@ -208,21 +237,17 @@ class FieldElem:
         b = self.backend
         if b.kind == "trivial":
             return TropNum.of(0)
-        e = b.ramification
-        best = None
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            v = Fraction(v_p(c.numerator, b.p) - v_p(c.denominator, b.p)) + Fraction(i, e)
-            if best is None or v < best:
-                best = v
-        return TropNum(best)
+        # v(num[i] / den) + i/e, compared as the integers e*v_p(num[i]) + i
+        e, p = b.ramification, b.p
+        best = min(e * v_p(a, p) + i for i, a in enumerate(self.num) if a)
+        return TropNum(Fraction(best - e * v_p(self.den, p), e))
 
     def __str__(self) -> str:
+        coeffs = self.coeffs
         if self.backend.degree == 1:
-            return format_rational(self.coeffs[0])
+            return format_rational(coeffs[0])
         parts = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(coeffs):
             if c == 0:
                 continue
             if i == 0:
@@ -239,6 +264,15 @@ class FieldElem:
 
     def __repr__(self) -> str:
         return f"FieldElem({self})"
+
+
+def _normal(backend: FieldBackend, num: tuple[int, ...], den: int) -> FieldElem:
+    """The canonical FieldElem num / den (den > 0): one gcd divides out the common factor."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        num = tuple(a // g for a in num)
+        den //= g
+    return FieldElem(backend, num, den)
 
 
 @dataclass(frozen=True, slots=True)
@@ -317,15 +351,14 @@ def section_phi(w: Trop2, backend: FieldBackend) -> tuple[int, FieldElem]:
 def residue(x: FieldElem) -> ResidueElem:
     """Residue-field image of an element of nonnegative valuation."""
     b = x.backend
+    c0 = Fraction(x.num[0], x.den)
     if b.kind == "trivial":
-        return ResidueElem(None, x.coeffs[0])
+        return ResidueElem(None, c0)
     v = x.valuation()
     if not v.is_inf and v.value < 0:
         raise NegativeValuation(f"valuation {v} < 0 has no residue")
-    if b.kind == "padic":
-        return ResidueElem.of(b.p, x.coeffs[0]) if not x.is_zero else ResidueElem(b.p, 0)
     # Eisenstein: terms c_i zeta^i with i >= 1 have positive valuation.
-    return ResidueElem.of(b.p, x.coeffs[0]) if x.coeffs[0] != 0 else ResidueElem(b.p, 0)
+    return ResidueElem.of(b.p, c0) if c0 else ResidueElem(b.p, 0)
 
 
 def angular_component(x: FieldElem) -> ResidueElem:
@@ -334,7 +367,7 @@ def angular_component(x: FieldElem) -> ResidueElem:
         raise ZeroInput("the angular component of zero is undefined")
     b = x.backend
     if b.kind == "trivial":
-        return ResidueElem(None, x.coeffs[0])
+        return ResidueElem(None, Fraction(x.num[0], x.den))
     v = x.valuation().value
     unit = x * b.uniformizer_pow(-int(v * b.ramification))
     return residue(unit)

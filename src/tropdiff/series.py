@@ -111,20 +111,23 @@ class PowerSeries:
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         n = min(self.truncation, other.truncation)
         out = [self.backend.zero()] * (n + 1)
+        support = [(j, b) for j, b in enumerate(other.coeffs[: n + 1]) if not b.is_zero]
         for i, a in enumerate(self.coeffs[: n + 1]):
             if a.is_zero:
                 continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
+            for j, b in support:
+                if i + j > n:
+                    break
+                out[i + j] = out[i + j] + a * b
         return PowerSeries(self.backend, n, tuple(out))
 
     def __pow__(self, n: int) -> "PowerSeries":
         if n < 0:
             raise ValueError("series powers need n >= 0")
-        result = PowerSeries.one(self.backend, self.truncation)
-        for _ in range(n):
+        if n == 0:
+            return PowerSeries.one(self.backend, self.truncation)
+        result = self
+        for _ in range(n - 1):
             result = result * self
         return result
 

@@ -213,3 +213,116 @@ def initial_form_literal(f: DiffPoly, s) -> "ResiduePolyLike":
         if not r.is_zero:
             out[lam] = r
     return ResiduePoly.make(p, f.nvars, out)
+
+
+# ---------------------------------------------------------------------------
+# reference field arithmetic: plain tuples of Fractions, zeta^(p-1) = -p folded
+
+def ref_vp(n: int, p: int) -> int:
+    """Exponent of p in the nonzero integer n, by repeated division."""
+    n, k = abs(n), 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
+
+
+def rand_ref_coeffs(rng, backend: FieldBackend, bits: int, zero_prob=0.3) -> tuple:
+    """Random Fraction coefficients of about `bits` bits, shifted by powers of p."""
+    out = []
+    for _ in range(backend.degree):
+        if rng.random() < zero_prob:
+            out.append(Fraction(0))
+            continue
+        q = Fraction(rng.choice((-1, 1)) * (rng.getrandbits(bits) | 1), rng.getrandbits(bits) | 1)
+        if backend.p is not None:
+            q *= Fraction(backend.p) ** rng.randint(-3, 3)
+        out.append(q)
+    return tuple(out)
+
+
+def ref_add(a, b) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def ref_sub(a, b) -> tuple:
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def ref_mul(a, b, backend: FieldBackend) -> tuple:
+    d = backend.degree
+    if d == 1:
+        return (a[0] * b[0],)
+    out = [Fraction(0)] * d
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < d:
+                out[i + j] += x * y
+            else:
+                out[i + j - d] += -backend.p * x * y
+    return tuple(out)
+
+
+def ref_one(backend: FieldBackend) -> tuple:
+    return (Fraction(1),) + (Fraction(0),) * (backend.degree - 1)
+
+
+def ref_pow(a, n: int, backend: FieldBackend) -> tuple:
+    """a^n for n >= 0 by repeated multiplication."""
+    out = ref_one(backend)
+    for _ in range(n):
+        out = ref_mul(out, a, backend)
+    return out
+
+
+def ref_valuation(a, backend: FieldBackend):
+    """min over nonzero c_i of v_p(c_i) + i/e; 0 on the trivial backend; None for zero."""
+    if not any(a):
+        return None
+    if backend.kind == "trivial":
+        return Fraction(0)
+    e = backend.ramification
+    return min(ref_vp(c.numerator, backend.p) - ref_vp(c.denominator, backend.p) + Fraction(i, e)
+               for i, c in enumerate(a) if c)
+
+
+def ref_uniformizer_pow(k: int, backend: FieldBackend) -> tuple:
+    """pi^k: p^k over Q_p; zeta^k = (-p)^q zeta^r with k = q*(p-1) + r over Q(zeta)."""
+    if backend.kind == "padic":
+        return (Fraction(backend.p) ** k,)
+    q, r = divmod(k, backend.p - 1)
+    out = [Fraction(0)] * backend.degree
+    out[r] = Fraction(-backend.p) ** q
+    return tuple(out)
+
+
+def ref_residue(a, backend: FieldBackend) -> ResidueElem:
+    """Constant coefficient mod p (the zeta^i terms, i >= 1, lie in the maximal ideal)."""
+    if backend.kind == "trivial":
+        return ResidueElem(None, a[0])
+    p, c = backend.p, a[0]
+    return ResidueElem(p, c.numerator * pow(c.denominator, -1, p) % p)
+
+
+def ref_angular_component(a, backend: FieldBackend) -> ResidueElem:
+    if backend.kind == "trivial":
+        return ResidueElem(None, a[0])
+    k = ref_valuation(a, backend) * backend.ramification
+    return ref_residue(ref_mul(a, ref_uniformizer_pow(-int(k), backend), backend), backend)
+
+
+def ref_str(a, backend: FieldBackend) -> str:
+    if backend.degree == 1:
+        return str(a[0])
+    parts = []
+    for i, c in enumerate(a):
+        if not c:
+            continue
+        power = "" if i == 0 else "zeta" if i == 1 else f"zeta^{i}"
+        if not power:
+            parts.append(str(c))
+        elif abs(c) == 1:
+            parts.append(power if c == 1 else f"-{power}")
+        else:
+            parts.append(f"{c}*{power}")
+    return " + ".join(parts) or "0"

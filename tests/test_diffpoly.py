@@ -275,5 +275,8 @@ def test_poly_ring_ops():
     assert (f + g) * h == f * h + g * h
     assert f * g == g * f
     assert (f - f).is_zero
+    one = DiffPoly.constant(EISEN3, 2, PowerSeries.one(EISEN3, 6))
+    assert f ** 0 == one and f ** 1 == f
+    assert f ** 3 == one * f * f * f
     # Leibniz at the polynomial level
     assert (f * g).diff() == f.diff() * g + f * g.diff()

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,8 +21,21 @@ from helpers import (
     PADIC3,
     TRIVIAL,
     rand_nonzero_elem,
+    rand_ref_coeffs,
+    ref_add,
+    ref_angular_component,
+    ref_mul,
+    ref_one,
+    ref_pow,
+    ref_residue,
+    ref_str,
+    ref_sub,
+    ref_valuation,
     rng_for,
 )
+
+KERNEL_BACKENDS = (TRIVIAL, FieldBackend("padic", 2), PADIC3, EISEN2, EISEN3, EISEN5,
+                   FieldBackend("eisenstein", 7))
 
 
 def test_backend_validation():
@@ -185,3 +199,80 @@ def test_angular_multiplicative():
 
 def test_eisenstein_reduction():
     check_eisenstein_reduction()
+
+
+def assert_canonical(x, ref):
+    """x holds the value `ref` as integer numerators over one reduced positive denominator."""
+    assert x.coeffs == tuple(ref)
+    assert len(x.num) == x.backend.degree and all(type(a) is int for a in x.num)
+    assert type(x.den) is int and x.den > 0
+    assert math.gcd(x.den, *x.num) == 1
+    if not any(ref):
+        assert x.num == (0,) * x.backend.degree and x.den == 1
+
+
+def assert_same(x, y):
+    assert x == y and hash(x) == hash(y)
+    assert (x.num, x.den) == (y.num, y.den)
+
+
+def test_kernel_matches_fraction_reference():
+    rng = rng_for("kernel-oracle")
+    for backend in KERNEL_BACKENDS:
+        for case in range(24):
+            bits = 1024 if case % 12 == 0 else rng.choice((1, 4, 12))
+            ra, rb = (rand_ref_coeffs(rng, backend, bits) for _ in range(2))
+            if case == 1:
+                ra = (Fraction(0),) * backend.degree
+            a, b = backend.from_coeffs(ra), backend.from_coeffs(rb)
+            assert_canonical(a, ra)
+            assert_canonical(b, rb)
+            assert_canonical(a + b, ref_add(ra, rb))
+            assert_canonical(a - b, ref_sub(ra, rb))
+            assert_canonical(-a, tuple(-c for c in ra))
+            assert_canonical(a * b, ref_mul(ra, rb, backend))
+            n = rng.choice((0, 1, -1, 3, -12, 2**70))
+            assert_canonical(a * n, tuple(c * n for c in ra))
+            for k in range(4):
+                assert_canonical(a ** k, ref_pow(ra, k, backend))
+
+            val = ref_valuation(ra, backend)
+            assert a.valuation() == (T_INF if val is None else TropNum(val))
+            assert str(a) == ref_str(ra, backend)
+            if val is None or val >= 0:
+                assert residue(a) == ref_residue(ra, backend)
+            else:
+                with pytest.raises(NegativeValuation):
+                    residue(a)
+            if val is None:
+                with pytest.raises(ZeroInput):
+                    a.inverse()
+                continue
+            assert angular_component(a) == ref_angular_component(ra, backend)
+            inv = a.inverse()
+            assert_canonical(inv, inv.coeffs)
+            assert ref_mul(ra, inv.coeffs, backend) == ref_one(backend)
+            for k in (1, 2):
+                assert_canonical(a ** -k, ref_pow(inv.coeffs, k, backend))
+
+
+def test_kernel_equal_values_share_form_and_hash():
+    rng = rng_for("kernel-eq-hash")
+    for backend in KERNEL_BACKENDS:
+        for case in range(8):
+            bits = 1024 if case % 4 == 0 else 6
+            ra, rb = (rand_ref_coeffs(rng, backend, bits) for _ in range(2))
+            a, b = backend.from_coeffs(ra), backend.from_coeffs(rb)
+            assert_same(a + b, b + a)
+            assert_same(a + b, backend.from_coeffs(ref_add(ra, rb)))
+            assert_same((a + b) - b, a)
+            assert_same(a * b, b * a)
+            assert_same(a * 6, a * backend.elem(6))
+            assert_same(a - a, backend.zero())
+            assert_same(a * 0, backend.zero())
+            padded = (ra[0],) + (0,) * (backend.degree - 1)
+            assert_same(backend.elem(ra[0]), backend.from_coeffs(padded))
+            if not a.is_zero:
+                assert_same(a * a.inverse(), backend.one())
+                assert_same(a ** -1, a.inverse())
+            assert len({a + b, b + a, backend.from_coeffs(ref_add(ra, rb))}) == 1

@@ -4,7 +4,11 @@ The files under tests/golden/ are canonical CLI reports; any change to
 their bytes is a change of behaviour.  Inputs are the README's
 examples: sys.json, ode.json, the solve-linear output sol.json, and
 cand.json, which is sol.json tropicalized (`tropicalize_series`, written
-with `candidate_to_dict`).
+with `candidate_to_dict`).  ode-dense.json is an Eisenstein p=5 equation
+whose right-hand side g (truncation 59) has seeded rational coefficients
+with numerators of up to three digits over one-digit denominators; its
+solution sol-dense.json has numerators and denominators of up to 1,059
+bits, and radius-dense.json is the radius report on that solution.
 """
 
 from pathlib import Path
@@ -30,6 +34,7 @@ CASES = [
     ("initial.json", ["initial", "--system", golden("sys.json"),
                       "--candidate", golden("cand.json"), "--order", "9"]),
     ("radius.json", ["radius", "--series", golden("sol.json"), "--rule", "p,auto"]),
+    ("radius-dense.json", ["radius", "--series", golden("sol-dense.json")]),
 ]
 
 
@@ -53,3 +58,10 @@ def test_solution_and_candidate_match_golden(tmp_path, capsys):
     cand = tmp_path / "cand.json"
     files.dump_json(files.candidate_to_dict((series,)), str(cand))
     assert cand.read_bytes() == (GOLDEN / "cand.json").read_bytes()
+
+
+def test_dense_solution_matches_golden(tmp_path, capsys):
+    sol = tmp_path / "sol-dense.json"
+    assert main(["solve-linear", "--ode", golden("ode-dense.json"), "--out", str(sol)]) == 0
+    capsys.readouterr()
+    assert sol.read_bytes() == (GOLDEN / "sol-dense.json").read_bytes()

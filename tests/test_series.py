@@ -155,6 +155,9 @@ def test_series_arithmetic():
     assert (x + y) * z == x * z + y * z
     assert x * y == y * x
     assert (x * y).truncation == 8
+    one = PowerSeries.one(EISEN3, 8)
+    assert x ** 0 == one and x ** 1 == x
+    assert x ** 3 == one * x * x * x
     with pytest.raises(TruncationExhausted):
         PowerSeries.one(PADIC3, 0).derivative()
 

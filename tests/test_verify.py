@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tropdiff import verify
 from tropdiff.diffpoly import DiffPoly, ExponentMatrix, KPoly, derived_system, f_lr
 from tropdiff.errors import NotAClassicalSolution
 from tropdiff.fields import FieldBackend
@@ -48,6 +49,15 @@ def test_solve_linear_degenerate():
     g = PowerSeries.from_coeffs(PADIC3, 7, [PADIC3.elem(2), PADIC3.elem(1)])
     sol = solve_linear(LinearODE(g, PADIC3.zero(), 8))
     assert sol.is_zero
+
+
+def test_solve_linear_raises_on_nonzero_residual(monkeypatch):
+    # the self-check is a raise, not an assert, so it also runs under python -O
+    ode, _ = exp_equation(3, 6)
+    monkeypatch.setattr(verify, "eval_classical",
+                        lambda f, a: PowerSeries.monomial(EISEN3, 5, EISEN3.one(), 2))
+    with pytest.raises(NotAClassicalSolution, match=r"t\^2"):
+        solve_linear(ode)
 
 
 def test_easy_inclusion_worked_example():
