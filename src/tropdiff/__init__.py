@@ -6,8 +6,6 @@ from .semiring import (
     T2_INF,
     TropNum,
     Trop2,
-    trop_add,
-    trop_mul,
     tropically_vanishes,
     v_p,
     v_p_factorial,
@@ -17,15 +15,12 @@ from .fields import (
     FieldElem,
     ResidueElem,
     angular_component,
-    field_val,
     residue,
     section_phi,
 )
 from .series import (
-    BoolSeries,
     PowerSeries,
     TropSeries,
-    phi_leading,
     psi,
     psi_inverse,
     psi_trop,
@@ -33,29 +28,23 @@ from .series import (
     rank2_val,
     sigma0,
     sigma_to_grigoriev,
-    trop_diff,
     tropicalize_series,
 )
 from .diffpoly import (
     DiffPoly,
     EvalReport,
     ExponentMatrix,
-    KPoly,
-    TropDiffPoly,
-    TropPoly1,
+    Poly,
     derived_system,
     derived_tropical_system,
     eval_classical,
-    eval_grigoriev,
-    eval_trop1,
+    evaluate,
     eval_tropical,
     f_lr,
     is_tropical_solution,
-    sigma0_poly,
     tropicalize_poly,
 )
 from .initial import (
-    ResiduePoly,
     initial_form,
     initial_system_monomial_check,
     is_monomial,

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import files
-from .diffpoly import derived_system, is_tropical_solution, tropicalize_poly, sigma0_poly
+from .diffpoly import derived_system, is_tropical_solution, tropicalize_poly
 from .errors import (
     InvalidRule,
     NotAClassicalSolution,
@@ -39,7 +39,7 @@ from .radius import (
     radius_window_estimate,
 )
 from .semiring import NatValuation, format_rational, parse_rational
-from .series import tropicalize_series
+from .series import sigma0, tropicalize_series
 from .verify import DEFAULT_SEED, reproduce_exponential_example, solve_linear, verify_ft
 
 SCHEMA_VERSION = files.SCHEMA_VERSION
@@ -111,7 +111,7 @@ def cmd_tropicalize(args) -> int:
     records = []
     for f in polys:
         trop = tropicalize_poly(f)
-        grig = sigma0_poly(trop)
+        grig = trop.map(sigma0)
         records.append({"input": print_poly(f), "rank2": print_poly(trop),
                         "grigoriev": print_poly(grig)})
         print(f"f       = {print_poly(f)}")

@@ -3,26 +3,23 @@
 A differential polynomial is a finite sum of terms A_lam * x^lam where lam is
 a sparse exponent matrix over pairs (variable i, derivative order j) and
 A_lam is a truncated series.  Tropicalization replaces each A_lam by its
-rank-2 valuation; evaluation of the tropical image at a tuple of tropical
-series plugs in the leading term of the j-th tropical derivative for
-x_i^(j) and asks whether the resulting minimum tropically vanishes.
+rank-2 valuation, giving a `Poly`, the one sparse container for
+polynomials with tropical, field or residue coefficients.  One loop
+(`term_weights`) evaluates such a polynomial: a leading-term provider gives
+the value of x_i^(j), e.g. the leading term of the j-th tropical derivative
+of a series, and the report asks whether the minimum tropically vanishes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from fractions import Fraction
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import MissingVariable, TruncationExhausted
-from .fields import FieldBackend, FieldElem, field_val
-from .semiring import T_INF, T2_INF, TropNum, Trop2, tropically_vanishes
-from .series import (
-    BoolSeries,
-    PowerSeries,
-    TropSeries,
-    rank2_val,
-    sigma0,
-)
+from .fields import FieldBackend, FieldElem
+from .semiring import T2_INF, Trop2, TropElem, TropNum, tropically_vanishes
+from .series import LeadingTerm, PowerSeries, TropSeries, rank2_val
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,8 +82,40 @@ class ExponentMatrix:
 CONSTANT_MONOMIAL = ExponentMatrix(())
 
 
+def _is_additive_identity(c) -> bool:
+    return c.is_inf if isinstance(c, (TropNum, Trop2)) else c.is_zero
+
+
 def _sorted_terms(terms: Mapping[ExponentMatrix, object]):
-    return tuple(sorted(terms.items(), key=lambda kv: kv[0].sort_key()))
+    """Terms in graded order, without additive-identity coefficients."""
+    kept = ((lam, c) for lam, c in terms.items() if not _is_additive_identity(c))
+    return tuple(sorted(kept, key=lambda kv: kv[0].sort_key()))
+
+
+@dataclass(frozen=True, slots=True)
+class Poly:
+    """Sparse polynomial in the x_i^(j) with coefficients of one type.
+
+    The coefficients carry their own ring: tropical values (TropNum, Trop2),
+    field elements (FieldElem) or residues (ResidueElem).  Terms are sorted
+    graded-lexicographically; additive-identity coefficients (inf, 0) are
+    dropped on construction.
+    """
+
+    nvars: int
+    terms: tuple[tuple[ExponentMatrix, object], ...]
+
+    @staticmethod
+    def make(nvars: int, terms: Mapping[ExponentMatrix, object]) -> "Poly":
+        return Poly(nvars, _sorted_terms(terms))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def map(self, fn: Callable[[object], object]) -> "Poly":
+        """The coefficientwise image c -> fn(c)."""
+        return Poly.make(self.nvars, {lam: fn(c) for lam, c in self.terms})
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,8 +142,7 @@ class DiffPoly:
                 collected[lam] = collected[lam] + coeff
             else:
                 collected[lam] = coeff
-        kept = {lam: c for lam, c in collected.items() if not c.is_zero}
-        return DiffPoly(backend, nvars, truncation, _sorted_terms(kept))
+        return DiffPoly(backend, nvars, truncation, _sorted_terms(collected))
 
     @staticmethod
     def zero(backend: FieldBackend, nvars: int, truncation: int) -> "DiffPoly":
@@ -207,72 +235,9 @@ class DiffPoly:
                 add(lam.bump(i, j), a_low if e == 1 else a_low.scale(e))
         return DiffPoly.make(self.backend, self.nvars, n, out)
 
-    def constant_terms(self) -> "KPoly":
+    def constant_terms(self) -> Poly:
         """This polynomial at t = 0, with coefficients in K."""
-        return KPoly.make(self.backend, self.nvars,
-                          {lam: c.constant_term() for lam, c in self.terms})
-
-
-@dataclass(frozen=True, slots=True)
-class TropDiffPoly:
-    """Tropicalized differential polynomial: rank-2 coefficients per monomial."""
-
-    nvars: int
-    terms: tuple[tuple[ExponentMatrix, Trop2], ...]
-    truncation_limited: bool = False
-
-    @staticmethod
-    def make(nvars: int, terms: Mapping[ExponentMatrix, Trop2], limited: bool = False) -> "TropDiffPoly":
-        kept = {lam: c for lam, c in terms.items() if not c.is_inf}
-        return TropDiffPoly(nvars, _sorted_terms(kept), limited)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def order(self) -> int:
-        return max((lam.order() for lam, _ in self.terms), default=-1)
-
-
-@dataclass(frozen=True, slots=True)
-class TropPoly1:
-    """Polynomial over T in the variables x_i^(j), no differential structure."""
-
-    nvars: int
-    terms: tuple[tuple[ExponentMatrix, TropNum], ...]
-
-    @staticmethod
-    def make(nvars: int, terms: Mapping[ExponentMatrix, TropNum]) -> "TropPoly1":
-        kept = {lam: c for lam, c in terms.items() if not c.is_inf}
-        return TropPoly1(nvars, _sorted_terms(kept))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def order(self) -> int:
-        return max((lam.order() for lam, _ in self.terms), default=-1)
-
-
-@dataclass(frozen=True, slots=True)
-class KPoly:
-    """Polynomial over the coefficient field in the variables x_i^(j)."""
-
-    backend: FieldBackend
-    nvars: int
-    terms: tuple[tuple[ExponentMatrix, FieldElem], ...]
-
-    @staticmethod
-    def make(backend: FieldBackend, nvars: int, terms: Mapping[ExponentMatrix, FieldElem]) -> "KPoly":
-        kept = {lam: c for lam, c in terms.items() if not c.is_zero}
-        return KPoly(backend, nvars, _sorted_terms(kept))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def tropicalize(self) -> TropPoly1:
-        return TropPoly1.make(self.nvars, {lam: field_val(c) for lam, c in self.terms})
+        return Poly.make(self.nvars, {lam: c.constant_term() for lam, c in self.terms})
 
 
 @dataclass(frozen=True, slots=True)
@@ -284,59 +249,37 @@ class EvalReport:
     the truncation.
     """
 
-    value: Union[Trop2, TropNum]
+    value: TropElem
     attainment: tuple[ExponentMatrix, ...]
     vanishes: bool
     truncation_limited: bool
 
 
-def _report_from_terms(pairs, inf) -> EvalReport:
-    values = [w for _, w, _ in pairs]
-    vr = tropically_vanishes(values, inf=inf)
-    attainment = tuple(sorted((pairs[k][0] for k in vr.attainment),
-                              key=ExponentMatrix.sort_key))
-    limited = any(flag for _, _, flag in pairs)
-    return EvalReport(vr.total, attainment, vr.vanishes, limited)
-
-
-def tropicalize_poly(f: DiffPoly) -> TropDiffPoly:
+def tropicalize_poly(f: DiffPoly) -> Poly:
     """Apply the rank-2 valuation coefficientwise.
 
-    A coefficient that is zero inside the window only (possible after heavy
-    differentiation) is dropped and flags the result.
+    Every coefficient of a DiffPoly is nonzero inside its window (`make`
+    drops the others), so no rank-2 value here is truncation-limited.
     """
-    out: dict[ExponentMatrix, Trop2] = {}
-    limited = False
-    for lam, a in f.terms:
-        lt = rank2_val(a)
-        if lt.truncation_limited:
-            limited = True
-            continue
-        out[lam] = lt.value
-    return TropDiffPoly.make(f.nvars, out, limited)
-
-
-def sigma0_poly(g: TropDiffPoly) -> TropPoly1:
-    """Grigoriev-mode image: project every coefficient onto its t-order."""
-    return TropPoly1.make(g.nvars, {lam: sigma0(c) for lam, c in g.terms})
+    return Poly.make(f.nvars, {lam: rank2_val(a).value for lam, a in f.terms})
 
 
 def eval_classical(f: DiffPoly, a: Sequence[PowerSeries]) -> PowerSeries:
     """Plug d^j(a_i) in for x_i^(j) and expand; exact up to the propagated truncation."""
     if len(a) != f.nvars:
         raise MissingVariable(f"expected {f.nvars} series, got {len(a)}")
-    cache: dict[tuple[int, int], PowerSeries] = {}
-
-    def deriv(i: int, j: int) -> PowerSeries:
-        if (i, j) not in cache:
-            cache[(i, j)] = a[i] if j == 0 else deriv(i, j - 1).derivative()
-        return cache[(i, j)]
+    derivs: dict[int, list[PowerSeries]] = {}  # derivs[i][j] = d^j(a_i)
+    for lam, _ in f.terms:
+        for (i, j), _ in lam.entries:
+            chain = derivs.setdefault(i, [a[i]])
+            while len(chain) <= j:
+                chain.append(chain[-1].derivative())
 
     total: Optional[PowerSeries] = None
     for lam, coeff in f.terms:
         prod = coeff
         for (i, j), e in lam.entries:
-            prod = prod * deriv(i, j) ** e
+            prod = prod * derivs[i][j] ** e
         total = prod if total is None else total + prod
     if total is None:
         n = min([f.truncation] + [ai.truncation for ai in a])
@@ -344,52 +287,84 @@ def eval_classical(f: DiffPoly, a: Sequence[PowerSeries]) -> PowerSeries:
     return total
 
 
-def eval_tropical(g: TropDiffPoly, s: Sequence[TropSeries]) -> EvalReport:
+LeadingProvider = Callable[[int, int], LeadingTerm]
+
+
+class TermWeight(NamedTuple):
+    """One monomial's weight coeff * prod Phi(d^j S_i)^e in a tropical evaluation.
+
+    A flagged weight has a factor from an exhausted window; it reads as
+    infinite, and `bound` is then a lower bound on the first coordinate of
+    the true weight (None on unflagged terms).
+    """
+
+    monomial: ExponentMatrix
+    weight: TropElem
+    truncation_limited: bool
+    bound: Optional[Fraction]
+
+
+def _first(w: TropElem) -> Fraction:
+    """First coordinate of a finite tropical value."""
+    return w.value[0] if isinstance(w, Trop2) else w.value
+
+
+def term_weights(g: Poly, leading: LeadingProvider) -> list[TermWeight]:
+    """The per-monomial weights of g, with Phi(d^j S_i) read from `leading(i, j)`.
+
+    The bound of a flagged term is the first coordinate of its known part
+    (coefficient and unflagged factors) plus, per flagged factor, e times
+    the first exponent past that factor's window.
+    """
+    out = []
+    for lam, coeff in g.terms:
+        w, beyond, inf = coeff, 0, None
+        for (i, j), e in lam.entries:
+            lt = leading(i, j)
+            if lt.truncation_limited:
+                beyond += e * lt.beyond
+                inf = lt.value
+            else:
+                w = w * lt.value ** e
+        if inf is None:
+            out.append(TermWeight(lam, w, False, None))
+        else:
+            out.append(TermWeight(lam, inf, True, _first(w) + beyond))
+    return out
+
+
+def evaluate(g: Poly, leading: LeadingProvider, inf: TropElem) -> EvalReport:
+    """Tropical evaluation of g with x_i^(j) read from `leading`; `inf` is the empty sum."""
+    terms = term_weights(g, leading)
+    vr = tropically_vanishes([t.weight for t in terms], inf=inf)
+    attainment = tuple(sorted((terms[k].monomial for k in vr.attainment),
+                              key=ExponentMatrix.sort_key))
+    limited = any(t.truncation_limited for t in terms)
+    return EvalReport(vr.total, attainment, vr.vanishes, limited)
+
+
+def at_series(s: Sequence[TropSeries], nvars: int) -> LeadingProvider:
+    """Pair-style provider: x_i^(j) is Phi(d_v^j S_i)."""
+    if len(s) != nvars:
+        raise MissingVariable(f"expected {nvars} series, got {len(s)}")
+    return lambda i, j: s[i].diff_leading(j)
+
+
+def at_vector(b: Sequence[Sequence[TropNum]]) -> LeadingProvider:
+    """Plain min-plus provider: x_i^(j) is the constant b[i][j], no differential relations."""
+    def leading(i: int, j: int) -> LeadingTerm:
+        if i >= len(b) or j >= len(b[i]):
+            raise MissingVariable(f"no value supplied for x_{i + 1}^({j})")
+        return LeadingTerm(b[i][j])
+    return leading
+
+
+def eval_tropical(g: Poly, s: Sequence[TropSeries]) -> EvalReport:
     """Evaluate a tropicalized polynomial at tropical series (pair-style evaluation)."""
-    if len(s) != g.nvars:
-        raise MissingVariable(f"expected {g.nvars} series, got {len(s)}")
-    pairs = []
-    for lam, coeff in g.terms:
-        w = coeff
-        flag = g.truncation_limited
-        for (i, j), e in lam.entries:
-            lt = s[i].diff_leading(j)
-            w = w * lt.value ** e
-            flag = flag or lt.truncation_limited
-        pairs.append((lam, w, flag))
-    return _report_from_terms(pairs, T2_INF)
+    return evaluate(g, at_series(s, g.nvars), T2_INF)
 
 
-def eval_grigoriev(g: TropPoly1, s: Sequence[BoolSeries]) -> EvalReport:
-    """Pair-style evaluation in Grigoriev (trivial-valuation) mode."""
-    if len(s) != g.nvars:
-        raise MissingVariable(f"expected {g.nvars} series, got {len(s)}")
-    pairs = []
-    for lam, coeff in g.terms:
-        w = coeff
-        flag = False
-        for (i, j), e in lam.entries:
-            lt = s[i].diff_leading(j)
-            w = w * lt.value ** e
-            flag = flag or lt.truncation_limited
-        pairs.append((lam, w, flag))
-    return _report_from_terms(pairs, T_INF)
-
-
-def eval_trop1(g: TropPoly1, b: Sequence[Sequence[TropNum]]) -> EvalReport:
-    """Plain min-plus evaluation at a vector, ignoring differential relations."""
-    pairs = []
-    for lam, coeff in g.terms:
-        w = coeff
-        for (i, j), e in lam.entries:
-            if i >= len(b) or j >= len(b[i]):
-                raise MissingVariable(f"no value supplied for x_{i + 1}^({j})")
-            w = w * b[i][j] ** e
-        pairs.append((lam, w, False))
-    return _report_from_terms(pairs, T_INF)
-
-
-def f_lr(f: DiffPoly, r: int) -> KPoly:
+def f_lr(f: DiffPoly, r: int) -> Poly:
     """The polynomial (d^r f) evaluated at t = 0, with coefficients in K."""
     return derived_system(f, r)[r].constant_terms()
 
@@ -402,7 +377,7 @@ def derived_system(f: DiffPoly, m: int) -> list[DiffPoly]:
     return out
 
 
-def derived_tropical_system(f: DiffPoly, m: int) -> list[TropDiffPoly]:
+def derived_tropical_system(f: DiffPoly, m: int) -> list[Poly]:
     return [tropicalize_poly(g) for g in derived_system(f, m)]
 
 
@@ -416,7 +391,7 @@ class SolutionReport:
     failing: tuple[int, ...]
 
 
-def is_tropical_solution(system: Sequence[TropDiffPoly], s: Sequence[TropSeries]) -> SolutionReport:
+def is_tropical_solution(system: Sequence[Poly], s: Sequence[TropSeries]) -> SolutionReport:
     """Check a candidate against every equation of a (derived) tropical system."""
     reports = tuple(eval_tropical(g, s) for g in system)
     failing = tuple(k for k, r in enumerate(reports) if not r.vanishes)

@@ -324,11 +324,6 @@ class ResidueElem:
         return f"ResidueElem({self} mod {self.p})" if self.p else f"ResidueElem({self})"
 
 
-def field_val(x: FieldElem) -> TropNum:
-    """Valuation of a field element (infinity on zero)."""
-    return x.valuation()
-
-
 def section_phi(w: Trop2, backend: FieldBackend) -> tuple[int, FieldElem]:
     """Multiplicative section of the rank-2 valuation: (alpha, beta) -> pi^(beta*e) t^alpha.
 

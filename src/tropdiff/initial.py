@@ -10,119 +10,52 @@ monomial iff the minimum is attained exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Sequence
 
 from .diffpoly import (
     DiffPoly,
-    ExponentMatrix,
+    Poly,
     SolutionReport,
-    _sorted_terms,
+    at_series,
     is_tropical_solution,
+    term_weights,
     tropicalize_poly,
 )
-from .errors import MissingVariable, TruncationAmbiguous
-from .fields import ResidueElem, angular_component
-from .semiring import T2_INF, Trop2, trop_sum
-from .series import TropSeries, rank2_val
+from .errors import TruncationAmbiguous
+from .fields import angular_component
+from .semiring import T2_INF, trop_sum
+from .series import TropSeries
 
 
-@dataclass(frozen=True, slots=True)
-class ResiduePoly:
-    """Polynomial over the residue field (F_p, or Q for the trivial backend)."""
-
-    p: Optional[int]
-    nvars: int
-    terms: tuple[tuple[ExponentMatrix, ResidueElem], ...]
-
-    @staticmethod
-    def make(p: Optional[int], nvars: int,
-             terms: Mapping[ExponentMatrix, ResidueElem]) -> "ResiduePoly":
-        kept = {lam: c for lam, c in terms.items() if not c.is_zero}
-        return ResiduePoly(p, nvars, _sorted_terms(kept))
-
-    @staticmethod
-    def zero(p: Optional[int], nvars: int) -> "ResiduePoly":
-        return ResiduePoly(p, nvars, ())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other: "ResiduePoly"):
-        if self.p != other.p or self.nvars != other.nvars:
-            raise ValueError("mixed residue polynomial rings")
-
-    def __add__(self, other: "ResiduePoly") -> "ResiduePoly":
-        self._check(other)
-        out: dict[ExponentMatrix, ResidueElem] = {}
-        for lam, c in self.terms + other.terms:
-            out[lam] = out[lam] + c if lam in out else c
-        return ResiduePoly.make(self.p, self.nvars, out)
-
-    def __mul__(self, other: "ResiduePoly") -> "ResiduePoly":
-        self._check(other)
-        out: dict[ExponentMatrix, ResidueElem] = {}
-        for lam, a in self.terms:
-            for mu, b in other.terms:
-                key = lam * mu
-                prod = a * b
-                out[key] = out[key] + prod if key in out else prod
-        return ResiduePoly.make(self.p, self.nvars, out)
-
-
-def is_monomial(g: ResiduePoly) -> bool:
+def is_monomial(g: Poly) -> bool:
     """True iff g has exactly one term (zero is not a monomial)."""
     return len(g.terms) == 1
 
 
-def initial_form(f: DiffPoly, s: Sequence[TropSeries]) -> ResiduePoly:
+def initial_form(f: DiffPoly, s: Sequence[TropSeries]) -> Poly:
     """Initial form via the angular-component closed form.
 
     Per monomial lam the weight is v(A_lam) + sum lam_ij * Phi(d^j S_i); the
     minimizing monomials survive with coefficient ac(leading coefficient of
-    A_lam).  Raises TruncationAmbiguous when an exhausted window could still
-    change the attainment set.
+    A_lam), a residue.  Raises TruncationAmbiguous when an exhausted window
+    could still change the attainment set.
     """
-    if len(s) != f.nvars:
-        raise MissingVariable(f"expected {f.nvars} series, got {len(s)}")
-    p = f.backend.residue_char or None
-
-    exact: list[tuple[ExponentMatrix, Trop2]] = []
-    flagged_bounds: list = []  # first-coordinate lower bounds of unknown weights
-    for lam, coeff in f.terms:
-        lt_coeff = rank2_val(coeff)
-        w = lt_coeff.value
-        bound = w.value[0]
-        limited = False
-        for (i, j), e in lam.entries:
-            lt = s[i].diff_leading(j)
-            if lt.truncation_limited:
-                limited = True
-                window = s[i].truncation - j
-                bound += e * max(window + 1, 0)
-            else:
-                w = w * lt.value ** e
-                bound += e * lt.value.value[0]
-        if limited:
-            flagged_bounds.append(bound)
-        else:
-            exact.append((lam, w))
-
-    total = trop_sum([w for _, w in exact], inf=T2_INF)
+    terms = term_weights(tropicalize_poly(f), at_series(s, f.nvars))
+    total = trop_sum([t.weight for t in terms], inf=T2_INF)
     if total.is_inf:
         # All terms are infinite as far as the windows can tell: the zero
         # initial form, matching the (possibly truncation-qualified)
         # vanishing verdict of the tropical evaluation.
-        return ResiduePoly.zero(p, f.nvars)
-    if any(total.value[0] >= b for b in flagged_bounds):
+        return Poly(f.nvars, ())
+    if any(t.truncation_limited and total.value[0] >= t.bound for t in terms):
         raise TruncationAmbiguous(
             "an exhausted window could still reach the computed minimum")
-    out: dict[ExponentMatrix, ResidueElem] = {}
-    for lam, w in exact:
-        if w == total:
-            coeff = f.coefficient(lam)
-            out[lam] = angular_component(coeff.coeffs[coeff.order()])
-    return ResiduePoly.make(p, f.nvars, out)
+    out = {}
+    for t in terms:
+        if t.weight == total:
+            coeff = f.coefficient(t.monomial)
+            out[t.monomial] = angular_component(coeff.coeffs[coeff.order()])
+    return Poly.make(f.nvars, out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,7 +65,7 @@ class MonomialCheckReport:
     order: int
     monomial_free: bool
     witnesses: tuple[tuple[int, int], ...]  # (generator index, derivative order)
-    initials: tuple[tuple[tuple[int, int], ResiduePoly], ...]
+    initials: tuple[tuple[tuple[int, int], Poly], ...]
     solution_report: SolutionReport
     cross_check_ok: bool
 
@@ -152,7 +85,7 @@ def initial_system_monomial_check(families: Sequence[Sequence[DiffPoly]],
     that the two verdicts coincide (a monomial initial form is exactly a
     uniquely attained finite minimum).
     """
-    initials: list[tuple[tuple[int, int], ResiduePoly]] = []
+    initials: list[tuple[tuple[int, int], Poly]] = []
     witnesses: list[tuple[int, int]] = []
     trop_system = []
     for l, family in enumerate(families):

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .diffpoly import DiffPoly, ExponentMatrix, KPoly, TropDiffPoly, TropPoly1
+from .diffpoly import DiffPoly, ExponentMatrix, Poly
 from .errors import PolySyntaxError, UnknownVariable, ZetaUnavailable
-from .fields import FieldBackend, FieldElem
-from .initial import ResiduePoly
-from .semiring import format_rational
+from .fields import FieldBackend, FieldElem, ResidueElem
+from .semiring import T_ZERO, T2_ZERO, Trop2, TropNum, format_rational
 from .series import PowerSeries
 
 _SYMBOLS = "+-*^()'"
@@ -258,48 +257,35 @@ def _monomial_series_factors(c: FieldElem, k: int) -> tuple[int, list[str]]:
     return sign, factors
 
 
-def _print_key(lam: ExponentMatrix):
-    return lam.sort_key()
-
-
-def print_poly(f: Union[DiffPoly, TropDiffPoly, TropPoly1, KPoly, ResiduePoly]) -> str:
-    """Deterministic rendering, graded then lexicographic, highest first."""
-    if isinstance(f, DiffPoly):
-        rendered = []
-        for lam, c in sorted(f.terms, key=lambda kv: _print_key(kv[0]), reverse=True):
-            sign, factors = _series_str(c)
-            mono = _monomial_str(lam, f.nvars)
-            if mono:
-                if factors == ["1"]:
-                    factors = []
-                factors.append(mono)
-            rendered.append((sign, "*".join(factors) if factors else "1"))
-    elif isinstance(f, (TropDiffPoly, TropPoly1)):
-        rendered = []
-        for lam, c in sorted(f.terms, key=lambda kv: _print_key(kv[0]), reverse=True):
-            identity = (not c.is_inf) and all(v == 0 for v in
-                                              (c.value if isinstance(c.value, tuple) else (c.value,)))
-            mono = _monomial_str(lam, f.nvars)
-            factors = [] if identity and mono else [str(c)]
-            if mono:
-                factors.append(mono)
-            rendered.append((1, "*".join(factors)))
-    elif isinstance(f, (KPoly, ResiduePoly)):
-        rendered = []
-        for lam, c in sorted(f.terms, key=lambda kv: _print_key(kv[0]), reverse=True):
-            mono = _monomial_str(lam, f.nvars)
-            if isinstance(f, KPoly):
-                sign, factors = _field_scalar_str(c)
-            else:
-                sign = -1 if (c.p is None and c.value < 0) else 1
-                factors = [format_rational(abs(c.value)) if c.p is None else str(c)]
-            if mono:
-                if factors == ["1"]:
-                    factors = []
-                factors.append(mono)
-            rendered.append((sign, "*".join(factors) if factors else "1"))
+def _coefficient_str(c) -> tuple[int, list[str], bool]:
+    """Render a coefficient as (sign, product factors, unit); a unit factor
+    is left out before a monomial."""
+    if isinstance(c, (TropNum, Trop2)):
+        return 1, [str(c)], c in (T_ZERO, T2_ZERO)
+    if isinstance(c, ResidueElem):
+        sign = -1 if (c.p is None and c.value < 0) else 1
+        factors = [format_rational(abs(c.value)) if c.p is None else str(c)]
+    elif isinstance(c, FieldElem):
+        sign, factors = _field_scalar_str(c)
     else:
-        raise TypeError(f"cannot print {type(f).__name__}")
+        sign, factors = _series_str(c)
+    return sign, factors, factors == ["1"]
+
+
+def print_poly(f: Union[DiffPoly, Poly]) -> str:
+    """Deterministic rendering, graded then lexicographic, highest first.
+
+    The coefficient type picks the rendering: series and field elements
+    print signed, residues as integers mod p (signed rationals over Q),
+    tropical values as "(a, b)" or "a" with the tropical one left out.
+    """
+    rendered = []
+    for lam, c in sorted(f.terms, key=lambda kv: kv[0].sort_key(), reverse=True):
+        sign, factors, unit = _coefficient_str(c)
+        mono = _monomial_str(lam, f.nvars)
+        if mono:
+            factors = ([] if unit else factors) + [mono]
+        rendered.append((sign, "*".join(factors)))
     if not rendered:
         return "0"
     pieces = []

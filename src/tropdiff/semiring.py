@@ -147,14 +147,6 @@ T2_ZERO = Trop2((Fraction(0), Fraction(0)))
 TropElem = Union[TropNum, Trop2]
 
 
-def trop_add(a: TropElem, b: TropElem) -> TropElem:
-    return a + b
-
-
-def trop_mul(a: TropElem, b: TropElem) -> TropElem:
-    return a * b
-
-
 def trop_sum(addends: Iterable[TropElem], inf: TropElem | None = None) -> TropElem:
     """Tropical sum of a finite sequence; the empty sum is infinity.
 

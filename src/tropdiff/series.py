@@ -22,6 +22,7 @@ from .semiring import (
     T_INF,
     T2_INF,
     TRIVIAL_NAT_VAL,
+    T_ZERO,
     TropNum,
     Trop2,
 )
@@ -32,11 +33,13 @@ class LeadingTerm:
     """Leading term of a truncated series; flagged when the window is empty.
 
     A flagged infinity means every coefficient inside the truncation window
-    was zero / infinite -- the true series may still have support beyond it.
+    was zero / infinite -- the true series may still have support beyond it,
+    from exponent `beyond` (the first index past the window) on.
     """
 
     value: Union[Trop2, TropNum]
     truncation_limited: bool = False
+    beyond: int = 0
 
     @property
     def is_inf(self) -> bool:
@@ -219,14 +222,15 @@ class TropSeries:
         for k, c in enumerate(self.coeffs):
             if not c.is_inf:
                 return LeadingTerm(Trop2((Fraction(k), c.value)))
-        return LeadingTerm(T2_INF, truncation_limited=True)
+        return LeadingTerm(T2_INF, True, self.truncation + 1)
 
     def diff_leading(self, j: int) -> LeadingTerm:
         """Phi(d_v^j S) in closed form, equal to `diff_n(j).leading()`.
 
         Coefficient i of d_v^j S is S_{i+j} + v((i+j)!) - v(i!), so the first
         finite index k >= j gives the leading term (k - j, S_k + v(k!) - v((k-j)!)).
-        Flagged infinity when no finite index k in [j, N] exists.
+        Flagged infinity when no finite index k in [j, N] exists; the true
+        leading exponent is then at least N - j + 1.
         """
         for k in range(j, self.truncation + 1):
             c = self.coeffs[k]
@@ -234,61 +238,12 @@ class TropSeries:
                 fact = self.nat_val.factorial
                 return LeadingTerm(Trop2((Fraction(k - j),
                                           c.value + fact(k).value - fact(k - j).value)))
-        return LeadingTerm(T2_INF, truncation_limited=True)
+        return LeadingTerm(T2_INF, True, max(self.truncation - j + 1, 0))
 
     def truncate(self, truncation: int) -> "TropSeries":
         if truncation >= self.truncation:
             return self
         return TropSeries(self.nat_val, truncation, self.coeffs[: truncation + 1])
-
-
-@dataclass(frozen=True, slots=True)
-class BoolSeries:
-    """Boolean (Grigoriev-mode) series: only the support is recorded."""
-
-    truncation: int
-    support: frozenset[int]
-
-    def __post_init__(self):
-        if any(k < 0 or k > self.truncation for k in self.support):
-            raise ValueError("support must lie inside the truncation window")
-
-    def diff(self) -> "BoolSeries":
-        if self.truncation <= 0:
-            return BoolSeries(-1, frozenset())
-        return BoolSeries(self.truncation - 1, frozenset(k - 1 for k in self.support if k >= 1))
-
-    def diff_n(self, j: int) -> "BoolSeries":
-        s = self
-        for _ in range(j):
-            s = s.diff()
-        return s
-
-    def leading(self) -> LeadingTerm:
-        """Phi for the Boolean pair: t^n -> n in T; flagged if the window is empty."""
-        if self.support:
-            return LeadingTerm(TropNum.of(min(self.support)))
-        return LeadingTerm(T_INF, truncation_limited=True)
-
-    def diff_leading(self, j: int) -> LeadingTerm:
-        """Phi(d^j S) in closed form, equal to `diff_n(j).leading()`: min(support in [j, N]) - j."""
-        shifted = [k - j for k in self.support if k >= j]
-        if shifted:
-            return LeadingTerm(TropNum.of(min(shifted)))
-        return LeadingTerm(T_INF, truncation_limited=True)
-
-    def to_trop(self) -> TropSeries:
-        cs = [TropNum.of(0) if k in self.support else T_INF for k in range(self.truncation + 1)]
-        return TropSeries(TRIVIAL_NAT_VAL, self.truncation, tuple(cs))
-
-
-def phi_leading(s: Union[TropSeries, BoolSeries]) -> LeadingTerm:
-    """Leading-term map of the tropical pair."""
-    return s.leading()
-
-
-def trop_diff(s: TropSeries) -> TropSeries:
-    return s.diff()
 
 
 def tropicalize_series(a: PowerSeries) -> TropSeries:
@@ -301,7 +256,7 @@ def rank2_val(a: PowerSeries) -> LeadingTerm:
     """Rank-2 valuation (t-order, valuation of the leading coefficient)."""
     k = a.order()
     if k is None:
-        return LeadingTerm(T2_INF, truncation_limited=True)
+        return LeadingTerm(T2_INF, True, a.truncation + 1)
     return LeadingTerm(Trop2((Fraction(k), a.coeffs[k].valuation().value)))
 
 
@@ -344,7 +299,11 @@ def sigma0(w: Trop2) -> TropNum:
     return TropNum(w.value[0])
 
 
-def sigma_to_grigoriev(s: TropSeries) -> BoolSeries:
-    """Pair morphism on series: keep the support, forget finite coefficients."""
-    return BoolSeries(s.truncation,
-                      frozenset(k for k, c in enumerate(s.coeffs) if not c.is_inf))
+def sigma_to_grigoriev(s: TropSeries) -> TropSeries:
+    """Pair morphism on series: keep the support, forget finite coefficients.
+
+    The image is a Grigoriev series, a trivial-valuation series with
+    coefficients in {0, inf}.
+    """
+    return TropSeries(TRIVIAL_NAT_VAL, s.truncation,
+                      tuple(T_INF if c.is_inf else T_ZERO for c in s.coeffs))

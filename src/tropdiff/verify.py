@@ -20,24 +20,26 @@ from .diffpoly import (
     DiffPoly,
     EvalReport,
     ExponentMatrix,
+    Poly,
     SolutionReport,
+    at_vector,
     derived_system,
     eval_classical,
-    eval_trop1,
-    eval_grigoriev,
+    evaluate,
     is_tropical_solution,
-    sigma0_poly,
     tropicalize_poly,
 )
 from .errors import NotAClassicalSolution, TruncationExhausted
 from .fields import FieldBackend, FieldElem, ResidueElem
-from .initial import ResiduePoly, initial_form, initial_system_monomial_check
+from .initial import initial_form, initial_system_monomial_check
 from .radius import RadiusRule, radius_from_rule, radius_window_estimate
 from .semiring import T_INF, TropNum, v_p_factorial
 from .series import (
+    LeadingTerm,
     PowerSeries,
     TropSeries,
     psi_trop_inverse,
+    sigma0,
     sigma_to_grigoriev,
     tropicalize_series,
 )
@@ -217,7 +219,8 @@ def check_truncation_vectors(family: Sequence[DiffPoly], s: Sequence[TropSeries]
     F_r = (d^r f)|_(t=0) is read from `family`, the derived family f, ..., d^m f.
     """
     b = tuple(psi_trop_inverse(si) for si in s)
-    reports = tuple(eval_trop1(g.constant_terms().tropicalize(), b) for g in family)
+    reports = tuple(evaluate(g.constant_terms().map(FieldElem.valuation), at_vector(b), T_INF)
+                    for g in family)
     failing = tuple(r for r, rep in enumerate(reports) if not rep.vanishes)
     return VectorCheckReport(reports, not failing, failing)
 
@@ -310,7 +313,7 @@ def reproduce_exponential_example(p: int, truncation: Optional[int] = None,
         return report()
 
     form = initial_form(f, (s,))
-    expected_form = ResiduePoly.make(p, 1, {
+    expected_form = Poly.make(1, {
         ExponentMatrix.var(0, 1): ResidueElem(p, 1),
         ExponentMatrix.var(0, 0): ResidueElem(p, 1),
     })
@@ -335,8 +338,13 @@ def reproduce_exponential_example(p: int, truncation: Optional[int] = None,
                 f"{window.log_str()} at N={radius_truncation}, start {window_start}"):
         return report()
 
-    grig_system = [sigma0_poly(g) for g in system]
-    grig = tuple(eval_grigoriev(g, (sigma_to_grigoriev(s),)) for g in grig_system)
+    grig_s = (sigma_to_grigoriev(s),)
+
+    def grig_leading(i: int, j: int) -> LeadingTerm:
+        lt = grig_s[i].diff_leading(j)
+        return LeadingTerm(sigma0(lt.value), lt.truncation_limited, lt.beyond)
+
+    grig = tuple(evaluate(g.map(sigma0), grig_leading, T_INF) for g in system)
     grig_ok = all(r.vanishes for r in grig)
     step("grigoriev-projection", grig_ok,
          "support projection solves the t-adic tropicalization of the derived system")

@@ -3,7 +3,7 @@
 from fractions import Fraction
 import random
 
-from tropdiff.diffpoly import DiffPoly, ExponentMatrix
+from tropdiff.diffpoly import DiffPoly, ExponentMatrix, Poly
 from tropdiff.fields import FieldBackend, FieldElem, ResidueElem, residue
 from tropdiff.semiring import NatValuation, T_INF, T2_INF, TropNum, Trop2
 from tropdiff.series import PowerSeries, TropSeries
@@ -139,9 +139,19 @@ def exp_series_direct(backend: FieldBackend, u: PowerSeries, truncation: int) ->
     return total
 
 
+def poly_mul(f: Poly, g: Poly) -> Poly:
+    """Product of two polynomials over one coefficient ring, term by term."""
+    out = {}
+    for lam, a in f.terms:
+        for mu, b in g.terms:
+            key = lam * mu
+            out[key] = out[key] + a * b if key in out else a * b
+    return Poly.make(f.nvars, out)
+
+
 def kpoly_evaluate(f, values) -> FieldElem:
-    """Evaluate a KPoly at constant values b[i][j] for x_i^(j)."""
-    total = f.backend.zero()
+    """Evaluate a Poly over K at constant values b[i][j] for x_i^(j)."""
+    total = values[0][0].backend.zero()
     for lam, c in f.terms:
         prod = c
         for (i, j), e in lam.entries:
@@ -184,19 +194,17 @@ class Laurent:
         return residue(self.coeffs[0])
 
 
-def initial_form_literal(f: DiffPoly, s) -> "ResiduePolyLike":
+def initial_form_literal(f: DiffPoly, s) -> "Poly":
     """Literal h_S expansion of the initial form: multiply every coefficient by
     the section values, divide out the minimum, and reduce mod the maximal ideal."""
     from tropdiff.diffpoly import eval_tropical, tropicalize_poly
     from tropdiff.fields import section_phi
-    from tropdiff.initial import ResiduePoly
 
     backend = f.backend
-    p = backend.residue_char or None
     report = eval_tropical(tropicalize_poly(f), s)
     assert not report.truncation_limited
     if report.value.is_inf:
-        return ResiduePoly.zero(p, f.nvars)
+        return Poly.make(f.nvars, {})
     neg_total = Trop2((-report.value.value[0], -report.value.value[1]))
     shift0, scalar0 = section_phi(neg_total, backend)
     out = {}
@@ -212,7 +220,7 @@ def initial_form_literal(f: DiffPoly, s) -> "ResiduePolyLike":
         r = c.residue_class()
         if not r.is_zero:
             out[lam] = r
-    return ResiduePoly.make(p, f.nvars, out)
+    return Poly.make(f.nvars, out)
 
 
 # ---------------------------------------------------------------------------

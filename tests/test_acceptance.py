@@ -10,17 +10,17 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from tropdiff.diffpoly import (
-    TropDiffPoly,
-    TropPoly1,
+    Poly,
+    at_vector,
     derived_system,
     derived_tropical_system,
-    eval_trop1,
     eval_tropical,
+    evaluate,
     is_tropical_solution,
 )
 from tropdiff.diffpoly import ExponentMatrix
 from tropdiff.fields import FieldBackend, ResidueElem
-from tropdiff.initial import ResiduePoly, initial_form, initial_system_monomial_check
+from tropdiff.initial import initial_form, initial_system_monomial_check
 from tropdiff.radius import RadiusRule, radius_from_rule, radius_window_estimate
 from tropdiff.semiring import T_INF, TropNum, Trop2
 from tropdiff.series import TropSeries, psi_trop_inverse, tropicalize_series
@@ -109,8 +109,7 @@ def test_criterion_3_initial_form():
         for p in (2, 3, 5):
             _, f = exp_equation(p, 6 * p)
             s = exp_tropical_closed_form(p, 6 * p)
-            expected = ResiduePoly.make(p, 1, {X1: ResidueElem(p, 1),
-                                               X: ResidueElem(p, 1)})
+            expected = Poly.make(1, {X1: ResidueElem(p, 1), X: ResidueElem(p, 1)})
             assert initial_form(f, (s,)) == expected
 
 
@@ -128,14 +127,14 @@ def test_criterion_4_radius():
 def test_criterion_5_micro_examples():
     with criterion(5, "M(S) = (1,2) and M(B) = inf reproduced exactly"):
         nv = FieldBackend("padic", 3).nat_val
-        m_trop = TropDiffPoly.make(1, {X * X3: Trop2.of(0, 0)})
+        m_trop = Poly.make(1, {X * X3: Trop2.of(0, 0)})
         s = TropSeries.from_coeffs(nv, 8, [T_INF, TropNum.of(0), T_INF, TropNum.of(1)])
         assert eval_tropical(m_trop, (s,)).value == Trop2.of(1, 2)
 
-        m_plain = TropPoly1.make(1, {X * X3: TropNum.of(0)})
+        m_plain = Poly.make(1, {X * X3: TropNum.of(0)})
         b = (psi_trop_inverse(s)[:4],)
         assert b[0] == (T_INF, TropNum.of(0), T_INF, TropNum.of(2))
-        assert eval_trop1(m_plain, b).value.is_inf
+        assert evaluate(m_plain, at_vector(b), T_INF).value.is_inf
 
 
 def test_criterion_6_property_suites():

@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 
@@ -7,25 +8,28 @@ from tropdiff.diffpoly import (
     CONSTANT_MONOMIAL,
     DiffPoly,
     ExponentMatrix,
-    KPoly,
-    TropDiffPoly,
+    Poly,
+    at_vector,
     derived_system,
     derived_tropical_system,
     eval_classical,
-    eval_trop1,
     eval_tropical,
+    evaluate,
     f_lr,
     is_tropical_solution,
-    sigma0_poly,
     tropicalize_poly,
 )
 from tropdiff.errors import MissingVariable, TruncationExhausted
+from tropdiff.fields import FieldElem
+from tropdiff.parser import parse_poly
 from tropdiff.semiring import T_INF, TropNum, Trop2, v_p
 from tropdiff.series import (
     PowerSeries,
     TropSeries,
     psi,
     psi_trop_inverse,
+    rank2_val,
+    sigma0,
 )
 from tropdiff.verify import exp_equation, exp_tropical_closed_form, solve_linear
 
@@ -82,19 +86,52 @@ def test_diff_examples():
 def test_tropicalize_poly_examples():
     _, f = exp_equation(3, 12)
     trop = tropicalize_poly(f)
-    assert trop == TropDiffPoly.make(1, {
+    assert trop == Poly.make(1, {
         X1: Trop2.of(0, 0),
         X: Trop2.of(2, Fraction(3, 2)),
     })
 
     trop_df = tropicalize_poly(f.diff())
-    assert trop_df == TropDiffPoly.make(1, {
+    assert trop_df == Poly.make(1, {
         X2: Trop2.of(0, 0),
         X: Trop2.of(1, Fraction(3, 2)),
         X1: Trop2.of(2, Fraction(3, 2)),
     })
 
     assert tropicalize_poly(DiffPoly.zero(PADIC3, 1, 5)).is_zero
+
+
+def test_diffpoly_coefficients_nonzero_in_window():
+    """Every DiffPoly coefficient is nonzero inside its window, so its rank-2
+    value is never truncation-limited and tropicalize_poly keeps every term."""
+    d = parse_poly("t*x", PADIC3, 1, 1).diff()
+    # d(t*x) = x + t*x'; at truncation 0 the coefficient t of x' is zero
+    assert d == DiffPoly.var(PADIC3, 1, 0, 0, 0)
+    assert X1 not in [lam for lam, _ in d.terms]
+
+    rng = rng_for("window-invariant")
+    polys = [d]
+    for _ in range(20):
+        f = rand_diffpoly(rng, PADIC3, 2, 4, zero_prob=0.7)
+        g = rand_diffpoly(rng, PADIC3, 2, 3, zero_prob=0.7)
+        polys += [f + g, f - g, f * g, -f, f ** 2, f.scale(PADIC3.elem(3))]
+        polys += derived_system(f, 4)
+    for h in polys:
+        assert all(not c.is_zero and not rank2_val(c).truncation_limited
+                   for _, c in h.terms)
+        assert len(tropicalize_poly(h).terms) == len(h.terms)
+
+
+def test_eval_classical_leaves_no_cyclic_garbage():
+    ode, f = exp_equation(3, 12)
+    sol = solve_linear(ode)
+    gc.collect()
+    gc.disable()
+    try:
+        eval_classical(f, (sol,))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_eval_classical_examples():
@@ -116,7 +153,7 @@ def test_eval_classical_examples():
 def test_eval_tropical_micro_example():
     # M = x * x''' at S = 0t + 1t^3 over the 3-adic tropical differential
     nv = PADIC3.nat_val
-    m_poly = TropDiffPoly.make(1, {X * X3: Trop2.of(0, 0)})
+    m_poly = Poly.make(1, {X * X3: Trop2.of(0, 0)})
     s = TropSeries.from_coeffs(nv, 8, [T_INF, TropNum.of(0), T_INF, TropNum.of(1)])
     report = eval_tropical(m_poly, (s,))
     assert report.value == Trop2.of(1, 2)
@@ -145,46 +182,42 @@ def test_eval_tropical_constant_zero_candidate():
 
 
 def test_eval_trop1_examples():
-    m_poly = sigma0_poly(TropDiffPoly.make(1, {X * X3: Trop2.of(0, 0)}))
-    from tropdiff.diffpoly import TropPoly1
-    assert m_poly == TropPoly1.make(1, {X * X3: TropNum.of(0)})
+    m_poly = Poly.make(1, {X * X3: Trop2.of(0, 0)}).map(sigma0)
+    assert m_poly == Poly.make(1, {X * X3: TropNum.of(0)})
     b = ((T_INF, TropNum.of(0), T_INF, TropNum.of(2)),)
-    report = eval_trop1(m_poly, b)
+    report = evaluate(m_poly, at_vector(b), T_INF)
     assert report.value.is_inf and report.vanishes
 
     _, f = exp_equation(3, 12)
     s = exp_tropical_closed_form(3, 12)
     b = (psi_trop_inverse(s),)
-    trop_f2 = f_lr(f, 2).tropicalize()
-    report = eval_trop1(trop_f2, b)
+    trop_f2 = f_lr(f, 2).map(FieldElem.valuation)
+    report = evaluate(trop_f2, at_vector(b), T_INF)
     assert report.value == TropNum.of(Fraction(3, 2))
     assert report.vanishes and len(report.attainment) == 2
 
-    empty = TropPoly1.make(1, {})
-    assert eval_trop1(empty, b).vanishes
+    empty = Poly.make(1, {})
+    assert evaluate(empty, at_vector(b), T_INF).vanishes
 
     with pytest.raises(MissingVariable):
-        eval_trop1(trop_f2, ((TropNum.of(0),),))
+        evaluate(trop_f2, at_vector(((TropNum.of(0),),)), T_INF)
 
 
 def test_f_lr_examples():
     n = 12
     _, f = exp_equation(3, n)
     z = EISEN3.zeta()
-    assert f_lr(f, 0) == KPoly.make(EISEN3, 1, {X1: EISEN3.one()})
-    assert f_lr(f, 1) == KPoly.make(EISEN3, 1, {X2: EISEN3.one()})
-    assert f_lr(f, 2) == KPoly.make(EISEN3, 1, {
+    assert f_lr(f, 0) == Poly.make(1, {X1: EISEN3.one()})
+    assert f_lr(f, 1) == Poly.make(1, {X2: EISEN3.one()})
+    assert f_lr(f, 2) == Poly.make(1, {
         X3: EISEN3.one(), X: EISEN3.elem(-6) * z})
 
     x = DiffPoly.var(PADIC3, 1, 6, 0, 0)
     for r in range(4):
-        assert f_lr(x, r) == KPoly.make(PADIC3, 1,
-                                        {ExponentMatrix.var(0, r): PADIC3.one()})
+        assert f_lr(x, r) == Poly.make(1, {ExponentMatrix.var(0, r): PADIC3.one()})
 
-    trop_f2 = f_lr(f, 2).tropicalize()
-    from tropdiff.diffpoly import TropPoly1
-    assert trop_f2 == TropPoly1.make(1, {X3: TropNum.of(0),
-                                         X: TropNum.of(Fraction(3, 2))})
+    trop_f2 = f_lr(f, 2).map(FieldElem.valuation)
+    assert trop_f2 == Poly.make(1, {X3: TropNum.of(0), X: TropNum.of(Fraction(3, 2))})
 
 
 def test_family_constant_terms_match_f_lr():
@@ -195,7 +228,7 @@ def test_family_constant_terms_match_f_lr():
         assert [h.constant_terms() for h in family] == [f_lr(g, r) for r in range(m + 1)]
 
 
-def closed_form_derived_trop(p: int, n: int) -> TropDiffPoly:
+def closed_form_derived_trop(p: int, n: int) -> Poly:
     """Closed form of the tropicalized n-th derivative of the exponential
     equation, in its two regimes n < p and n >= p (test oracle, built
     independently of diff())."""
@@ -209,7 +242,7 @@ def closed_form_derived_trop(p: int, n: int) -> TropDiffPoly:
         for i in range(p):
             terms[ExponentMatrix.var(0, i + n - p + 1)] = Trop2.of(
                 i, v_p(math.comb(n, p - 1 - i), p) + beta)
-    return TropDiffPoly.make(1, terms)
+    return Poly.make(1, terms)
 
 
 def test_derived_system_matches_closed_forms():

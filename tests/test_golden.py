@@ -9,6 +9,9 @@ whose right-hand side g (truncation 59) has seeded rational coefficients
 with numerators of up to three digits over one-digit denominators; its
 solution sol-dense.json has numerators and denominators of up to 1,059
 bits, and radius-dense.json is the radius report on that solution.
+sys2-padic.json and sys2-trivial.json hold one nonlinear 2-variable
+system over padic 5 and over trivial; their tropicalize reports cover
+non-identity rank-2 coefficients, a constant term and signs.
 """
 
 from pathlib import Path
@@ -35,6 +38,8 @@ CASES = [
                       "--candidate", golden("cand.json"), "--order", "9"]),
     ("radius.json", ["radius", "--series", golden("sol.json"), "--rule", "p,auto"]),
     ("radius-dense.json", ["radius", "--series", golden("sol-dense.json")]),
+    *((f"tropicalize-{name}.json", ["tropicalize", "--system", golden(f"{name}.json")])
+      for name in ("sys", "sys2-padic", "sys2-trivial")),
 ]
 
 

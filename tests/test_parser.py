@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from tropdiff.diffpoly import DiffPoly, ExponentMatrix, tropicalize_poly
+from tropdiff.diffpoly import DiffPoly, ExponentMatrix, Poly, tropicalize_poly
 from tropdiff.errors import PolySyntaxError, UnknownVariable, ZetaUnavailable
 from tropdiff.fields import ResidueElem
-from tropdiff.initial import ResiduePoly, initial_form
+from tropdiff.initial import initial_form
 from tropdiff.parser import parse_poly, print_poly
 from tropdiff.series import PowerSeries
 from tropdiff.verify import exp_equation, exp_tropical_closed_form
@@ -98,7 +98,7 @@ def test_print_examples():
     assert print_poly(initial_form(f, (s,))) == "x' + x"
 
     assert print_poly(DiffPoly.zero(PADIC3, 1, 4)) == "0"
-    assert print_poly(ResiduePoly.make(3, 1, {X: ResidueElem(3, 2)})) == "2*x"
+    assert print_poly(Poly.make(1, {X: ResidueElem(3, 2)})) == "2*x"
 
 
 def test_print_derivative_notation():

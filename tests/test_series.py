@@ -3,13 +3,10 @@ from fractions import Fraction
 import pytest
 
 from tropdiff.errors import TruncationExhausted
-from tropdiff.fields import field_val
 from tropdiff.semiring import NatValuation, T_INF, TRIVIAL_NAT_VAL, TropNum, Trop2
 from tropdiff.series import (
-    BoolSeries,
     PowerSeries,
     TropSeries,
-    phi_leading,
     psi,
     psi_inverse,
     psi_one,
@@ -19,7 +16,6 @@ from tropdiff.series import (
     rank2_val,
     sigma0,
     sigma_to_grigoriev,
-    trop_diff,
     tropicalize_series,
 )
 from tropdiff.verify import exp_equation, solve_linear
@@ -47,31 +43,31 @@ def tser(nat_val, truncation, entries):
 
 def test_phi_leading_examples():
     s = tser(V3, 8, {1: 0, 3: 1})
-    assert phi_leading(s).value == Trop2.of(1, 0)
-    assert not phi_leading(s).truncation_limited
+    assert s.leading().value == Trop2.of(1, 0)
+    assert not s.leading().truncation_limited
 
     empty = TropSeries.inf(V3, 5)
-    lt = phi_leading(empty)
+    lt = empty.leading()
     assert lt.value.is_inf and lt.truncation_limited
 
-    assert phi_leading(tser(V3, 4, {0: 5, 2: 1})).value == Trop2.of(0, 5)
+    assert tser(V3, 4, {0: 5, 2: 1}).leading().value == Trop2.of(0, 5)
 
 
 def test_trop_diff_examples():
     s = tser(V3, 8, {1: 0, 3: 1})
-    d = trop_diff(s)
+    d = s.diff()
     assert d.truncation == 7
     assert d == tser(V3, 7, {0: 0, 2: 2})  # v_3(3) = 1 lifts the t^3 slot
     d3 = s.diff_n(3)
-    assert phi_leading(d3).value == Trop2.of(0, 2)
+    assert d3.leading().value == Trop2.of(0, 2)
 
     only_const = tser(TRIVIAL_NAT_VAL, 4, {0: 7})
-    assert trop_diff(only_const).is_inf
+    assert only_const.diff().is_inf
 
     # differentiating past the window leaves an empty, flagged series
     exhausted = tser(V3, 0, {0: 1}).diff()
     assert exhausted.truncation == -1
-    assert phi_leading(exhausted).truncation_limited
+    assert exhausted.leading().truncation_limited
 
 
 def test_tropicalize_series_examples():
@@ -133,18 +129,19 @@ def test_psi_trop_examples():
 
 def test_sigma_examples():
     s = tser(V3, 5, {1: 0, 3: 1})
-    assert sigma_to_grigoriev(s) == BoolSeries(5, frozenset({1, 3}))
+    assert sigma_to_grigoriev(s) == tser(TRIVIAL_NAT_VAL, 5, {1: 0, 3: 0})
     assert sigma0(Trop2.of(2, Fraction(3, 2))) == TropNum.of(2)
     assert sigma0(Trop2(None)) == T_INF
 
 
 def test_bool_series():
-    b = BoolSeries(5, frozenset({0, 3}))
-    assert phi_leading(b).value == TropNum.of(0)
-    assert b.diff() == BoolSeries(4, frozenset({2}))
-    assert b.diff().diff().diff() == BoolSeries(2, frozenset({0}))
-    assert b.to_trop().coeffs[0] == TropNum.of(0)
-    assert phi_leading(BoolSeries(3, frozenset())).truncation_limited
+    # Grigoriev series: trivial-valuation series with coefficients in {0, inf}
+    b = tser(TRIVIAL_NAT_VAL, 5, {0: 0, 3: 0})
+    assert sigma0(b.leading().value) == TropNum.of(0)
+    assert b.diff() == tser(TRIVIAL_NAT_VAL, 4, {2: 0})
+    assert b.diff().diff().diff() == tser(TRIVIAL_NAT_VAL, 2, {0: 0})
+    assert b.coeffs[0] == TropNum.of(0)
+    assert TropSeries.inf(TRIVIAL_NAT_VAL, 3).leading().truncation_limited
 
 
 def test_series_arithmetic():
@@ -188,7 +185,7 @@ def check_phi_diagram(count=1000):
     for k in range(count):
         backend = backends[k % len(backends)]
         a = rand_power_series(rng, backend, rng.randint(0, 9), zero_prob=0.5)
-        assert phi_leading(tropicalize_series(a)) == rank2_val(a)
+        assert tropicalize_series(a).leading() == rank2_val(a)
 
 
 def check_tropical_leibniz(count=500):
@@ -220,7 +217,7 @@ def check_sigma_compatibility(count=500):
         lhs = sigma_to_grigoriev(tropicalize_series(a_padic))
         rhs = sigma_to_grigoriev(tropicalize_series(a_triv))
         assert lhs == rhs
-        assert tropicalize_series(a_triv) == lhs.to_trop()
+        assert tropicalize_series(a_triv) == lhs
 
 
 def check_psi_square(count=500):
@@ -231,7 +228,7 @@ def check_psi_square(count=500):
         backend = backends[k % len(backends)]
         vec = tuple(rand_elem(rng, backend) for _ in range(rng.randint(1, 9)))
         lhs = tropicalize_series(psi_one(vec, backend))
-        rhs = psi_trop(tuple(field_val(c) for c in vec), backend.nat_val)
+        rhs = psi_trop(tuple(c.valuation() for c in vec), backend.nat_val)
         assert lhs == rhs
 
 
@@ -262,11 +259,15 @@ def check_diff_leading_closed_form(count=20):
             nv = NatValuation(rng.choice([None, 2, 3, 5]))
             inf_prob = rng.choice([0.0, 0.3, 0.8, 1.0])
             s = rand_trop_series(rng, nv, truncation, inf_prob=inf_prob)
-            b = BoolSeries(truncation, frozenset(
-                k for k in range(truncation + 1) if rng.random() >= inf_prob))
+            support = [k for k in range(truncation + 1) if rng.random() >= inf_prob]
+            b = tser(TRIVIAL_NAT_VAL, truncation, {k: 0 for k in support})
             for j in range(truncation + 3):
                 assert s.diff_leading(j) == s.diff_n(j).leading()
                 assert b.diff_leading(j) == b.diff_n(j).leading()
+                # Grigoriev reading: the first support index past j, shifted
+                shifted = [k - j for k in support if k >= j]
+                expected = TropNum.of(min(shifted)) if shifted else T_INF
+                assert sigma0(b.diff_leading(j).value) == expected
 
 
 def test_diff_leading_closed_form():
