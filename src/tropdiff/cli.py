@@ -10,6 +10,7 @@ configuration and seed reproduce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -271,8 +272,9 @@ def cmd_solve_linear(args) -> int:
 
 
 def cmd_verify_ft(args) -> int:
+    seed = args.seed if args.seed is not None else _env_seed()
     config = RunConfig("verify-ft", p=args.p, truncation=args.truncation,
-                       order=args.order, seed=args.seed, count=args.count,
+                       order=args.order, seed=seed, count=args.count,
                        json_path=args.json)
     config.validate()
     report = verify_ft(args.p, config.count, config.defaulted_truncation(),
@@ -293,7 +295,14 @@ def cmd_selftest(args) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    argparse trees are reference cycles, so a parser per call would leave
+    its objects to the cyclic collector.  Defaults that read the
+    environment are therefore resolved by the commands, not here.
+    """
     top = argparse.ArgumentParser(
         prog="tropdiff",
         description="Exact tropical differential algebra over valued power-series rings.")
@@ -338,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ft.add_argument("--count", type=int, default=50)
     p_ft.add_argument("--truncation", type=int)
     p_ft.add_argument("--order", type=int)
-    p_ft.add_argument("--seed", type=int, default=_env_seed())
+    p_ft.add_argument("--seed", type=int)  # default: _env_seed(), read per call
     p_ft.add_argument("--json")
     p_ft.set_defaults(func=cmd_verify_ft)
 

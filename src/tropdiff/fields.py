@@ -14,7 +14,9 @@ gcd(den, *num) == 1, and zero is (0, ..., 0) over 1.  Equal values therefore
 have equal fields, which `==` and `hash` rely on.  Every operation works on
 the integers and normalizes once with a single multi-argument gcd; the
 rational coefficients are derived on demand by `FieldElem.coeffs`.  For p = 2
-the vector has length one and zeta is the rational -2.
+the vector has length one and zeta is the rational -2.  Because zero has one
+form, `+`, `-` and scaling by an `int` return an operand unchanged (or `-x`
+for `0 - x`) when one side is zero, without touching the integers.
 """
 
 from __future__ import annotations
@@ -146,6 +148,10 @@ class FieldElem:
 
     def __add__(self, other: "FieldElem") -> "FieldElem":
         self._check(other)
+        if not any(other.num):
+            return self
+        if not any(self.num):
+            return other
         da, db = self.den, other.den
         if da == db:
             return _normal(self.backend, tuple(map(operator.add, self.num, other.num)), da)
@@ -156,6 +162,10 @@ class FieldElem:
 
     def __sub__(self, other: "FieldElem") -> "FieldElem":
         self._check(other)
+        if not any(other.num):
+            return self
+        if not any(self.num):
+            return -other
         da, db = self.den, other.den
         if da == db:
             return _normal(self.backend, tuple(map(operator.sub, self.num, other.num)), da)
@@ -170,6 +180,10 @@ class FieldElem:
     def __mul__(self, other: Union["FieldElem", int]) -> "FieldElem":
         """Field product; an int factor scales the numerators directly."""
         if isinstance(other, int):
+            if not any(self.num):
+                return self
+            if not other:
+                return FieldElem(self.backend, (0,) * len(self.num), 1)
             return _normal(self.backend, tuple([a * other for a in self.num]), self.den)
         self._check(other)
         d = self.backend.degree

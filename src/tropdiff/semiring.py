@@ -71,6 +71,8 @@ class TropNum:
             raise ValueError("tropical powers need n >= 0")
         if n == 0:
             return TropNum(Fraction(0))
+        if n == 1:
+            return self
         if self.value is None:
             return T_INF
         return TropNum(n * self.value)
@@ -123,6 +125,8 @@ class Trop2:
             raise ValueError("tropical powers need n >= 0")
         if n == 0:
             return Trop2((Fraction(0), Fraction(0)))
+        if n == 1:
+            return self
         if self.value is None:
             return T2_INF
         return Trop2((n * self.value[0], n * self.value[1]))

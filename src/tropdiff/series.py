@@ -11,9 +11,9 @@ infinite series, so leading-term extraction returns an infinity flagged
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import TruncationExhausted
 from .fields import FieldBackend, FieldElem
@@ -25,6 +25,7 @@ from .semiring import (
     T_ZERO,
     TropNum,
     Trop2,
+    v_p_factorial,
 )
 
 
@@ -156,6 +157,10 @@ class TropSeries:
     nat_val: NatValuation
     truncation: int
     coeffs: tuple[TropNum, ...]
+    # Memo of `_leading_table`, set on the first `diff_leading` call; not
+    # part of the value, so equality, hashing and repr ignore it.
+    _leading: Optional[tuple[LeadingTerm, ...]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.truncation < -1:
@@ -225,20 +230,40 @@ class TropSeries:
         return LeadingTerm(T2_INF, True, self.truncation + 1)
 
     def diff_leading(self, j: int) -> LeadingTerm:
-        """Phi(d_v^j S) in closed form, equal to `diff_n(j).leading()`.
+        """Phi(d_v^j S) for j >= 0, equal to `diff_n(j).leading()`.
+
+        Read from a table of all j = 0 .. N+1, built on the first call
+        (`_leading_table`); every j > N+1 has the leading term of j = N+1.
+        """
+        table = self._leading
+        if table is None:
+            table = self._leading_table()
+            object.__setattr__(self, "_leading", table)
+        return table[min(j, self.truncation + 1)]
+
+    def _leading_table(self) -> tuple[LeadingTerm, ...]:
+        """Phi(d_v^j S) for j = 0 .. N+1 in closed form, from one backward scan.
 
         Coefficient i of d_v^j S is S_{i+j} + v((i+j)!) - v(i!), so the first
         finite index k >= j gives the leading term (k - j, S_k + v(k!) - v((k-j)!)).
         Flagged infinity when no finite index k in [j, N] exists; the true
         leading exponent is then at least N - j + 1.
         """
-        for k in range(j, self.truncation + 1):
-            c = self.coeffs[k]
-            if not c.is_inf:
-                fact = self.nat_val.factorial
-                return LeadingTerm(Trop2((Fraction(k - j),
-                                          c.value + fact(k).value - fact(k - j).value)))
-        return LeadingTerm(T2_INF, True, max(self.truncation - j + 1, 0))
+        n, p = self.truncation, self.nat_val.p
+        vfact = ([0] * (n + 1) if p is None  # vfact[m] = v(m!)
+                 else [v_p_factorial(m, p) for m in range(n + 1)])
+        table = [LeadingTerm(T2_INF, True, 0)]  # j = N+1
+        k = None  # first finite index >= j
+        for j in range(n, -1, -1):
+            if not self.coeffs[j].is_inf:
+                k = j
+            if k is None:
+                table.append(LeadingTerm(T2_INF, True, n - j + 1))
+                continue
+            value = self.coeffs[k].value + vfact[k] - vfact[k - j]
+            table.append(LeadingTerm(Trop2((Fraction(k - j), value))))
+        table.reverse()
+        return tuple(table)
 
     def truncate(self, truncation: int) -> "TropSeries":
         if truncation >= self.truncation:

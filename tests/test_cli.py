@@ -1,7 +1,9 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,9 @@ from tropdiff import files
 from tropdiff.cli import main
 from tropdiff.semiring import TropNum
 from tropdiff.series import TropSeries
-from tropdiff.verify import exp_tropical_closed_form
+from tropdiff.verify import DEFAULT_SEED, exp_tropical_closed_form
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -155,6 +159,56 @@ def test_seed_env_override(capsys, monkeypatch, tmp_path):
                  "--json", str(out_path)]) == 0
     capsys.readouterr()
     assert json.loads(out_path.read_text())["seed"] == 424242
+
+
+def test_seed_env_read_after_first_main(capsys, monkeypatch, tmp_path):
+    """The parser is built once per process; TROPDIFF_SEED is still read per call."""
+    argv = ["verify-ft", "--p", "3", "--count", "1", "--truncation", "8", "--order", "2",
+            "--json", str(tmp_path / "ft.json")]
+    monkeypatch.delenv("TROPDIFF_SEED", raising=False)
+    seeds = []
+    for value in (None, "424242", "7", None):
+        if value is not None:
+            monkeypatch.setenv("TROPDIFF_SEED", value)
+        else:
+            monkeypatch.delenv("TROPDIFF_SEED", raising=False)
+        assert main(argv) == 0
+        seeds.append(json.loads((tmp_path / "ft.json").read_text())["seed"])
+    assert main(argv[:-2] + ["--seed", "5", "--json", argv[-1]]) == 0
+    seeds.append(json.loads((tmp_path / "ft.json").read_text())["seed"])
+    capsys.readouterr()
+    assert seeds == [DEFAULT_SEED, 424242, 7, DEFAULT_SEED, 5]
+
+
+def test_check_leaves_no_cyclic_garbage(capsys):
+    """A `check` call without --json leaves nothing for the cyclic collector."""
+    argv = ["check", "--system", str(GOLDEN / "sys.json"),
+            "--candidate", str(GOLDEN / "cand.json"), "--order", "9"]
+    assert main(argv) == 0  # the first call in a process builds the parser
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+def test_leading_table_built_once_per_candidate_series(capsys, monkeypatch):
+    """`initial` reads every Phi(d_v^j S) of a candidate series from one table."""
+    built = Counter()
+    build = TropSeries._leading_table
+
+    def counting(self):
+        built[id(self)] += 1
+        return build(self)
+
+    monkeypatch.setattr(TropSeries, "_leading_table", counting)
+    assert main(["initial", "--system", str(GOLDEN / "sys.json"),
+                 "--candidate", str(GOLDEN / "cand.json"), "--order", "9"]) == 0
+    capsys.readouterr()
+    assert list(built.values()) == [1]  # sys.json has one variable
 
 
 def test_usage_errors(capsys, exp_system, tmp_path):

@@ -234,6 +234,14 @@ def test_kernel_matches_fraction_reference():
             assert_canonical(a * n, tuple(c * n for c in ra))
             for k in range(4):
                 assert_canonical(a ** k, ref_pow(ra, k, backend))
+            # zero operands take the short-circuit paths of + - and int *
+            rz = (Fraction(0),) * backend.degree
+            z = backend.from_coeffs(rz)
+            for got, ref in ((z + a, ref_add(rz, ra)), (a + z, ref_add(ra, rz)),
+                             (z + z, rz), (a - z, ref_sub(ra, rz)),
+                             (z - a, ref_sub(rz, ra)), (z * n, rz), (a * 0, rz)):
+                assert_canonical(got, ref)
+                assert_same(got, backend.from_coeffs(ref))
 
             val = ref_valuation(ra, backend)
             assert a.valuation() == (T_INF if val is None else TropNum(val))
@@ -275,3 +283,16 @@ def test_kernel_equal_values_share_form_and_hash():
                 assert_same(a * a.inverse(), backend.one())
                 assert_same(a ** -1, a.inverse())
             assert len({a + b, b + a, backend.from_coeffs(ref_add(ra, rb))}) == 1
+
+
+def test_mixed_backends_raise_with_zero_operands():
+    """The zero short-circuits run after the backend check, so mixing still raises."""
+    for left in KERNEL_BACKENDS:
+        for right in KERNEL_BACKENDS:
+            if left == right:
+                continue
+            for x, y in ((left.zero(), right.zero()), (left.zero(), right.one()),
+                         (left.one(), right.zero())):
+                for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+                    with pytest.raises(ValueError, match="mixed field backends"):
+                        op(x, y)

@@ -12,6 +12,14 @@ bits, and radius-dense.json is the radius report on that solution.
 sys2-padic.json and sys2-trivial.json hold one nonlinear 2-variable
 system over padic 5 and over trivial; their tropicalize reports cover
 non-identity rank-2 coefficients, a constant term and signs.
+
+The failure paths exit 1.  cand-shift.json is cand.json with the
+coefficient at n = 3 raised from 1/2 to 3/2, so `check` fails and
+`initial` finds a monomial initial form.  sys-ambiguous.json
+(x' - x and x'' + 3*x over padic 3) with cand-ambiguous.json (0 + 0t + 0t^2,
+truncation 2) at order 4 gives `check` rows flagged truncation-limited,
+and `initial` raises TruncationAmbiguous: no report, the message of
+initial-ambiguous.stderr on stderr.
 """
 
 from pathlib import Path
@@ -40,16 +48,34 @@ CASES = [
     ("radius-dense.json", ["radius", "--series", golden("sol-dense.json")]),
     *((f"tropicalize-{name}.json", ["tropicalize", "--system", golden(f"{name}.json")])
       for name in ("sys", "sys2-padic", "sys2-trivial")),
+    ("check-shift.json", ["check", "--system", golden("sys.json"),
+                          "--candidate", golden("cand-shift.json"), "--order", "9"]),
+    ("initial-shift.json", ["initial", "--system", golden("sys.json"),
+                            "--candidate", golden("cand-shift.json"), "--order", "9"]),
+    ("check-ambiguous.json", ["check", "--system", golden("sys-ambiguous.json"),
+                              "--candidate", golden("cand-ambiguous.json"), "--order", "4"]),
 ]
+FAILING = {"check-shift.json", "initial-shift.json", "check-ambiguous.json"}  # exit 1
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
 def test_report_matches_golden(name, argv, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("TROPDIFF_SEED", raising=False)
     out = tmp_path / name
-    assert main(argv + ["--json", str(out)]) == 0
+    assert main(argv + ["--json", str(out)]) == (1 if name in FAILING else 0)
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_ambiguous_initial_matches_golden(tmp_path, capsys):
+    out = tmp_path / "initial-ambiguous.json"
+    assert main(["initial", "--system", golden("sys-ambiguous.json"),
+                 "--candidate", golden("cand-ambiguous.json"), "--order", "4",
+                 "--json", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert not out.exists()
+    assert captured.out == ""
+    assert captured.err == (GOLDEN / "initial-ambiguous.stderr").read_text()
 
 
 def test_solution_and_candidate_match_golden(tmp_path, capsys):
