@@ -11,24 +11,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import files
 from .diffpoly import derived_system, is_tropical_solution, tropicalize_poly
-from .errors import (
-    InvalidRule,
-    NotAClassicalSolution,
-    PolySyntaxError,
-    TropdiffError,
-    TruncationAmbiguous,
-    UnknownVariable,
-    ZetaUnavailable,
-)
+from .errors import InvalidRule, NotAClassicalSolution, TropdiffError, TruncationAmbiguous
 from .initial import initial_system_monomial_check
 from .parser import print_poly
 from .radius import (
@@ -41,62 +31,31 @@ from .radius import (
 )
 from .semiring import NatValuation, format_rational, parse_rational
 from .series import sigma0, tropicalize_series
-from .verify import DEFAULT_SEED, reproduce_exponential_example, solve_linear, verify_ft
+from .verify import (
+    DEFAULT_SEED,
+    default_window,
+    reproduce_exponential_example,
+    solve_linear,
+    verify_ft,
+)
 
 SCHEMA_VERSION = files.SCHEMA_VERSION
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters; unset values fall back to p-scaled defaults."""
-
-    subcommand: str
-    p: Optional[int] = None
-    truncation: Optional[int] = None
-    order: Optional[int] = None
-    base: Optional[Fraction] = None
-    seed: int = DEFAULT_SEED
-    count: int = 50
-    window_start: Optional[int] = None
-    json_path: Optional[str] = None
-
-    def defaulted_truncation(self) -> int:
-        if self.truncation is not None:
-            return self.truncation
-        return 6 * self.p if self.p else 12
-
-    def defaulted_order(self) -> int:
-        if self.order is not None:
-            return self.order
-        return 3 * self.p if self.p else 6
-
-    def defaulted_base(self) -> Fraction:
-        if self.base is not None:
-            return self.base
-        if self.p:
-            return Fraction(self.p)
-        raise ValueError("no base given and the field has no prime")
-
-    def validate(self):
-        if self.truncation is not None and self.truncation < 0:
+def _window(p: Optional[int], truncation: Optional[int], order: Optional[int]) -> tuple[int, int]:
+    """(N, m) from --truncation and --order after their range checks, unset ones defaulted."""
+    if truncation is not None:
+        if truncation < 0:
             raise ValueError("truncation must be >= 0")
-        if self.order is not None and self.order < 0:
-            raise ValueError("order must be >= 0")
-        if self.base is not None and self.base <= 1:
-            raise ValueError("base must be > 1")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
+        files.limit_truncation(truncation)
+    if order is not None and order < 0:
+        raise ValueError("order must be >= 0")
+    return default_window(p, truncation, order)
 
 
-def _env_seed() -> int:
-    value = os.environ.get("TROPDIFF_SEED")
-    return int(value) if value else DEFAULT_SEED
-
-
-def _write_json(config: RunConfig, payload: dict):
-    if config.json_path:
-        payload = {"schema": SCHEMA_VERSION, **payload}
-        files.dump_json(payload, config.json_path)
+def _write_json(path: Optional[str], payload: dict):
+    if path:
+        files.dump_json({"schema": SCHEMA_VERSION, **payload}, path)
 
 
 def _report_line(rep, label: str) -> str:
@@ -107,7 +66,6 @@ def _report_line(rep, label: str) -> str:
 
 
 def cmd_tropicalize(args) -> int:
-    config = RunConfig("tropicalize", json_path=args.json)
     backend, nvars, truncation, polys = files.system_from_dict(files.load_json(args.system))
     records = []
     for f in polys:
@@ -118,8 +76,8 @@ def cmd_tropicalize(args) -> int:
         print(f"f       = {print_poly(f)}")
         print(f"trop_v  = {print_poly(trop)}")
         print(f"trop_w  = {print_poly(grig)}")
-    _write_json(config, {"command": "tropicalize", "field": files.field_to_dict(backend),
-                         "vars": nvars, "truncation": truncation, "polynomials": records})
+    _write_json(args.json, {"command": "tropicalize", "field": files.field_to_dict(backend),
+                            "vars": nvars, "truncation": truncation, "polynomials": records})
     return 0
 
 
@@ -133,9 +91,7 @@ def _load_system_and_candidate(args):
 
 def cmd_check(args) -> int:
     backend, nvars, truncation, polys, candidate = _load_system_and_candidate(args)
-    config = RunConfig("check", p=backend.p, order=args.order, json_path=args.json)
-    config.validate()
-    m = config.defaulted_order()
+    _, m = _window(backend.p, None, args.order)
     labels, system = [], []
     for l, f in enumerate(polys):
         for k, g in enumerate(derived_system(f, m)):
@@ -155,7 +111,7 @@ def cmd_check(args) -> int:
                "all_vanish": report.all_vanish,
                "truncation_limited": report.truncation_limited,
                "equations": records}
-    _write_json(config, payload)
+    _write_json(args.json, payload)
     if report.all_vanish:
         qualifier = " (up to truncation)" if report.truncation_limited else ""
         print(f"verdict: tropical solution of the derived system{qualifier}")
@@ -168,9 +124,7 @@ def cmd_check(args) -> int:
 
 def cmd_initial(args) -> int:
     backend, nvars, truncation, polys, candidate = _load_system_and_candidate(args)
-    config = RunConfig("initial", p=backend.p, order=args.order, json_path=args.json)
-    config.validate()
-    m = config.defaulted_order()
+    _, m = _window(backend.p, None, args.order)
     check = initial_system_monomial_check([derived_system(f, m) for f in polys], candidate)
     records = []
     for (l, k), form in check.initials:
@@ -181,7 +135,7 @@ def cmd_initial(args) -> int:
     payload = {"command": "initial", "field": files.field_to_dict(backend),
                "vars": nvars, "truncation": truncation, "order": m,
                "verdict": check.verdict, "initial_forms": records}
-    _write_json(config, payload)
+    _write_json(args.json, payload)
     print(f"verdict: {check.verdict}")
     if not check.monomial_free:
         l, k = check.witnesses[0]
@@ -216,19 +170,18 @@ def cmd_radius(args) -> int:
     else:
         p = data.get("p")
         series = files.trop_series_from_dict(data, NatValuation(p))
-    config = RunConfig("radius", p=p, window_start=args.window_start,
-                       base=Fraction(args.base) if args.base else None,
-                       json_path=args.json)
-    config.validate()
-    base = config.defaulted_base()
-    if args.rule:
-        rule = _parse_rule_spec(args.rule, p, series)
-        estimate = radius_from_rule(rule)
+    if args.base:
+        base = Fraction(args.base)
+        if base <= 1:
+            raise ValueError("base must be > 1")
+    elif p:
+        base = Fraction(p)
     else:
-        start = config.window_start
-        if start is None:
-            start = series.truncation // 2
-        estimate = radius_window_estimate(series, start)
+        raise ValueError("no base given and the field has no prime")
+    if args.rule:
+        estimate = radius_from_rule(_parse_rule_spec(args.rule, p, series))
+    else:
+        estimate = radius_window_estimate(series, args.window_start)
     print(describe_radius(estimate, base))
     payload = {"command": "radius", "kind": estimate.kind,
                "log_radius": estimate.log_str(),
@@ -245,12 +198,11 @@ def cmd_radius(args) -> int:
               f"{'' if change.exact else ' (approximate)'}")
         payload["base_change"] = {"base": format_rational(change.new_base),
                                   "log_radius": rendered, "exact": change.exact}
-    _write_json(config, payload)
+    _write_json(args.json, payload)
     return 0
 
 
 def cmd_solve_linear(args) -> int:
-    config = RunConfig("solve-linear", json_path=args.json)
     ode = files.ode_from_dict(files.load_json(args.ode))
     sol = solve_linear(ode)
     backend = sol.backend
@@ -267,31 +219,28 @@ def cmd_solve_linear(args) -> int:
     if args.out:
         files.dump_json(record, args.out)
         print(f"series written to {args.out}")
-    _write_json(config, {"command": "solve-linear", "solution": record})
+    _write_json(args.json, {"command": "solve-linear", "solution": record})
     return 0
 
 
 def cmd_verify_ft(args) -> int:
-    seed = args.seed if args.seed is not None else _env_seed()
-    config = RunConfig("verify-ft", p=args.p, truncation=args.truncation,
-                       order=args.order, seed=seed, count=args.count,
-                       json_path=args.json)
-    config.validate()
-    report = verify_ft(args.p, config.count, config.defaulted_truncation(),
-                       config.defaulted_order(), config.seed)
+    seed = args.seed
+    if seed is None:
+        seed = int(os.environ.get("TROPDIFF_SEED") or DEFAULT_SEED)
+    n, m = _window(args.p, args.truncation, args.order)
+    if args.count < 1:
+        raise ValueError("count must be >= 1")
+    report = verify_ft(args.p, args.count, n, m, seed)
     print(report.format_text())
-    _write_json(config, {"command": "verify-ft", "seed": config.seed,
-                         **report.to_dict()})
+    _write_json(args.json, {"command": "verify-ft", "seed": seed, **report.to_dict()})
     return 0 if report.passed else 1
 
 
 def cmd_selftest(args) -> int:
-    config = RunConfig("selftest", p=args.p, truncation=args.truncation,
-                       order=args.order, json_path=args.json)
-    config.validate()
-    report = reproduce_exponential_example(args.p, config.truncation, config.order)
+    n, m = _window(args.p, args.truncation, args.order)
+    report = reproduce_exponential_example(args.p, n, m)
     print(report.format_text())
-    _write_json(config, {"command": "selftest", **report.to_dict()})
+    _write_json(args.json, {"command": "selftest", **report.to_dict()})
     return 0 if report.passed else 1
 
 
@@ -347,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ft.add_argument("--count", type=int, default=50)
     p_ft.add_argument("--truncation", type=int)
     p_ft.add_argument("--order", type=int)
-    p_ft.add_argument("--seed", type=int)  # default: _env_seed(), read per call
+    p_ft.add_argument("--seed", type=int)  # default: TROPDIFF_SEED, read per call
     p_ft.add_argument("--json")
     p_ft.set_defaults(func=cmd_verify_ft)
 
@@ -360,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-USAGE_ERRORS = (OSError, json.JSONDecodeError, ValueError, KeyError,
-                PolySyntaxError, ZetaUnavailable, UnknownVariable)
 MATH_ERRORS = (NotAClassicalSolution, TruncationAmbiguous, InvalidRule)
 
 
@@ -372,10 +319,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MATH_ERRORS as exc:
         print(f"tropdiff: {exc}", file=sys.stderr)
         return 1
-    except USAGE_ERRORS as exc:
-        print(f"tropdiff: {exc}", file=sys.stderr)
-        return 2
-    except TropdiffError as exc:
+    except (OSError, ValueError, KeyError, TropdiffError) as exc:
         print(f"tropdiff: {exc}", file=sys.stderr)
         return 2
 

@@ -28,12 +28,16 @@ SCHEMA_VERSION = 1
 MAX_TRUNCATION = 10**5
 
 
-def _read_truncation(data: dict) -> int:
-    """The record's "truncation", refused above MAX_TRUNCATION."""
-    n = int(data["truncation"])
+def limit_truncation(n: int) -> int:
+    """n, refused above MAX_TRUNCATION."""
     if n > MAX_TRUNCATION:
         raise ValueError(f"truncation {n} exceeds the limit {MAX_TRUNCATION}")
     return n
+
+
+def _read_truncation(data: dict) -> int:
+    """The record's "truncation", refused above MAX_TRUNCATION."""
+    return limit_truncation(int(data["truncation"]))
 
 
 def field_to_dict(backend: FieldBackend) -> dict:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 from .diffpoly import DiffPoly, ExponentMatrix, Poly
 from .errors import PolySyntaxError, UnknownVariable, ZetaUnavailable
@@ -200,22 +200,26 @@ def _monomial_str(lam: ExponentMatrix, nvars: int) -> str:
     return "*".join(parts)
 
 
+def _signed_sum(terms: Iterable[tuple[int, str]]) -> str:
+    """Join (sign, text) terms: "0 - " before a negative first term, then " + " or " - "."""
+    pieces = []
+    for pos, (sign, text) in enumerate(terms):
+        if pos == 0:
+            pieces.append("0 - " + text if sign < 0 else text)
+        else:
+            pieces.append((" - " if sign < 0 else " + ") + text)
+    return "".join(pieces)
+
+
 def _field_scalar_str(c: FieldElem) -> tuple[int, list[str]]:
     """Render a field element as (sign, product factors); multi-component
     Eisenstein elements come back as a single parenthesized factor."""
     nonzero = [(i, q) for i, q in enumerate(c.coeffs) if q != 0]
     if len(nonzero) > 1:
-        parts = []
-        for pos, (i, q) in enumerate(nonzero):
-            sign, factors = _field_scalar_str(c.backend.from_coeffs(
-                tuple(q if k == i else Fraction(0) for k in range(len(c.coeffs)))))
-            text = "*".join(factors) if factors else "1"
-            if pos == 0 and sign < 0:
-                text = "0 - " + text
-            elif pos > 0:
-                text = (" - " if sign < 0 else " + ") + text
-            parts.append(text)
-        return 1, ["(" + "".join(parts) + ")"]
+        terms = (_field_scalar_str(c.backend.from_coeffs(
+                     tuple(q if k == i else Fraction(0) for k in range(len(c.coeffs)))))
+                 for i, q in nonzero)
+        return 1, ["(" + _signed_sum((sign, "*".join(f) or "1") for sign, f in terms) + ")"]
     i, q = nonzero[0]
     sign = 1 if q > 0 else -1
     factors = []
@@ -232,16 +236,8 @@ def _series_str(s: PowerSeries) -> tuple[int, list[str]]:
     """Render a series coefficient as (sign, product factors)."""
     support = [k for k, c in enumerate(s.coeffs) if not c.is_zero]
     if len(support) > 1:
-        inner = []
-        for pos, k in enumerate(support):
-            sign, factors = _monomial_series_factors(s.coeffs[k], k)
-            text = "*".join(factors)
-            if pos == 0 and sign < 0:
-                text = "0 - " + text
-            elif pos > 0:
-                text = (" - " if sign < 0 else " + ") + text
-            inner.append(text)
-        return 1, ["(" + "".join(inner) + ")"]
+        terms = (_monomial_series_factors(s.coeffs[k], k) for k in support)
+        return 1, ["(" + _signed_sum((sign, "*".join(f)) for sign, f in terms) + ")"]
     k = support[0]
     return _monomial_series_factors(s.coeffs[k], k)
 
@@ -286,12 +282,4 @@ def print_poly(f: Union[DiffPoly, Poly]) -> str:
         if mono:
             factors = ([] if unit else factors) + [mono]
         rendered.append((sign, "*".join(factors)))
-    if not rendered:
-        return "0"
-    pieces = []
-    for pos, (sign, text) in enumerate(rendered):
-        if pos == 0:
-            pieces.append("0 - " + text if sign < 0 else text)
-        else:
-            pieces.append((" - " if sign < 0 else " + ") + text)
-    return "".join(pieces)
+    return _signed_sum(rendered) if rendered else "0"

@@ -96,12 +96,15 @@ def radius_from_rule(rule: RadiusRule) -> RadiusEstimate:
     return RadiusEstimate(Fraction(log, rule.stride), "exact-from-rule")
 
 
-def radius_window_estimate(a: TropSeries, window_start: int) -> RadiusEstimate:
+def radius_window_estimate(a: TropSeries, window_start: Optional[int] = None) -> RadiusEstimate:
     """Finite-sample lower bound min a_i / i over i in [window_start, truncation].
 
-    This is a proxy for the liminf with no convergence guarantee; an all-
-    infinite window yields an infinite candidate radius with a caveat.
+    The window starts at truncation // 2 unless given.  This is a proxy for
+    the liminf with no convergence guarantee; an all-infinite window yields
+    an infinite candidate radius with a caveat.
     """
+    if window_start is None:
+        window_start = a.truncation // 2
     if not 0 <= window_start < a.truncation:
         raise ValueError("window must start inside the truncation window")
     window = (window_start, a.truncation)
@@ -161,17 +164,13 @@ def classical_radius(a: PowerSeries, window_start: Optional[int] = None,
                      rule: Optional[RadiusRule] = None) -> RadiusEstimate:
     """Radius of a classical series, computed on its tropicalization.
 
-    Uses the rule path when a rule is supplied, the window path otherwise
-    (default window: second half of the truncation window).
+    Uses the rule path when a rule is supplied, the window path otherwise.
     """
     if a.backend.kind == "trivial":
         raise TrivialBackend("radius of convergence needs a nontrivial valuation")
     if rule is not None:
         return radius_from_rule(rule)
-    trop = tropicalize_series(a)
-    if window_start is None:
-        window_start = a.truncation // 2
-    return radius_window_estimate(trop, window_start)
+    return radius_window_estimate(tropicalize_series(a), window_start)
 
 
 def fit_rule(a: TropSeries, stride: int, p: Optional[int]) -> RadiusRule:

@@ -179,23 +179,12 @@ def tropically_vanishes(addends: Sequence[TropElem], inf: TropElem | None = None
 
     The sum vanishes iff it is infinity, or the minimum is attained by at
     least two addends; this is equivalent to removal-stability (dropping any
-    one addend leaves the sum unchanged), which `vanishes_by_removal` tests
-    directly.
+    one addend leaves the sum unchanged).
     """
     total = trop_sum(addends, inf=inf)
     attainment = tuple(k for k, a in enumerate(addends) if a == total)
     vanishes = total.is_inf or len(attainment) >= 2
     return VanishReport(vanishes, total, attainment)
-
-
-def vanishes_by_removal(addends: Sequence[TropElem], inf: TropElem | None = None) -> bool:
-    """Literal removal-stability definition of tropical vanishing (test oracle)."""
-    total = trop_sum(addends, inf=inf)
-    for k in range(len(addends)):
-        rest = trop_sum(addends[:k] + addends[k + 1:], inf=inf)
-        if rest != total:
-            return False
-    return True
 
 
 def v_p(n: int, p: int) -> int:
@@ -223,16 +212,6 @@ def v_p_factorial(m: int, p: int) -> int:
     if m < 0:
         raise ValueError("factorial valuation needs m >= 0")
     return (m - digit_sum(m, p)) // (p - 1)
-
-
-def v_p_factorial_iter(m: int, p: int) -> int:
-    """v_p(m!) as the iterative sum of floor(m / p^k) (cross-check path)."""
-    total = 0
-    q = p
-    while q <= m:
-        total += m // q
-        q *= p
-    return total
 
 
 def is_prime(n: int) -> bool:

@@ -216,21 +216,8 @@ class TropSeries:
         cs = tuple(self.nat_val(k) * self.coeffs[k] for k in range(1, self.truncation + 1))
         return TropSeries(self.nat_val, self.truncation - 1, cs)
 
-    def diff_n(self, j: int) -> "TropSeries":
-        s = self
-        for _ in range(j):
-            s = s.diff()
-        return s
-
-    def leading(self) -> LeadingTerm:
-        """Phi: (first finite exponent, its coefficient) in T_2; flagged if none."""
-        for k, c in enumerate(self.coeffs):
-            if not c.is_inf:
-                return LeadingTerm(Trop2((Fraction(k), c.value)))
-        return LeadingTerm(T2_INF, True, self.truncation + 1)
-
     def diff_leading(self, j: int) -> LeadingTerm:
-        """Phi(d_v^j S) for j >= 0, equal to `diff_n(j).leading()`.
+        """Phi(d_v^j S) for j >= 0: (first finite exponent, its coefficient) in T_2.
 
         Read from a table of all j = 0 .. N+1, built on the first call
         (`_leading_table`); every j > N+1 has the leading term of j = N+1.

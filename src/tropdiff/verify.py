@@ -45,6 +45,16 @@ from .series import (
 )
 
 DEFAULT_SEED = 271828
+G_DEGREE = 3  # degree of the random right-hand sides g of `verify_ft`
+RADIUS_TRUNCATION = 200  # window of the exponential example's radius step
+
+
+def default_window(p: Optional[int], truncation: Optional[int] = None,
+                   order: Optional[int] = None) -> tuple[int, int]:
+    """(N, m) with unset values at N = 6p and m = 3p, or 12 and 6 without a prime."""
+    scale = p if p else 2
+    return (6 * scale if truncation is None else truncation,
+            3 * scale if order is None else order)
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,7 +236,7 @@ def check_truncation_vectors(family: Sequence[DiffPoly], s: Sequence[TropSeries]
 
 
 def random_linear_odes(count: int, backend: FieldBackend, truncation: int,
-                       g_degree: int, seed: int) -> list[LinearODE]:
+                       seed: int) -> list[LinearODE]:
     """Seeded generator of nonzero right-hand sides with rational coefficients."""
     rng = random.Random(seed)
 
@@ -235,7 +245,7 @@ def random_linear_odes(count: int, backend: FieldBackend, truncation: int,
 
     odes = []
     while len(odes) < count:
-        cs = [backend.elem(rat()) for _ in range(g_degree + 1)]
+        cs = [backend.elem(rat()) for _ in range(G_DEGREE + 1)]
         if all(c.is_zero for c in cs):
             continue
         g = PowerSeries.from_coeffs(backend, truncation - 1, cs)
@@ -247,10 +257,10 @@ def random_linear_odes(count: int, backend: FieldBackend, truncation: int,
 
 
 def verify_ft(p: int, count: int, truncation: int, order: int,
-              seed: int = DEFAULT_SEED, g_degree: int = 3) -> FTReport:
+              seed: int = DEFAULT_SEED) -> FTReport:
     """Easy-inclusion and truncation-vector checks over seeded random linear ODEs."""
     backend = FieldBackend("padic", p)
-    odes = random_linear_odes(count, backend, truncation, g_degree, seed)
+    odes = random_linear_odes(count, backend, truncation, seed)
     steps = []
     for idx, ode in enumerate(odes):
         family = derived_system(ode.as_diffpoly(), order)
@@ -267,17 +277,14 @@ def verify_ft(p: int, count: int, truncation: int, order: int,
 
 
 def reproduce_exponential_example(p: int, truncation: Optional[int] = None,
-                                  order: Optional[int] = None,
-                                  radius_truncation: int = 200,
-                                  window_start: int = 100) -> FTReport:
+                                  order: Optional[int] = None) -> FTReport:
     """Recompute every value of the p-adic exponential example end to end.
 
     Steps: oracle solution, tropicalization, closed-form coefficients,
     derived-system solution check, initial form x' + x, radius 1 by rule and
     window, Grigoriev projection.  Stops at the first failing step.
     """
-    n = 6 * p if truncation is None else truncation
-    m = 3 * p if order is None else order
+    n, m = default_window(p, truncation, order)
     backend = FieldBackend("eisenstein", p)
     steps: list[FTStep] = []
 
@@ -329,13 +336,13 @@ def reproduce_exponential_example(p: int, truncation: Optional[int] = None,
 
     rule = RadiusRule(p, Fraction(1, p - 1), Fraction(0), True, p)
     exact = radius_from_rule(rule)
-    long_sol = solve_linear(exp_equation(p, radius_truncation)[0])
-    window = radius_window_estimate(tropicalize_series(long_sol), window_start)
+    long_sol = solve_linear(exp_equation(p, RADIUS_TRUNCATION)[0])
+    window = radius_window_estimate(tropicalize_series(long_sol))
     rule_ok = exact.log_radius == 0
     window_ok = abs(window.log_radius) <= Fraction(15, 100)
     if not step("radius", rule_ok and window_ok,
                 f"rule-exact log_r = {exact.log_str()} (r = 1); window estimate "
-                f"{window.log_str()} at N={radius_truncation}, start {window_start}"):
+                f"{window.log_str()} at N={RADIUS_TRUNCATION}, start {window.window[0]}"):
         return report()
 
     grig_s = (sigma_to_grigoriev(s),)

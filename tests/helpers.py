@@ -5,8 +5,8 @@ import random
 
 from tropdiff.diffpoly import DiffPoly, ExponentMatrix, Poly
 from tropdiff.fields import FieldBackend, FieldElem, ResidueElem, residue
-from tropdiff.semiring import NatValuation, T_INF, T2_INF, TropNum, Trop2
-from tropdiff.series import PowerSeries, TropSeries
+from tropdiff.semiring import NatValuation, T_INF, T2_INF, TropNum, Trop2, trop_sum
+from tropdiff.series import LeadingTerm, PowerSeries, TropSeries
 
 SEED = 20260810
 
@@ -116,6 +116,41 @@ def rand_nonzero_diffpoly(rng, backend, nvars, truncation, **kw) -> DiffPoly:
 # ---------------------------------------------------------------------------
 # independent oracles
 
+def vanishes_by_removal(addends, inf=None) -> bool:
+    """Literal removal-stability definition of tropical vanishing."""
+    total = trop_sum(addends, inf=inf)
+    for k in range(len(addends)):
+        rest = trop_sum(addends[:k] + addends[k + 1:], inf=inf)
+        if rest != total:
+            return False
+    return True
+
+
+def v_p_factorial_iter(m: int, p: int) -> int:
+    """v_p(m!) as the iterative sum of floor(m / p^k)."""
+    total = 0
+    q = p
+    while q <= m:
+        total += m // q
+        q *= p
+    return total
+
+
+def diff_n(s: TropSeries, j: int) -> TropSeries:
+    """d_v^j S by differentiating j times."""
+    for _ in range(j):
+        s = s.diff()
+    return s
+
+
+def leading(s: TropSeries) -> LeadingTerm:
+    """Phi: (first finite exponent, its coefficient) in T_2; flagged if none."""
+    for k, c in enumerate(s.coeffs):
+        if not c.is_inf:
+            return LeadingTerm(Trop2((Fraction(k), c.value)))
+    return LeadingTerm(T2_INF, True, s.truncation + 1)
+
+
 def vp_factorial_bruteforce(m: int, p: int) -> int:
     """Valuation of m! by factoring the literal product."""
     count = 0
@@ -211,7 +246,7 @@ def initial_form_literal(f: DiffPoly, s) -> "Poly":
     for lam, coeff in f.terms:
         shift, scalar = shift0, scalar0
         for (i, j), e in lam.entries:
-            w = s[i].diff_n(j).leading()
+            w = leading(diff_n(s[i], j))
             assert not w.truncation_limited
             sh, sc = section_phi(w.value, backend)
             shift += sh * e

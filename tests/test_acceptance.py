@@ -158,8 +158,7 @@ def test_criterion_6_property_suites():
 
 def _ft_instances():
     backend = FieldBackend("padic", 3)
-    return random_linear_odes(50, backend, truncation=20, g_degree=3,
-                              seed=DEFAULT_SEED)
+    return random_linear_odes(50, backend, truncation=20, seed=DEFAULT_SEED)
 
 
 def test_criterion_7_ft_inclusions():

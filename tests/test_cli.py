@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import tropdiff
-from tropdiff import files
+from tropdiff import errors, files
 from tropdiff.cli import main
 from tropdiff.semiring import TropNum
 from tropdiff.series import TropSeries
@@ -270,7 +270,7 @@ for argv in {cases!r}:
 
 
 def test_huge_truncation_refused(tmp_path, exp_system):
-    """Truncation 10^9 in any input file exits 2 before the dense window exists.
+    """Truncation 10^9 in any input file or option exits 2 before the dense window exists.
 
     The child process is capped at 1 GiB of address space, so a reader that
     allocated 10^9 coefficients would die of MemoryError instead of exiting 2.
@@ -296,6 +296,8 @@ def test_huge_truncation_refused(tmp_path, exp_system):
         ["tropicalize", "--system", path["system.json"]],
         ["solve-linear", "--ode", path["ode.json"]],
         ["solve-linear", "--ode", path["ode-g.json"]],
+        ["selftest", "--p", "3", "--truncation", "1000000000"],
+        ["verify-ft", "--p", "3", "--count", "1", "--truncation", "1000000000", "--order", "2"],
     ]
     src = str(Path(tropdiff.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", CAPPED_MAIN.format(cases=cases)],
@@ -303,3 +305,80 @@ def test_huge_truncation_refused(tmp_path, exp_system):
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.stdout.split() == ["2"] * len(cases), proc.stderr
     assert proc.stderr.count(f"exceeds the limit {files.MAX_TRUNCATION}") == len(cases)
+
+
+# --- pinned CLI behaviour: range checks, p-scaled defaults, exit codes --------
+
+def _write(tmp_path, name, record) -> str:
+    path = tmp_path / name
+    files.dump_json(record, str(path))
+    return str(path)
+
+
+def test_range_checks_exit_2(capsys, tmp_path):
+    """Each out-of-range run parameter exits 2 with its message on stderr."""
+    sys_cand = ["--system", str(GOLDEN / "sys.json"), "--candidate", str(GOLDEN / "cand.json")]
+    trivial_series = _write(tmp_path, "triv.json", {
+        "field": {"kind": "trivial"}, "truncation": 4,
+        "coeffs": [{"n": 0, "val": "1"}, {"n": 2, "val": "3"}]})
+    cases = [
+        (["check", *sys_cand, "--order", "-1"], "order must be >= 0"),
+        (["initial", *sys_cand, "--order", "-1"], "order must be >= 0"),
+        (["verify-ft", "--count", "1", "--order", "-1"], "order must be >= 0"),
+        (["selftest", "--order", "-1"], "order must be >= 0"),
+        (["verify-ft", "--count", "1", "--truncation", "-1"], "truncation must be >= 0"),
+        (["selftest", "--truncation", "-1"], "truncation must be >= 0"),
+        (["verify-ft", "--count", "0"], "count must be >= 1"),
+        (["radius", "--series", str(GOLDEN / "sol.json"), "--base", "1"], "base must be > 1"),
+        (["radius", "--series", trivial_series], "no base given and the field has no prime"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err == f"tropdiff: {message}\n", argv
+        assert captured.out == "", argv
+
+
+def test_check_default_order_scales_with_p(capsys, tmp_path):
+    """Without --order, `check` derives to 3p, or to 6 over a field with no prime."""
+    padic = _write(tmp_path, "padic.json", {"field": {"kind": "padic", "p": 3}, "vars": 1,
+                                            "truncation": 18, "polynomials": ["x' - x"]})
+    trivial = _write(tmp_path, "trivial.json", {"field": {"kind": "trivial"}, "vars": 1,
+                                                "truncation": 8, "polynomials": ["x' - x"]})
+    cand = _write(tmp_path, "zeros.json", {"series": [{
+        "truncation": 8, "coeffs": [{"n": k, "val": "0"} for k in range(9)]}]})
+    out = tmp_path / "check.json"
+    for system, candidate, order in ((padic, str(GOLDEN / "cand.json"), 9),
+                                     (trivial, cand, 6)):
+        assert main(["check", "--system", system, "--candidate", candidate,
+                     "--json", str(out)]) in (0, 1)
+        assert json.loads(out.read_text())["order"] == order
+    capsys.readouterr()
+
+
+def test_verify_ft_default_window(capsys, tmp_path):
+    """`verify-ft --p 3` without --truncation and --order runs at N = 6p, m = 3p."""
+    out = tmp_path / "ft.json"
+    assert main(["verify-ft", "--p", "3", "--json", str(out)]) == 0
+    capsys.readouterr()
+    data = json.loads(out.read_text())
+    assert (data["truncation"], data["order"]) == (18, 9)
+
+
+def test_error_exit_codes(capsys, monkeypatch):
+    """Mathematical failures exit 1; every other library error exits 2."""
+    math_failures = {errors.NotAClassicalSolution, errors.TruncationAmbiguous,
+                     errors.InvalidRule}
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.TropdiffError)]
+    assert math_failures < set(classes)
+    for cls in classes:
+        exc = cls("raised", 7) if cls is errors.PolySyntaxError else cls("raised")
+
+        def raiser(path, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(files, "load_json", raiser)
+        assert main(["tropicalize", "--system", "any.json"]) == (
+            1 if cls in math_failures else 2), cls.__name__
+        assert capsys.readouterr().err == f"tropdiff: {exc}\n"

@@ -14,11 +14,16 @@ from tropdiff.semiring import (
     trop_sum,
     v_p,
     v_p_factorial,
-    v_p_factorial_iter,
-    vanishes_by_removal,
 )
 
-from helpers import rng_for, rand_trop_num, rand_trop2, vp_factorial_bruteforce
+from helpers import (
+    rng_for,
+    rand_trop_num,
+    rand_trop2,
+    v_p_factorial_iter,
+    vanishes_by_removal,
+    vp_factorial_bruteforce,
+)
 
 
 def T(x):

@@ -119,7 +119,7 @@ def test_verify_ft_random_odes():
 
 def test_tropical_multiple_closure_random():
     backend = FieldBackend("padic", 3)
-    odes = random_linear_odes(10, backend, 16, 3, seed=DEFAULT_SEED + 1)
+    odes = random_linear_odes(10, backend, 16, seed=DEFAULT_SEED + 1)
     from tropdiff.diffpoly import derived_tropical_system, is_tropical_solution
     for ode in odes:
         f = ode.as_diffpoly()
