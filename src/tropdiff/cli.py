@@ -42,15 +42,22 @@ from .verify import (
 SCHEMA_VERSION = files.SCHEMA_VERSION
 
 
-def _window(p: Optional[int], truncation: Optional[int], order: Optional[int]) -> tuple[int, int]:
-    """(N, m) from --truncation and --order after their range checks, unset ones defaulted."""
-    if truncation is not None:
-        if truncation < 0:
-            raise ValueError("truncation must be >= 0")
-        files.limit_truncation(truncation)
+def _order(p: Optional[int], order: Optional[int]) -> int:
+    """m from --order after its range check, defaulted from p when unset."""
     if order is not None and order < 0:
         raise ValueError("order must be >= 0")
-    return default_window(p, truncation, order)
+    return default_window(p, None, order)[1]
+
+
+def _window(p: Optional[int], truncation: Optional[int], order: Optional[int]) -> tuple[int, int]:
+    """(N, m) from --truncation and --order, unset ones defaulted from p.
+
+    N, given or defaulted, is refused above files.MAX_TRUNCATION.
+    """
+    if truncation is not None and truncation < 0:
+        raise ValueError("truncation must be >= 0")
+    n = files.limit_truncation(default_window(p, truncation)[0])
+    return n, _order(p, order)
 
 
 def _write_json(path: Optional[str], payload: dict):
@@ -91,7 +98,7 @@ def _load_system_and_candidate(args):
 
 def cmd_check(args) -> int:
     backend, nvars, truncation, polys, candidate = _load_system_and_candidate(args)
-    _, m = _window(backend.p, None, args.order)
+    m = _order(backend.p, args.order)
     labels, system = [], []
     for l, f in enumerate(polys):
         for k, g in enumerate(derived_system(f, m)):
@@ -124,7 +131,7 @@ def cmd_check(args) -> int:
 
 def cmd_initial(args) -> int:
     backend, nvars, truncation, polys, candidate = _load_system_and_candidate(args)
-    _, m = _window(backend.p, None, args.order)
+    m = _order(backend.p, args.order)
     check = initial_system_monomial_check([derived_system(f, m) for f in polys], candidate)
     records = []
     for (l, k), form in check.initials:
@@ -208,13 +215,12 @@ def cmd_solve_linear(args) -> int:
     backend = sol.backend
     print(f"solution of x' = g*x over {backend.describe()}, truncation {sol.truncation}")
     shown = 0
-    for k, c in enumerate(sol.coeffs):
-        if not c.is_zero:
-            print(f"  t^{k}: {c}")
-            shown += 1
-            if shown >= 12 and k < sol.truncation - 1:
-                print("  ...")
-                break
+    for k, c in sol.terms:
+        print(f"  t^{k}: {c}")
+        shown += 1
+        if shown >= 12 and k < sol.truncation - 1:
+            print("  ...")
+            break
     record = {"field": files.field_to_dict(backend), **files.series_to_dict(sol)}
     if args.out:
         files.dump_json(record, args.out)

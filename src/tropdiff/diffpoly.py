@@ -12,7 +12,7 @@ of a series, and the report asks whether the minimum tropically vanishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
@@ -130,14 +130,16 @@ class DiffPoly:
     nvars: int
     truncation: int
     terms: tuple[tuple[ExponentMatrix, PowerSeries], ...]
+    # Memo of `tropicalize_poly`, set on its first call; not part of the
+    # value, so equality, hashing and repr ignore it.
+    _trop: Optional["Poly"] = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def make(backend: FieldBackend, nvars: int, truncation: int,
              terms: Mapping[ExponentMatrix, PowerSeries]) -> "DiffPoly":
         collected: dict[ExponentMatrix, PowerSeries] = {}
         for lam, coeff in terms.items():
-            if coeff.truncation != truncation:
-                coeff = PowerSeries.from_coeffs(backend, truncation, coeff.coeffs)
+            coeff = coeff.with_window(truncation)
             if lam in collected:
                 collected[lam] = collected[lam] + coeff
             else:
@@ -260,8 +262,12 @@ def tropicalize_poly(f: DiffPoly) -> Poly:
 
     Every coefficient of a DiffPoly is nonzero inside its window (`make`
     drops the others), so no rank-2 value here is truncation-limited.
+    Computed once per polynomial and kept in its `_trop` memo.
     """
-    return Poly.make(f.nvars, {lam: rank2_val(a).value for lam, a in f.terms})
+    if f._trop is None:
+        object.__setattr__(f, "_trop", Poly.make(
+            f.nvars, {lam: rank2_val(a).value for lam, a in f.terms}))
+    return f._trop
 
 
 def eval_classical(f: DiffPoly, a: Sequence[PowerSeries]) -> PowerSeries:

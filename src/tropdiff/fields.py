@@ -13,7 +13,9 @@ positive common denominator, c_i = num[i] / den, in canonical form:
 gcd(den, *num) == 1, and zero is (0, ..., 0) over 1.  Equal values therefore
 have equal fields, which `==` and `hash` rely on.  Every operation works on
 the integers and normalizes once with a single multi-argument gcd; the
-rational coefficients are derived on demand by `FieldElem.coeffs`.  For p = 2
+rational coefficients are derived on demand by `FieldElem.coeffs`.  `dot`
+sums a run of products with the same folding loop as `*` and normalizes the
+whole sum once, which is what series convolutions use.  For p = 2
 the vector has length one and zeta is the rational -2.  Because zero has one
 form, `+`, `-` and scaling by an `int` return an operand unchanged (or `-x`
 for `0 - x`) when one side is zero, without touching the integers.
@@ -25,7 +27,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import NegativeValuation, NonIntegralExponent, ZeroInput
 from .semiring import (
@@ -186,23 +188,8 @@ class FieldElem:
                 return FieldElem(self.backend, (0,) * len(self.num), 1)
             return _normal(self.backend, tuple([a * other for a in self.num]), self.den)
         self._check(other)
-        d = self.backend.degree
-        den = self.den * other.den
-        if d == 1:
-            return _normal(self.backend, (self.num[0] * other.num[0],), den)
-        out = [0] * d
-        p = self.backend.p
-        b_support = [(j, b) for j, b in enumerate(other.num) if b]
-        for i, a in enumerate(self.num):
-            if not a:
-                continue
-            for j, b in b_support:
-                k = i + j
-                if k < d:
-                    out[k] += a * b
-                else:  # zeta^(p-1) = -p folds the overflow back
-                    out[k - d] -= p * a * b
-        return _normal(self.backend, tuple(out), den)
+        return _normal(self.backend, tuple(_product(self.backend, self.num, other.num)),
+                       self.den * other.den)
 
     def inverse(self) -> "FieldElem":
         if self.is_zero:
@@ -278,6 +265,51 @@ class FieldElem:
 
     def __repr__(self) -> str:
         return f"FieldElem({self})"
+
+
+def _product(backend: FieldBackend, a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """Numerators of (sum a_i zeta^i) * (sum b_j zeta^j), with zeta^(p-1) = -p folded in."""
+    d = backend.degree
+    if d == 1:
+        return [a[0] * b[0]]
+    out = [0] * d
+    p = backend.p
+    b_support = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in b_support:
+            k = i + j
+            if k < d:
+                out[k] += x * y
+            else:  # zeta^(p-1) = -p folds the overflow back
+                out[k - d] -= p * x * y
+    return out
+
+
+def dot(backend: FieldBackend, pairs: Iterable[tuple[FieldElem, FieldElem]]) -> FieldElem:
+    """The sum of a * b over `pairs`, normalized once; the empty sum is zero.
+
+    The integer products are accumulated over a running common denominator
+    (the lcm of the product denominators seen so far), so no partial sum is
+    normalized.
+    """
+    num, den = [0] * backend.degree, 1
+    for a, b in pairs:
+        if ((a.backend is not backend or b.backend is not backend)
+                and (a.backend != backend or b.backend != backend)):
+            raise ValueError("mixed field backends")
+        prod, pden = _product(backend, a.num, b.num), a.den * b.den
+        if pden != den:  # rescale the sum and the product to the lcm
+            g = math.gcd(den, pden)
+            sa, sb = pden // g, den // g
+            if sa != 1:
+                num = [x * sa for x in num]
+                den *= sa
+            if sb != 1:
+                prod = [y * sb for y in prod]
+        num = list(map(operator.add, num, prod))
+    return _normal(backend, tuple(num), den)
 
 
 def _normal(backend: FieldBackend, num: tuple[int, ...], den: int) -> FieldElem:

@@ -10,7 +10,7 @@ A system file is {"field": {...}, "vars": n, "truncation": N,
 "polynomials": [expr, ...]} with expressions in the polynomial grammar; a
 candidate file is {"series": [series-record, ...]} over the system's field.
 Every reader refuses a truncation above MAX_TRUNCATION before allocating
-its dense coefficient window.
+anything; a tropical series still holds its whole window.
 """
 
 from __future__ import annotations
@@ -69,20 +69,19 @@ def elem_from_json(value, backend: FieldBackend) -> FieldElem:
 
 
 def series_to_dict(s: PowerSeries) -> dict:
-    coeffs = [{"n": k, "val": elem_to_json(c)}
-              for k, c in enumerate(s.coeffs) if not c.is_zero]
+    coeffs = [{"n": k, "val": elem_to_json(c)} for k, c in s.terms]
     return {"truncation": s.truncation, "coeffs": coeffs}
 
 
 def series_from_dict(data: dict, backend: FieldBackend) -> PowerSeries:
     n = _read_truncation(data)
-    cs = [backend.zero()] * (n + 1)
+    cs = {}  # a repeated index keeps its last record
     for rec in data.get("coeffs", []):
         k = int(rec["n"])
         if not 0 <= k <= n:
             raise ValueError(f"coefficient index {k} outside truncation {n}")
         cs[k] = elem_from_json(rec["val"], backend)
-    return PowerSeries(backend, n, tuple(cs))
+    return PowerSeries(backend, n, tuple(sorted((k, c) for k, c in cs.items() if not c.is_zero)))
 
 
 def trop_series_to_dict(s: TropSeries) -> dict:

@@ -53,8 +53,8 @@ def initial_form(f: DiffPoly, s: Sequence[TropSeries]) -> Poly:
     out = {}
     for t in terms:
         if t.weight == total:
-            coeff = f.coefficient(t.monomial)
-            out[t.monomial] = angular_component(coeff.coeffs[coeff.order()])
+            _, lead = f.coefficient(t.monomial).terms[0]
+            out[t.monomial] = angular_component(lead)
     return Poly.make(f.nvars, out)
 
 

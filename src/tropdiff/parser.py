@@ -234,12 +234,11 @@ def _field_scalar_str(c: FieldElem) -> tuple[int, list[str]]:
 
 def _series_str(s: PowerSeries) -> tuple[int, list[str]]:
     """Render a series coefficient as (sign, product factors)."""
-    support = [k for k, c in enumerate(s.coeffs) if not c.is_zero]
-    if len(support) > 1:
-        terms = (_monomial_series_factors(s.coeffs[k], k) for k in support)
+    if len(s.terms) > 1:
+        terms = (_monomial_series_factors(c, k) for k, c in s.terms)
         return 1, ["(" + _signed_sum((sign, "*".join(f)) for sign, f in terms) + ")"]
-    k = support[0]
-    return _monomial_series_factors(s.coeffs[k], k)
+    k, c = s.terms[0]
+    return _monomial_series_factors(c, k)
 
 
 def _monomial_series_factors(c: FieldElem, k: int) -> tuple[int, list[str]]:

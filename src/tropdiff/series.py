@@ -1,7 +1,9 @@
 """Degree-truncated power series, classical and tropical, with differential structure.
 
-Every series carries a hard truncation degree N and stores coefficients for
-t^0 .. t^N.  Binary operations truncate to the smaller window; each
+Every series carries a hard truncation degree N and stands for the
+coefficients of t^0 .. t^N.  A classical series stores only its nonzero
+terms, and its operations loop over those; a tropical series stores the
+whole window.  Binary operations truncate to the smaller window; each
 differentiation loses one degree.  A window that is all zero (classical) or
 all infinite (tropical) cannot determine the leading term of the underlying
 infinite series, so leading-term extraction returns an infinity flagged
@@ -11,12 +13,15 @@ infinite series, so leading-term extraction returns an infinity flagged
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from itertools import islice
+from operator import itemgetter
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import TruncationExhausted
-from .fields import FieldBackend, FieldElem
+from .fields import FieldBackend, FieldElem, dot
 from .semiring import (
     NatValuation,
     T_INF,
@@ -49,80 +54,116 @@ class LeadingTerm:
 
 @dataclass(frozen=True, slots=True)
 class PowerSeries:
-    """Truncated element of K[[t]] with exact coefficients."""
+    """Truncated element of K[[t]], stored as its nonzero terms.
+
+    `terms` is ((k, c_k), ...) sorted by k, with every c_k nonzero and
+    0 <= k <= truncation; every other coefficient in the window is zero.
+    Equal series therefore have equal fields, which `==` and `hash` rely on.
+    `coeffs` is the derived dense view.
+    """
 
     backend: FieldBackend
     truncation: int
-    coeffs: tuple[FieldElem, ...]
+    terms: tuple[tuple[int, FieldElem], ...]
 
     def __post_init__(self):
         if self.truncation < 0:
             raise ValueError("classical series need truncation >= 0")
-        if len(self.coeffs) != self.truncation + 1:
-            raise ValueError("coefficient count must be truncation + 1")
+        if self.terms and not 0 <= self.terms[0][0] <= self.terms[-1][0] <= self.truncation:
+            raise ValueError("term degrees must lie in 0 .. truncation")
 
     @staticmethod
-    def from_coeffs(backend: FieldBackend, truncation: int, coeffs: Sequence[FieldElem]) -> "PowerSeries":
-        cs = list(coeffs)[: truncation + 1]
-        cs += [backend.zero()] * (truncation + 1 - len(cs))
-        return PowerSeries(backend, truncation, tuple(cs))
+    def from_coeffs(backend: FieldBackend, truncation: int, coeffs: Iterable[FieldElem]) -> "PowerSeries":
+        """The series c_0 + c_1 t + ...; coefficients past the window are dropped."""
+        return PowerSeries(backend, truncation, tuple(
+            (k, c) for k, c in enumerate(islice(coeffs, truncation + 1)) if not c.is_zero))
 
     @staticmethod
     def zero(backend: FieldBackend, truncation: int) -> "PowerSeries":
-        return PowerSeries.from_coeffs(backend, truncation, [])
+        return PowerSeries(backend, truncation, ())
 
     @staticmethod
     def one(backend: FieldBackend, truncation: int) -> "PowerSeries":
-        return PowerSeries.from_coeffs(backend, truncation, [backend.one()])
+        return PowerSeries(backend, truncation, ((0, backend.one()),))
 
     @staticmethod
     def monomial(backend: FieldBackend, truncation: int, coeff: FieldElem, degree: int) -> "PowerSeries":
-        cs = [backend.zero()] * (truncation + 1)
-        if 0 <= degree <= truncation:
-            cs[degree] = coeff
-        return PowerSeries(backend, truncation, tuple(cs))
+        inside = 0 <= degree <= truncation and not coeff.is_zero
+        return PowerSeries(backend, truncation, ((degree, coeff),) if inside else ())
+
+    @property
+    def coeffs(self) -> tuple[FieldElem, ...]:
+        """The dense coefficients c_0 .. c_N, zeros included."""
+        out = [self.backend.zero()] * (self.truncation + 1)
+        for k, c in self.terms:
+            out[k] = c
+        return tuple(out)
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
+        return not self.terms
 
     def order(self):
         """Smallest exponent with a nonzero coefficient, or None within the window."""
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero:
-                return k
-        return None
+        return self.terms[0][0] if self.terms else None
 
     def constant_term(self) -> FieldElem:
-        return self.coeffs[0]
+        if self.terms and self.terms[0][0] == 0:
+            return self.terms[0][1]
+        return self.backend.zero()
+
+    def with_window(self, truncation: int) -> "PowerSeries":
+        """The same terms in window N = truncation: terms past N are dropped,
+        and a wider window reads zero beyond the old one."""
+        if truncation == self.truncation:
+            return self
+        cut = bisect_right(self.terms, truncation, key=itemgetter(0))
+        return PowerSeries(self.backend, truncation, self.terms[:cut])
 
     def truncate(self, truncation: int) -> "PowerSeries":
         if truncation >= self.truncation:
             return self
-        return PowerSeries(self.backend, truncation, self.coeffs[: truncation + 1])
+        return self.with_window(truncation)
+
+    def _common(self, other: "PowerSeries") -> int:
+        """The smaller truncation of the two operands, which must share a backend."""
+        if self.backend is not other.backend and self.backend != other.backend:
+            raise ValueError("mixed field backends")
+        return min(self.truncation, other.truncation)
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.truncation, other.truncation)
-        return PowerSeries(self.backend, n,
-                           tuple(a + b for a, b in zip(self.coeffs, other.coeffs))[: n + 1])
+        n = self._common(other)
+        out = dict(self.truncate(n).terms)
+        for k, c in other.truncate(n).terms:
+            if k not in out:
+                out[k] = c
+                continue
+            total = out[k] + c
+            if total.is_zero:
+                del out[k]
+            else:
+                out[k] = total
+        return PowerSeries(self.backend, n, tuple(sorted(out.items())))
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
         return self + (-other)
 
     def __neg__(self) -> "PowerSeries":
-        return PowerSeries(self.backend, self.truncation, tuple(-c for c in self.coeffs))
+        return PowerSeries(self.backend, self.truncation, tuple((k, -c) for k, c in self.terms))
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.truncation, other.truncation)
-        out = [self.backend.zero()] * (n + 1)
-        support = [(j, b) for j, b in enumerate(other.coeffs[: n + 1]) if not b.is_zero]
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a.is_zero:
-                continue
-            for j, b in support:
-                if i + j > n:
-                    break
-                out[i + j] = out[i + j] + a * b
+        """Cauchy product in the smaller window; each coefficient is one `dot`."""
+        n = self._common(other)
+        a, b = self.truncate(n).terms, other.truncate(n).terms
+        if len(a) > len(b):  # scan the smaller support, look up the larger
+            a, b = b, a
+        out = []
+        if a:
+            lookup = dict(b)
+            for k in range(a[0][0] + b[0][0], min(n, a[-1][0] + b[-1][0]) + 1):
+                c = dot(self.backend, _pairs(a, lookup, k))
+                if not c.is_zero:
+                    out.append((k, c))
         return PowerSeries(self.backend, n, tuple(out))
 
     def __pow__(self, n: int) -> "PowerSeries":
@@ -136,14 +177,27 @@ class PowerSeries:
         return result
 
     def scale(self, c: Union[FieldElem, int]) -> "PowerSeries":
-        return PowerSeries(self.backend, self.truncation, tuple(a * c for a in self.coeffs))
+        if (c == 0) if isinstance(c, int) else c.is_zero:
+            return PowerSeries.zero(self.backend, self.truncation)
+        return PowerSeries(self.backend, self.truncation, tuple((k, a * c) for k, a in self.terms))
 
     def derivative(self) -> "PowerSeries":
         """d/dt; drops the truncation by one."""
         if self.truncation == 0:
             raise TruncationExhausted("no coefficients left to differentiate")
-        cs = tuple(self.coeffs[k] * k for k in range(1, self.truncation + 1))
-        return PowerSeries(self.backend, self.truncation - 1, cs)
+        terms = tuple((k - 1, c * k) for k, c in self.terms if k)
+        return PowerSeries(self.backend, self.truncation - 1, terms)
+
+
+def _pairs(a, lookup, k):
+    """The factor pairs (a_i, b_(k-i)) of coefficient k, for a sorted support
+    `a` and a degree -> coefficient map `lookup` of the other factor."""
+    for i, x in a:
+        if i > k:
+            return
+        y = lookup.get(k - i)
+        if y is not None:
+            yield x, y
 
 
 @dataclass(frozen=True, slots=True)
@@ -260,22 +314,24 @@ class TropSeries:
 
 def tropicalize_series(a: PowerSeries) -> TropSeries:
     """Coefficientwise valuation of a classical series (the differential enhancement)."""
-    return TropSeries(a.backend.nat_val, a.truncation,
-                      tuple(c.valuation() for c in a.coeffs))
+    cs = [T_INF] * (a.truncation + 1)
+    for k, c in a.terms:
+        cs[k] = c.valuation()
+    return TropSeries(a.backend.nat_val, a.truncation, tuple(cs))
 
 
 def rank2_val(a: PowerSeries) -> LeadingTerm:
     """Rank-2 valuation (t-order, valuation of the leading coefficient)."""
-    k = a.order()
-    if k is None:
+    if a.is_zero:
         return LeadingTerm(T2_INF, True, a.truncation + 1)
-    return LeadingTerm(Trop2((Fraction(k), a.coeffs[k].valuation().value)))
+    k, c = a.terms[0]
+    return LeadingTerm(Trop2((Fraction(k), c.valuation().value)))
 
 
 def psi_one(a: Sequence[FieldElem], backend: FieldBackend) -> PowerSeries:
     """Taylor packing: coefficient j of the output is a_j / j!."""
-    cs = tuple(c * backend.elem(Fraction(1, math.factorial(j))) for j, c in enumerate(a))
-    return PowerSeries(backend, len(a) - 1, cs)
+    cs = (c * backend.elem(Fraction(1, math.factorial(j))) for j, c in enumerate(a))
+    return PowerSeries.from_coeffs(backend, len(a) - 1, cs)
 
 
 def psi(a: Sequence[Sequence[FieldElem]], backend: FieldBackend) -> tuple[PowerSeries, ...]:

@@ -30,7 +30,7 @@ from .diffpoly import (
     tropicalize_poly,
 )
 from .errors import NotAClassicalSolution, TruncationExhausted
-from .fields import FieldBackend, FieldElem, ResidueElem
+from .fields import FieldBackend, FieldElem, ResidueElem, dot
 from .initial import initial_form, initial_system_monomial_check
 from .radius import RadiusRule, radius_from_rule, radius_window_estimate
 from .semiring import T_INF, TropNum, v_p_factorial
@@ -72,11 +72,9 @@ class LinearODE:
     def as_diffpoly(self) -> DiffPoly:
         """The defining polynomial x' - g*x."""
         backend = self.g.backend
-        one = PowerSeries.one(backend, self.truncation)
-        g_ext = PowerSeries.from_coeffs(backend, self.truncation, self.g.coeffs)
         return DiffPoly.make(backend, 1, self.truncation, {
-            ExponentMatrix.var(0, 1): one,
-            ExponentMatrix.var(0, 0): -g_ext,
+            ExponentMatrix.var(0, 1): PowerSeries.one(backend, self.truncation),
+            ExponentMatrix.var(0, 0): -self.g,  # make re-windows g to N
         })
 
 
@@ -84,21 +82,18 @@ def solve_linear(ode: LinearODE) -> PowerSeries:
     """Exact power-series solution by the convolution recurrence.
 
     c_{k+1} = (1/(k+1)) sum_{j<=k} g_j c_{k-j}, summed over the nonzero g_j
-    only.  The result is re-checked against the defining polynomial on every
-    run; a nonzero residual raises NotAClassicalSolution.
+    only, as one `dot` per coefficient.  The result is re-checked against the
+    defining polynomial on every run; a nonzero residual raises
+    NotAClassicalSolution.
     """
     backend = ode.g.backend
-    g_support = [(j, gj) for j, gj in enumerate(ode.g.coeffs[: ode.truncation])
-                 if not gj.is_zero]
+    g_support = [(j, gj) for j, gj in ode.g.terms if j < ode.truncation]
     coeffs = [ode.c0]
     for k in range(ode.truncation):
-        acc = backend.zero()
-        for j, gj in g_support:
-            if j > k:
-                break
-            acc = acc + gj * coeffs[k - j]
-        coeffs.append(acc * backend.elem(Fraction(1, k + 1)))
-    sol = PowerSeries(backend, ode.truncation, tuple(coeffs))
+        acc = dot(backend, ((gj, coeffs[k - j]) for j, gj in g_support
+                            if j <= k and not coeffs[k - j].is_zero))
+        coeffs.append(acc if acc.is_zero else acc * backend.elem(Fraction(1, k + 1)))
+    sol = PowerSeries.from_coeffs(backend, ode.truncation, coeffs)
     if ode.truncation >= 1:
         residual = eval_classical(ode.as_diffpoly(), (sol,))
         if not residual.is_zero:

@@ -66,7 +66,7 @@ def rand_power_series(rng, backend: FieldBackend, truncation: int,
                       zero_prob=0.3) -> PowerSeries:
     coeffs = [backend.zero() if rng.random() < zero_prob else rand_elem(rng, backend)
               for _ in range(truncation + 1)]
-    return PowerSeries(backend, truncation, tuple(coeffs))
+    return PowerSeries.from_coeffs(backend, truncation, coeffs)
 
 
 def rand_trop_series(rng, nat_val: NatValuation, truncation: int,
@@ -163,7 +163,7 @@ def vp_factorial_bruteforce(m: int, p: int) -> int:
 
 def exp_series_direct(backend: FieldBackend, u: PowerSeries, truncation: int) -> PowerSeries:
     """exp(u) for u with zero constant term, by summing u^k / k! directly."""
-    assert u.coeffs[0].is_zero
+    assert u.constant_term().is_zero
     total = PowerSeries.one(backend, truncation)
     term = PowerSeries.one(backend, truncation)
     fact = 1
@@ -204,7 +204,7 @@ class Laurent:
 
     @staticmethod
     def from_power_series(s: PowerSeries) -> "Laurent":
-        return Laurent(s.backend, {k: c for k, c in enumerate(s.coeffs)})
+        return Laurent(s.backend, dict(s.terms))
 
     def shift_scale(self, shift: int, scalar: FieldElem) -> "Laurent":
         return Laurent(self.backend,
@@ -369,3 +369,76 @@ def ref_str(a, backend: FieldBackend) -> str:
         else:
             parts.append(f"{c}*{power}")
     return " + ".join(parts) or "0"
+
+
+# ---------------------------------------------------------------------------
+# reference series arithmetic: dense tuples of reference field elements, one
+# per coefficient of t^0 .. t^N, on the plain-tuple field arithmetic above
+
+def ref_zero(backend: FieldBackend) -> tuple:
+    return (Fraction(0),) * backend.degree
+
+
+def rand_ref_series(rng, backend: FieldBackend, truncation: int, density: str) -> tuple:
+    """Coefficients t^0 .. t^N: all zero ("zero"), about one in three nonzero
+    ("sparse"), or all nonzero ("full")."""
+    out = []
+    for _ in range(truncation + 1):
+        if density == "zero" or (density == "sparse" and rng.random() < 0.7):
+            out.append(ref_zero(backend))
+            continue
+        c = rand_ref_coeffs(rng, backend, rng.choice((1, 4, 12)))
+        while not any(c):
+            c = rand_ref_coeffs(rng, backend, 4)
+        out.append(c)
+    return tuple(out)
+
+
+def series_from_ref(backend: FieldBackend, ref: tuple) -> PowerSeries:
+    return PowerSeries.from_coeffs(backend, len(ref) - 1, [backend.from_coeffs(c) for c in ref])
+
+
+def ref_from_terms(s: PowerSeries) -> tuple:
+    """The dense reference of `s`, read from its terms after checking that they
+    are sorted, inside the window and nonzero."""
+    degrees = [k for k, _ in s.terms]
+    assert degrees == sorted(set(degrees)), f"unsorted support {degrees}"
+    assert all(0 <= k <= s.truncation for k in degrees)
+    assert all(not c.is_zero for _, c in s.terms), "zero coefficient kept as a term"
+    out = [ref_zero(s.backend)] * (s.truncation + 1)
+    for k, c in s.terms:
+        out[k] = c.coeffs
+    return tuple(out)
+
+
+def ref_series_add(a: tuple, b: tuple) -> tuple:
+    return tuple(ref_add(x, y) for x, y in zip(a, b))
+
+
+def ref_series_neg(a: tuple) -> tuple:
+    return tuple(tuple(-q for q in c) for c in a)
+
+
+def ref_series_mul(a: tuple, b: tuple, backend: FieldBackend) -> tuple:
+    """Cauchy product in the smaller window, every pair of coefficients multiplied."""
+    n = min(len(a), len(b))
+    out = [ref_zero(backend)] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] = ref_add(out[i + j], ref_mul(a[i], b[j], backend))
+    return tuple(out)
+
+
+def ref_series_pow(a: tuple, e: int, backend: FieldBackend) -> tuple:
+    out = (ref_one(backend),) + (ref_zero(backend),) * (len(a) - 1)
+    for _ in range(e):
+        out = ref_series_mul(out, a, backend)
+    return out
+
+
+def ref_series_scale(a: tuple, c: tuple, backend: FieldBackend) -> tuple:
+    return tuple(ref_mul(x, c, backend) for x in a)
+
+
+def ref_series_derivative(a: tuple) -> tuple:
+    return tuple(tuple(k * q for q in a[k]) for k in range(1, len(a)))

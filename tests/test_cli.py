@@ -270,7 +270,8 @@ for argv in {cases!r}:
 
 
 def test_huge_truncation_refused(tmp_path, exp_system):
-    """Truncation 10^9 in any input file or option exits 2 before the dense window exists.
+    """Truncation 10^9 in any input file or option, or a --p whose default
+    window exceeds the limit, exits 2 before any window exists.
 
     The child process is capped at 1 GiB of address space, so a reader that
     allocated 10^9 coefficients would die of MemoryError instead of exiting 2.
@@ -298,6 +299,9 @@ def test_huge_truncation_refused(tmp_path, exp_system):
         ["solve-linear", "--ode", path["ode-g.json"]],
         ["selftest", "--p", "3", "--truncation", "1000000000"],
         ["verify-ft", "--p", "3", "--count", "1", "--truncation", "1000000000", "--order", "2"],
+        # the defaulted window N = 6p is checked as well
+        ["selftest", "--p", "1000003"],
+        ["verify-ft", "--p", "20011", "--count", "1", "--order", "0"],
     ]
     src = str(Path(tropdiff.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", CAPPED_MAIN.format(cases=cases)],

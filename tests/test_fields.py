@@ -8,6 +8,7 @@ from tropdiff.fields import (
     FieldBackend,
     ResidueElem,
     angular_component,
+    dot,
     residue,
     section_phi,
 )
@@ -296,3 +297,40 @@ def test_mixed_backends_raise_with_zero_operands():
                 for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
                     with pytest.raises(ValueError, match="mixed field backends"):
                         op(x, y)
+
+
+def test_dot_matches_fraction_reference():
+    """`dot` equals the reference sum of products, in canonical form, with one
+    normalization over mixed denominators, 1024-bit operands and cancellation."""
+    rng = rng_for("dot-oracle")
+    for backend in KERNEL_BACKENDS:
+        rz = (Fraction(0),) * backend.degree
+        assert_canonical(dot(backend, []), rz)
+        assert_canonical(dot(backend, iter(())), rz)
+        for case in range(16):
+            bits = 1024 if case % 4 == 0 else rng.choice((1, 4, 12))
+            refs = [tuple(rand_ref_coeffs(rng, backend, bits) for _ in range(2))
+                    for _ in range(rng.randint(1, 6))]
+            pairs = [(backend.from_coeffs(ra), backend.from_coeffs(rb)) for ra, rb in refs]
+            total = rz
+            for ra, rb in refs:
+                total = ref_add(total, ref_mul(ra, rb, backend))
+            assert_canonical(dot(backend, pairs), total)
+            assert_canonical(dot(backend, iter(pairs)), total)
+            # the same products with negated left factors cancel to zero
+            both = pairs + [(-a, b) for a, b in pairs]
+            rng.shuffle(both)
+            assert_canonical(dot(backend, both), rz)
+            # an exact cancellation between different denominators
+            a, b = pairs[0]
+            if not a.is_zero and not b.is_zero:
+                three = backend.elem(3)
+                cancel = [(a * three, b), (-a, b * three)]
+                assert_canonical(dot(backend, cancel), rz)
+
+
+def test_dot_mixed_backends_raise():
+    x, y = PADIC3.one(), EISEN3.one()
+    for pairs in ([(x, y)], [(y, y)], [(PADIC3.zero(), x), (x, TRIVIAL.one())]):
+        with pytest.raises(ValueError, match="mixed field backends"):
+            dot(PADIC3, pairs)
