@@ -105,7 +105,9 @@ class FieldBackend:
         # zeta^k = (-p)^q * zeta^r with k = q*(p-1) + r, 0 <= r < p-1
         q, r = divmod(k, self.p - 1)
         scale = Fraction(-self.p) ** q
-        return self.zeta() ** r * self.elem(scale)
+        num = [0] * self.degree
+        num[r] = scale.numerator
+        return _normal(self, tuple(num), scale.denominator)
 
     def from_coeffs(self, coeffs) -> "FieldElem":
         coeffs = tuple(Fraction(c) for c in coeffs)
