@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import MissingVariable, TruncationExhausted
-from .fields import FieldBackend, FieldElem
+from .fields import FieldBackend, FieldElem, power
 from .semiring import T2_INF, Trop2, TropElem, TropNum, tropically_vanishes
 from .series import LeadingTerm, PowerSeries, TropSeries, rank2_val
 
@@ -136,14 +136,17 @@ class DiffPoly:
 
     @staticmethod
     def make(backend: FieldBackend, nvars: int, truncation: int,
-             terms: Mapping[ExponentMatrix, PowerSeries]) -> "DiffPoly":
+             terms: Iterable[tuple[ExponentMatrix, PowerSeries]]) -> "DiffPoly":
+        """The sum of the (monomial, coefficient) pairs in window `truncation`.
+
+        Each coefficient is re-windowed, the coefficients of equal monomials
+        are summed and zero sums are dropped; every DiffPoly operation builds
+        its result here.
+        """
         collected: dict[ExponentMatrix, PowerSeries] = {}
-        for lam, coeff in terms.items():
+        for lam, coeff in terms:
             coeff = coeff.with_window(truncation)
-            if lam in collected:
-                collected[lam] = collected[lam] + coeff
-            else:
-                collected[lam] = coeff
+            collected[lam] = collected[lam] + coeff if lam in collected else coeff
         return DiffPoly(backend, nvars, truncation, _sorted_terms(collected))
 
     @staticmethod
@@ -153,11 +156,11 @@ class DiffPoly:
     @staticmethod
     def var(backend: FieldBackend, nvars: int, truncation: int, i: int, j: int) -> "DiffPoly":
         one = PowerSeries.one(backend, truncation)
-        return DiffPoly.make(backend, nvars, truncation, {ExponentMatrix.var(i, j): one})
+        return DiffPoly.make(backend, nvars, truncation, [(ExponentMatrix.var(i, j), one)])
 
     @staticmethod
     def constant(backend: FieldBackend, nvars: int, series: PowerSeries) -> "DiffPoly":
-        return DiffPoly.make(backend, nvars, series.truncation, {CONSTANT_MONOMIAL: series})
+        return DiffPoly.make(backend, nvars, series.truncation, [(CONSTANT_MONOMIAL, series)])
 
     @property
     def is_zero(self) -> bool:
@@ -182,11 +185,7 @@ class DiffPoly:
 
     def __add__(self, other: "DiffPoly") -> "DiffPoly":
         n = self._common(other)
-        out: dict[ExponentMatrix, PowerSeries] = {}
-        for lam, c in self.terms + other.terms:
-            c = c.truncate(n)
-            out[lam] = out[lam] + c if lam in out else c
-        return DiffPoly.make(self.backend, self.nvars, n, out)
+        return DiffPoly.make(self.backend, self.nvars, n, self.terms + other.terms)
 
     def __neg__(self) -> "DiffPoly":
         return DiffPoly(self.backend, self.nvars, self.truncation,
@@ -196,45 +195,33 @@ class DiffPoly:
         return self + (-other)
 
     def __mul__(self, other: "DiffPoly") -> "DiffPoly":
+        """Product; each coefficient product lies in the smaller window already."""
         n = self._common(other)
-        out: dict[ExponentMatrix, PowerSeries] = {}
-        for lam, a in self.terms:
-            for mu, b in other.terms:
-                key = lam * mu
-                prod = a.truncate(n) * b.truncate(n)
-                out[key] = out[key] + prod if key in out else prod
-        return DiffPoly.make(self.backend, self.nvars, n, out)
+        return DiffPoly.make(self.backend, self.nvars, n, (
+            (lam * mu, a * b) for lam, a in self.terms for mu, b in other.terms))
 
     def __pow__(self, n: int) -> "DiffPoly":
         if n < 0:
             raise ValueError("polynomial powers need n >= 0")
-        if n == 0:
-            return DiffPoly.constant(self.backend, self.nvars,
-                                     PowerSeries.one(self.backend, self.truncation))
-        result = self
-        for _ in range(n - 1):
-            result = result * self
-        return result
+        one = DiffPoly.constant(self.backend, self.nvars,
+                                PowerSeries.one(self.backend, self.truncation))
+        return power(self, n, one)
 
     def scale(self, c: FieldElem) -> "DiffPoly":
         return DiffPoly.make(self.backend, self.nvars, self.truncation,
-                             {lam: s.scale(c) for lam, s in self.terms})
+                             [(lam, s.scale(c)) for lam, s in self.terms])
 
     def diff(self) -> "DiffPoly":
         """Total derivative: Leibniz across coefficients and monomials."""
         if self.truncation < 1:
             raise TruncationExhausted("coefficient truncation exhausted by d")
         n = self.truncation - 1
-        out: dict[ExponentMatrix, PowerSeries] = {}
-
-        def add(lam: ExponentMatrix, coeff: PowerSeries):
-            out[lam] = out[lam] + coeff if lam in out else coeff
-
+        out: list[tuple[ExponentMatrix, PowerSeries]] = []
         for lam, a in self.terms:
-            add(lam, a.derivative())
+            out.append((lam, a.derivative()))
             a_low = a.truncate(n)
-            for (i, j), e in lam.entries:
-                add(lam.bump(i, j), a_low if e == 1 else a_low.scale(e))
+            out.extend((lam.bump(i, j), a_low if e == 1 else a_low.scale(e))
+                       for (i, j), e in lam.entries)
         return DiffPoly.make(self.backend, self.nvars, n, out)
 
     def constant_terms(self) -> Poly:

@@ -17,8 +17,8 @@ rational coefficients are derived on demand by `FieldElem.coeffs`.  `dot`
 sums a run of products with the same folding loop as `*` and normalizes the
 whole sum once, which is what series convolutions use.  For p = 2
 the vector has length one and zeta is the rational -2.  Because zero has one
-form, `+`, `-` and scaling by an `int` return an operand unchanged (or `-x`
-for `0 - x`) when one side is zero, without touching the integers.
+form, `+` and scaling by an `int` return an operand unchanged when one side
+is zero, without touching the integers; `-` is `+` of the negation.
 """
 
 from __future__ import annotations
@@ -165,21 +165,11 @@ class FieldElem:
         return _normal(self.backend, tuple(num), da * sa)
 
     def __sub__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        if not any(other.num):
-            return self
-        if not any(self.num):
-            return -other
-        da, db = self.den, other.den
-        if da == db:
-            return _normal(self.backend, tuple(map(operator.sub, self.num, other.num)), da)
-        g = math.gcd(da, db)
-        sa, sb = db // g, da // g
-        num = [a * sa - b * sb for a, b in zip(self.num, other.num)]
-        return _normal(self.backend, tuple(num), da * sa)
+        return self + -other
 
     def __neg__(self) -> "FieldElem":
-        return _normal(self.backend, tuple(map(operator.neg, self.num)), self.den)
+        # negation keeps gcd(den, *num) == 1, so the result is already canonical
+        return FieldElem(self.backend, tuple(map(operator.neg, self.num)), self.den)
 
     def __mul__(self, other: Union["FieldElem", int]) -> "FieldElem":
         """Field product; an int factor scales the numerators directly."""
@@ -201,11 +191,11 @@ class FieldElem:
             return self.backend.from_coeffs((Fraction(self.den, self.num[0]),))
         # Solve (self * x) = 1 by Gaussian elimination on the multiplication matrix.
         basis = []
-        power = self.backend.one()
+        zeta_i = self.backend.one()
         zeta = self.backend.zeta()
         for _ in range(d):
-            basis.append((self * power).coeffs)
-            power = power * zeta
+            basis.append((self * zeta_i).coeffs)
+            zeta_i = zeta_i * zeta
         rows = [[basis[j][i] for j in range(d)] + [Fraction(1 if i == 0 else 0)] for i in range(d)]
         for col in range(d):
             pivot = next(r for r in range(col, d) if rows[r][col] != 0)
@@ -224,14 +214,7 @@ class FieldElem:
     def __pow__(self, n: int) -> "FieldElem":
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.backend.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, self.backend.one())
 
     def valuation(self) -> TropNum:
         """Exact valuation; zero maps to infinity."""
@@ -267,6 +250,19 @@ class FieldElem:
 
     def __repr__(self) -> str:
         return f"FieldElem({self})"
+
+
+def power(x, n: int, one):
+    """x^n for n >= 0 by repeated squaring, in any ring with `*`: at most
+    2 log2(n) products; x^1 is x itself and x^0 is `one`."""
+    result = None
+    while n:
+        if n & 1:
+            result = x if result is None else result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return one if result is None else result
 
 
 def _product(backend: FieldBackend, a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:

@@ -9,8 +9,8 @@ list only the nonzero (classical) / finite (tropical) coefficients:
 A system file is {"field": {...}, "vars": n, "truncation": N,
 "polynomials": [expr, ...]} with expressions in the polynomial grammar; a
 candidate file is {"series": [series-record, ...]} over the system's field.
-Every reader refuses a truncation above MAX_TRUNCATION before allocating
-anything; a tropical series still holds its whole window.
+Both series types share one record reader and writer.  Every reader
+refuses a truncation above MAX_TRUNCATION before allocating anything.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .diffpoly import CONSTANT_MONOMIAL, DiffPoly
 from .fields import FieldBackend, FieldElem
-from .semiring import NatValuation, T_INF, TropNum, format_rational, parse_rational
+from .semiring import NatValuation, TropNum, format_rational, parse_rational
 from .series import PowerSeries, TropSeries
 from .verify import LinearODE
 
@@ -68,37 +68,41 @@ def elem_from_json(value, backend: FieldBackend) -> FieldElem:
     return backend.elem(parse_rational(str(value)))
 
 
+def _series_to_record(s, fmt) -> dict:
+    """The record of a classical or tropical series, one entry per stored term."""
+    return {"truncation": s.truncation,
+            "coeffs": [{"n": k, "val": fmt(c)} for k, c in s.terms]}
+
+
+def _series_from_record(data: dict, parse) -> tuple[int, list]:
+    """(N, sorted (k, parse(val)) pairs) of a series record; a repeated index
+    keeps its last record."""
+    n = _read_truncation(data)
+    cs = {}
+    for rec in data.get("coeffs", []):
+        k = int(rec["n"])
+        if not 0 <= k <= n:
+            raise ValueError(f"coefficient index {k} outside truncation {n}")
+        cs[k] = parse(rec["val"])
+    return n, sorted(cs.items())
+
+
 def series_to_dict(s: PowerSeries) -> dict:
-    coeffs = [{"n": k, "val": elem_to_json(c)} for k, c in s.terms]
-    return {"truncation": s.truncation, "coeffs": coeffs}
+    return _series_to_record(s, elem_to_json)
 
 
 def series_from_dict(data: dict, backend: FieldBackend) -> PowerSeries:
-    n = _read_truncation(data)
-    cs = {}  # a repeated index keeps its last record
-    for rec in data.get("coeffs", []):
-        k = int(rec["n"])
-        if not 0 <= k <= n:
-            raise ValueError(f"coefficient index {k} outside truncation {n}")
-        cs[k] = elem_from_json(rec["val"], backend)
-    return PowerSeries(backend, n, tuple(sorted((k, c) for k, c in cs.items() if not c.is_zero)))
+    n, terms = _series_from_record(data, lambda v: elem_from_json(v, backend))
+    return PowerSeries(backend, n, tuple((k, c) for k, c in terms if not c.is_zero))
 
 
 def trop_series_to_dict(s: TropSeries) -> dict:
-    coeffs = [{"n": k, "val": str(c)}
-              for k, c in enumerate(s.coeffs) if not c.is_inf]
-    return {"truncation": s.truncation, "coeffs": coeffs}
+    return _series_to_record(s, str)
 
 
 def trop_series_from_dict(data: dict, nat_val: NatValuation) -> TropSeries:
-    n = _read_truncation(data)
-    cs = [T_INF] * (n + 1)
-    for rec in data.get("coeffs", []):
-        k = int(rec["n"])
-        if not 0 <= k <= n:
-            raise ValueError(f"coefficient index {k} outside truncation {n}")
-        cs[k] = TropNum.parse(str(rec["val"]))
-    return TropSeries(nat_val, n, tuple(cs))
+    n, terms = _series_from_record(data, lambda v: TropNum.parse(str(v)))
+    return TropSeries(nat_val, n, tuple((k, c) for k, c in terms if not c.is_inf))
 
 
 def candidate_to_dict(series: Sequence[TropSeries]) -> dict:
@@ -113,7 +117,7 @@ def candidate_from_dict(data: dict, nat_val: NatValuation) -> tuple[TropSeries, 
     if nat_val.p is None:
         # Grigoriev mode records supports only: coefficients must be Boolean
         for s in out:
-            if not all(c.is_boolean for c in s.coeffs):
+            if not all(c.is_boolean for _, c in s.terms):
                 raise ValueError("trivially valued systems take Boolean "
                                  "candidates (coefficients 0 or inf)")
     return out

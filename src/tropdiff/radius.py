@@ -65,8 +65,8 @@ class RadiusRule:
         return TropNum(a)
 
     def series(self, nat_val: NatValuation, truncation: int) -> TropSeries:
-        return TropSeries(nat_val, truncation,
-                          tuple(self.coefficient(n) for n in range(truncation + 1)))
+        return TropSeries.from_coeffs(nat_val, truncation,
+                                      map(self.coefficient, range(truncation + 1)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,14 +108,8 @@ def radius_window_estimate(a: TropSeries, window_start: Optional[int] = None) ->
     if not 0 <= window_start < a.truncation:
         raise ValueError("window must start inside the truncation window")
     window = (window_start, a.truncation)
-    best: Optional[Fraction] = None
-    for i in range(max(window_start, 1), a.truncation + 1):
-        c = a.coeffs[i]
-        if c.is_inf:
-            continue
-        q = Fraction(c.value, i)
-        if best is None or q < best:
-            best = q
+    start = max(window_start, 1)
+    best = min((Fraction(c.value, i) for i, c in a.terms if i >= start), default=None)
     if best is None:
         return RadiusEstimate(LOG_INF, "window-lower-bound", window,
                               caveat="all coefficients infinite in the window; "
@@ -181,7 +175,7 @@ def fit_rule(a: TropSeries, stride: int, p: Optional[int]) -> RadiusRule:
     """
     if stride < 1:
         raise InvalidRule("stride must be a positive natural")
-    finite = [(n, c.value) for n, c in enumerate(a.coeffs) if not c.is_inf]
+    finite = [(n, c.value) for n, c in a.terms]
     if not finite:
         raise InvalidRule("all coefficients are infinite; no rule to fit")
     if any(n % stride for n, _ in finite):

@@ -81,12 +81,6 @@ class TropNum:
         """Canonical partial order: a precedes b iff a + b == b (so inf is least)."""
         return self + other == other
 
-    def shift(self, q: Rat) -> "TropNum":
-        """Tropical scaling by a finite rational (adds q; inf stays inf)."""
-        if self.value is None:
-            return T_INF
-        return TropNum(self.value + Fraction(q))
-
     def __str__(self) -> str:
         return "inf" if self.value is None else format_rational(self.value)
 

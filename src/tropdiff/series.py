@@ -1,12 +1,12 @@
 """Degree-truncated power series, classical and tropical, with differential structure.
 
 Every series carries a hard truncation degree N and stands for the
-coefficients of t^0 .. t^N.  A classical series stores only its nonzero
-terms, and its operations loop over those; a tropical series stores the
-whole window.  Binary operations truncate to the smaller window; each
-differentiation loses one degree.  A window that is all zero (classical) or
-all infinite (tropical) cannot determine the leading term of the underlying
-infinite series, so leading-term extraction returns an infinity flagged
+coefficients of t^0 .. t^N.  A series stores only its support, the nonzero
+(classical) or finite (tropical) terms, and its operations loop over those.
+Binary operations truncate to the smaller window; each differentiation
+loses one degree.  A window that is all zero (classical) or all infinite
+(tropical) cannot determine the leading term of the underlying infinite
+series, so leading-term extraction returns an infinity flagged
 `truncation_limited` instead of failing.
 """
 
@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import TruncationExhausted
-from .fields import FieldBackend, FieldElem, dot
+from .fields import FieldBackend, FieldElem, dot, power
 from .semiring import (
     NatValuation,
     T_INF,
@@ -169,12 +169,7 @@ class PowerSeries:
     def __pow__(self, n: int) -> "PowerSeries":
         if n < 0:
             raise ValueError("series powers need n >= 0")
-        if n == 0:
-            return PowerSeries.one(self.backend, self.truncation)
-        result = self
-        for _ in range(n - 1):
-            result = result * self
-        return result
+        return power(self, n, PowerSeries.one(self.backend, self.truncation))
 
     def scale(self, c: Union[FieldElem, int]) -> "PowerSeries":
         if (c == 0) if isinstance(c, int) else c.is_zero:
@@ -202,15 +197,19 @@ def _pairs(a, lookup, k):
 
 @dataclass(frozen=True, slots=True)
 class TropSeries:
-    """Truncated tropical power series with a tropical differential d_v.
+    """Truncated tropical power series with a tropical differential d_v,
+    stored as its finite terms.
 
-    Truncation -1 (an empty window) marks a series differentiated past its
-    data; its leading term is a flagged infinity.
+    `terms` is ((k, a_k), ...) sorted by k, with every a_k finite and
+    0 <= k <= truncation; every other coefficient in the window is infinite.
+    As for `PowerSeries`, equal series have equal fields and `coeffs` is the
+    derived dense view.  Truncation -1 (an empty window) marks a series
+    differentiated past its data; its leading term is a flagged infinity.
     """
 
     nat_val: NatValuation
     truncation: int
-    coeffs: tuple[TropNum, ...]
+    terms: tuple[tuple[int, TropNum], ...]
     # Memo of `_leading_table`, set on the first `diff_leading` call; not
     # part of the value, so equality, hashing and repr ignore it.
     _leading: Optional[tuple[LeadingTerm, ...]] = field(
@@ -219,56 +218,67 @@ class TropSeries:
     def __post_init__(self):
         if self.truncation < -1:
             raise ValueError("tropical series need truncation >= -1")
-        if len(self.coeffs) != self.truncation + 1:
-            raise ValueError("coefficient count must be truncation + 1")
+        if self.terms and not 0 <= self.terms[0][0] <= self.terms[-1][0] <= self.truncation:
+            raise ValueError("term degrees must lie in 0 .. truncation")
 
     @staticmethod
-    def from_coeffs(nat_val: NatValuation, truncation: int, coeffs: Sequence[TropNum]) -> "TropSeries":
-        cs = list(coeffs)[: truncation + 1]
-        cs += [T_INF] * (truncation + 1 - len(cs))
-        return TropSeries(nat_val, truncation, tuple(cs))
+    def from_coeffs(nat_val: NatValuation, truncation: int, coeffs: Iterable[TropNum]) -> "TropSeries":
+        """The series with coefficients a_0, a_1, ...; those past the window are dropped."""
+        return TropSeries(nat_val, truncation, tuple(
+            (k, c) for k, c in enumerate(islice(coeffs, truncation + 1)) if not c.is_inf))
 
     @staticmethod
     def inf(nat_val: NatValuation, truncation: int) -> "TropSeries":
-        return TropSeries.from_coeffs(nat_val, truncation, [])
+        return TropSeries(nat_val, truncation, ())
 
     @staticmethod
     def monomial(nat_val: NatValuation, truncation: int, coeff: TropNum, degree: int) -> "TropSeries":
-        cs = [T_INF] * (truncation + 1)
-        if 0 <= degree <= truncation:
-            cs[degree] = coeff
-        return TropSeries(nat_val, truncation, tuple(cs))
+        inside = 0 <= degree <= truncation and not coeff.is_inf
+        return TropSeries(nat_val, truncation, ((degree, coeff),) if inside else ())
+
+    @property
+    def coeffs(self) -> tuple[TropNum, ...]:
+        """The dense coefficients a_0 .. a_N, infinities included."""
+        out = [T_INF] * (self.truncation + 1)
+        for k, c in self.terms:
+            out[k] = c
+        return tuple(out)
 
     @property
     def is_inf(self) -> bool:
-        return all(c.is_inf for c in self.coeffs)
+        return not self.terms
 
     def __add__(self, other: "TropSeries") -> "TropSeries":
         n = min(self.truncation, other.truncation)
-        return TropSeries(self.nat_val, n,
-                          tuple(a + b for a, b in zip(self.coeffs, other.coeffs))[: n + 1])
+        out = dict(self.truncate(n).terms)
+        for k, c in other.truncate(n).terms:
+            out[k] = out[k] + c if k in out else c
+        return TropSeries(self.nat_val, n, tuple(sorted(out.items())))
 
     def __mul__(self, other: "TropSeries") -> "TropSeries":
         """Min-plus convolution."""
         n = min(self.truncation, other.truncation)
-        out = [T_INF] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a.is_inf:
-                continue
-            for j in range(n + 1 - i):
-                out[i + j] = out[i + j] + a * other.coeffs[j]
-        return TropSeries(self.nat_val, n, tuple(out))
+        out: dict[int, TropNum] = {}
+        for i, a in self.truncate(n).terms:
+            for j, b in other.terms:
+                if i + j > n:
+                    break
+                c = a * b
+                out[i + j] = out[i + j] + c if i + j in out else c
+        return TropSeries(self.nat_val, n, tuple(sorted(out.items())))
 
     def scale(self, c: TropNum) -> "TropSeries":
         """Tropical scalar multiple: adds c to every coefficient."""
-        return TropSeries(self.nat_val, self.truncation, tuple(c * a for a in self.coeffs))
+        if c.is_inf:
+            return TropSeries.inf(self.nat_val, self.truncation)
+        return TropSeries(self.nat_val, self.truncation, tuple((k, c * a) for k, a in self.terms))
 
     def diff(self) -> "TropSeries":
         """Tropical differential d_v: coefficient k-1 becomes v(k) + coefficient k."""
         if self.truncation <= 0:
             return TropSeries(self.nat_val, -1, ())
-        cs = tuple(self.nat_val(k) * self.coeffs[k] for k in range(1, self.truncation + 1))
-        return TropSeries(self.nat_val, self.truncation - 1, cs)
+        v = self.nat_val
+        return TropSeries(v, self.truncation - 1, tuple((k - 1, v(k) * c) for k, c in self.terms if k))
 
     def diff_leading(self, j: int) -> LeadingTerm:
         """Phi(d_v^j S) for j >= 0: (first finite exponent, its coefficient) in T_2.
@@ -283,7 +293,7 @@ class TropSeries:
         return table[min(j, self.truncation + 1)]
 
     def _leading_table(self) -> tuple[LeadingTerm, ...]:
-        """Phi(d_v^j S) for j = 0 .. N+1 in closed form, from one backward scan.
+        """Phi(d_v^j S) for j = 0 .. N+1 in closed form, walking the terms backwards.
 
         Coefficient i of d_v^j S is S_{i+j} + v((i+j)!) - v(i!), so the first
         finite index k >= j gives the leading term (k - j, S_k + v(k!) - v((k-j)!)).
@@ -294,30 +304,30 @@ class TropSeries:
         vfact = ([0] * (n + 1) if p is None  # vfact[m] = v(m!)
                  else [v_p_factorial(m, p) for m in range(n + 1)])
         table = [LeadingTerm(T2_INF, True, 0)]  # j = N+1
-        k = None  # first finite index >= j
+        terms = self.terms
+        t = len(terms)  # terms[t] is the first term of index >= j, if t < len(terms)
         for j in range(n, -1, -1):
-            if not self.coeffs[j].is_inf:
-                k = j
-            if k is None:
+            if t and terms[t - 1][0] == j:
+                t -= 1
+            if t == len(terms):
                 table.append(LeadingTerm(T2_INF, True, n - j + 1))
                 continue
-            value = self.coeffs[k].value + vfact[k] - vfact[k - j]
-            table.append(LeadingTerm(Trop2((Fraction(k - j), value))))
+            k, c = terms[t]
+            table.append(LeadingTerm(Trop2((Fraction(k - j), c.value + vfact[k] - vfact[k - j]))))
         table.reverse()
         return tuple(table)
 
     def truncate(self, truncation: int) -> "TropSeries":
         if truncation >= self.truncation:
             return self
-        return TropSeries(self.nat_val, truncation, self.coeffs[: truncation + 1])
+        cut = bisect_right(self.terms, truncation, key=itemgetter(0))
+        return TropSeries(self.nat_val, truncation, self.terms[:cut])
 
 
 def tropicalize_series(a: PowerSeries) -> TropSeries:
     """Coefficientwise valuation of a classical series (the differential enhancement)."""
-    cs = [T_INF] * (a.truncation + 1)
-    for k, c in a.terms:
-        cs[k] = c.valuation()
-    return TropSeries(a.backend.nat_val, a.truncation, tuple(cs))
+    return TropSeries(a.backend.nat_val, a.truncation,
+                      tuple((k, c.valuation()) for k, c in a.terms))
 
 
 def rank2_val(a: PowerSeries) -> LeadingTerm:
@@ -348,11 +358,8 @@ def psi_inverse(series: Sequence[PowerSeries]) -> tuple[tuple[FieldElem, ...], .
 
 def psi_trop(b: Sequence[TropNum], nat_val: NatValuation) -> TropSeries:
     """Tropical Taylor packing: coefficient j is b_j - v(j!)."""
-    cs = []
-    for j, bj in enumerate(b):
-        fact = nat_val.factorial(j)
-        cs.append(T_INF if bj.is_inf else TropNum(bj.value - fact.value))
-    return TropSeries(nat_val, len(b) - 1, tuple(cs))
+    return TropSeries(nat_val, len(b) - 1, tuple(
+        (j, TropNum(bj.value - nat_val.factorial(j).value)) for j, bj in enumerate(b) if not bj.is_inf))
 
 
 def psi_trop_inverse(s: TropSeries) -> tuple[TropNum, ...]:
@@ -373,5 +380,4 @@ def sigma_to_grigoriev(s: TropSeries) -> TropSeries:
     The image is a Grigoriev series, a trivial-valuation series with
     coefficients in {0, inf}.
     """
-    return TropSeries(TRIVIAL_NAT_VAL, s.truncation,
-                      tuple(T_INF if c.is_inf else T_ZERO for c in s.coeffs))
+    return TropSeries(TRIVIAL_NAT_VAL, s.truncation, tuple((k, T_ZERO) for k, _ in s.terms))

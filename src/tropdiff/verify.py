@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 
 from .diffpoly import (
     DiffPoly,
-    EvalReport,
     ExponentMatrix,
     Poly,
     SolutionReport,
@@ -33,7 +32,7 @@ from .errors import NotAClassicalSolution, TruncationExhausted
 from .fields import FieldBackend, FieldElem, ResidueElem, dot
 from .initial import initial_form, initial_system_monomial_check
 from .radius import RadiusRule, radius_from_rule, radius_window_estimate
-from .semiring import T_INF, TropNum, v_p_factorial
+from .semiring import NatValuation, T_INF, TropNum, v_p_factorial
 from .series import (
     LeadingTerm,
     PowerSeries,
@@ -72,10 +71,10 @@ class LinearODE:
     def as_diffpoly(self) -> DiffPoly:
         """The defining polynomial x' - g*x."""
         backend = self.g.backend
-        return DiffPoly.make(backend, 1, self.truncation, {
-            ExponentMatrix.var(0, 1): PowerSeries.one(backend, self.truncation),
-            ExponentMatrix.var(0, 0): -self.g,  # make re-windows g to N
-        })
+        return DiffPoly.make(backend, 1, self.truncation, [
+            (ExponentMatrix.var(0, 1), PowerSeries.one(backend, self.truncation)),
+            (ExponentMatrix.var(0, 0), -self.g),  # make re-windows g to N
+        ])
 
 
 def solve_linear(ode: LinearODE) -> PowerSeries:
@@ -113,15 +112,9 @@ def exp_equation(p: int, truncation: int) -> tuple[LinearODE, DiffPoly]:
 
 def exp_tropical_closed_form(p: int, truncation: int) -> TropSeries:
     """Tropicalization of exp(zeta t^p): m/(p-1) - v_p(m!) at index m*p, else infinity."""
-    backend = FieldBackend("eisenstein", p)
-    coeffs = []
-    for n in range(truncation + 1):
-        if n % p:
-            coeffs.append(T_INF)
-        else:
-            m = n // p
-            coeffs.append(TropNum(Fraction(m, p - 1) - v_p_factorial(m, p)))
-    return TropSeries(backend.nat_val, truncation, tuple(coeffs))
+    return TropSeries(NatValuation(p), truncation, tuple(
+        (m * p, TropNum(Fraction(m, p - 1) - v_p_factorial(m, p)))
+        for m in range(truncation // p + 1)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,25 +202,18 @@ def check_easy_inclusion(family: Sequence[DiffPoly], sol: Sequence[PowerSeries])
     return is_tropical_solution([tropicalize_poly(g) for g in family], s)
 
 
-@dataclass(frozen=True, slots=True)
-class VectorCheckReport:
-    """Vector checks on trop(F_r) for r <= m at B with b_j = c_j + v(j!)."""
-
-    reports: tuple[EvalReport, ...]
-    all_vanish: bool
-    failing: tuple[int, ...]
-
-
-def check_truncation_vectors(family: Sequence[DiffPoly], s: Sequence[TropSeries]) -> VectorCheckReport:
+def check_truncation_vectors(family: Sequence[DiffPoly], s: Sequence[TropSeries]) -> SolutionReport:
     """A tropical solution truncates to a solution of the F_r tropicalizations.
 
-    F_r = (d^r f)|_(t=0) is read from `family`, the derived family f, ..., d^m f.
+    F_r = (d^r f)|_(t=0) is read from `family`, the derived family f, ..., d^m f,
+    at B with b_j = c_j + v(j!).  The values are constants, so no report is
+    truncation-limited.
     """
     b = tuple(psi_trop_inverse(si) for si in s)
     reports = tuple(evaluate(g.constant_terms().map(FieldElem.valuation), at_vector(b), T_INF)
                     for g in family)
     failing = tuple(r for r, rep in enumerate(reports) if not rep.vanishes)
-    return VectorCheckReport(reports, not failing, failing)
+    return SolutionReport(reports, not failing, False, failing)
 
 
 def random_linear_odes(count: int, backend: FieldBackend, truncation: int,

@@ -79,7 +79,7 @@ def rand_trop_series(rng, nat_val: NatValuation, truncation: int,
             coeffs.append(TropNum(Fraction(rng.randint(-8, 8), 2)))
         else:
             coeffs.append(TropNum(rand_fraction(rng)))
-    return TropSeries(nat_val, truncation, tuple(coeffs))
+    return TropSeries.from_coeffs(nat_val, truncation, tuple(coeffs))
 
 
 def rand_full_trop_series(rng, nat_val, truncation, half_integers=False) -> TropSeries:
@@ -103,7 +103,7 @@ def rand_diffpoly(rng, backend, nvars, truncation, max_terms=3,
     for _ in range(rng.randint(1, max_terms)):
         lam = rand_exponent_matrix(rng, nvars, max_order, max_degree)
         terms[lam] = rand_power_series(rng, backend, truncation, zero_prob)
-    return DiffPoly.make(backend, nvars, truncation, terms)
+    return DiffPoly.make(backend, nvars, truncation, terms.items())
 
 
 def rand_nonzero_diffpoly(rng, backend, nvars, truncation, **kw) -> DiffPoly:
@@ -137,10 +137,12 @@ def v_p_factorial_iter(m: int, p: int) -> int:
 
 
 def diff_n(s: TropSeries, j: int) -> TropSeries:
-    """d_v^j S by differentiating j times."""
+    """d_v^j S by differentiating the dense reference of S j times
+    (independent of `TropSeries.diff`)."""
+    ref = ref_from_trop_terms(s)
     for _ in range(j):
-        s = s.diff()
-    return s
+        ref = ref_trop_diff(ref, s.nat_val.p)
+    return trop_from_ref(s.nat_val, ref)
 
 
 def leading(s: TropSeries) -> LeadingTerm:
@@ -442,3 +444,69 @@ def ref_series_scale(a: tuple, c: tuple, backend: FieldBackend) -> tuple:
 
 def ref_series_derivative(a: tuple) -> tuple:
     return tuple(tuple(k * q for q in a[k]) for k in range(1, len(a)))
+
+
+# ---------------------------------------------------------------------------
+# reference tropical series: dense tuples with one entry per coefficient of
+# t^0 .. t^N, a Fraction or None for infinity; window -1 is the empty tuple
+
+def rand_ref_trop(rng, truncation: int, density: str) -> tuple:
+    """Coefficients t^0 .. t^N: all infinite ("inf"), about one in three
+    finite ("sparse"), or all finite ("full")."""
+    return tuple(None if density == "inf" or (density == "sparse" and rng.random() < 0.7)
+                 else rand_fraction(rng) for _ in range(truncation + 1))
+
+
+def trop_from_ref(nat_val: NatValuation, ref: tuple) -> TropSeries:
+    """The series of `ref`, built from its finite terms directly."""
+    terms = tuple((k, TropNum(a)) for k, a in enumerate(ref) if a is not None)
+    return TropSeries(nat_val, len(ref) - 1, terms)
+
+
+def ref_from_trop_terms(s: TropSeries) -> tuple:
+    """The dense reference of `s`, read from its terms after checking that they
+    are strictly increasing, inside the window and finite."""
+    degrees = [k for k, _ in s.terms]
+    assert degrees == sorted(set(degrees)), f"unsorted or repeated support {degrees}"
+    assert all(0 <= k <= s.truncation for k in degrees)
+    assert all(not c.is_inf for _, c in s.terms), "infinite coefficient kept as a term"
+    out = [None] * (s.truncation + 1)
+    for k, c in s.terms:
+        out[k] = c.value
+    return tuple(out)
+
+
+def ref_trop_plus(x, y):
+    """min, with None as infinity."""
+    if x is None:
+        return y
+    return x if y is None else min(x, y)
+
+
+def ref_trop_times(x, y):
+    """+, with None as infinity."""
+    return None if x is None or y is None else x + y
+
+
+def ref_trop_add(a: tuple, b: tuple) -> tuple:
+    return tuple(ref_trop_plus(x, y) for x, y in zip(a, b))
+
+
+def ref_trop_mul(a: tuple, b: tuple) -> tuple:
+    """Min-plus convolution in the smaller window, over every pair of indices."""
+    n = min(len(a), len(b))
+    out = [None] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] = ref_trop_plus(out[i + j], ref_trop_times(a[i], b[j]))
+    return tuple(out)
+
+
+def ref_trop_scale(a: tuple, c) -> tuple:
+    return tuple(ref_trop_times(c, x) for x in a)
+
+
+def ref_trop_diff(a: tuple, p) -> tuple:
+    """d_v: coefficient k-1 becomes v(k) + a_k, with v(k) = v_p(k), or 0 when p is None."""
+    return tuple(ref_trop_times(0 if p is None else ref_vp(k, p), a[k])
+                 for k in range(1, len(a)))

@@ -98,7 +98,7 @@ def test_criterion_2_solution_check_and_perturbation():
         s = exp_tropical_closed_form(3, 18)
         cs = list(s.coeffs)
         cs[3] = TropNum(cs[3].value + 1)
-        bad = is_tropical_solution(system, (TropSeries(s.nat_val, 18, tuple(cs)),))
+        bad = is_tropical_solution(system, (TropSeries.from_coeffs(s.nat_val, 18, tuple(cs)),))
         assert not bad.all_vanish
         assert bad.failing, "a failing derivative order must be named"
         assert min(bad.failing) <= 3
@@ -186,7 +186,7 @@ def test_criterion_8_monomial_check_equivalence():
         s = exp_tropical_closed_form(3, 18)
         cs = list(s.coeffs)
         cs[3] = TropNum(cs[3].value + 1)
-        perturbed = TropSeries(s.nat_val, 18, tuple(cs))
+        perturbed = TropSeries.from_coeffs(s.nat_val, 18, tuple(cs))
         report = initial_system_monomial_check([derived_system(f, 9)], (perturbed,))
         assert report.cross_check_ok and not report.monomial_free
 

@@ -41,8 +41,8 @@ def bad_candidate(tmp_path):
     cs = list(s.coeffs)
     cs[3] = TropNum(cs[3].value + 1)
     path = tmp_path / "bad.json"
-    files.dump_json(files.candidate_to_dict((TropSeries(s.nat_val, 18, tuple(cs)),)),
-                    str(path))
+    perturbed = TropSeries.from_coeffs(s.nat_val, 18, cs)
+    files.dump_json(files.candidate_to_dict((perturbed,)), str(path))
     return path
 
 
@@ -257,6 +257,25 @@ def test_trivial_backend_check(capsys, tmp_path):
     files.dump_json(cand, str(cand_path))
     assert main(["check", "--system", str(sys_path), "--candidate", str(cand_path),
                  "--order", "4"]) == 0
+    capsys.readouterr()
+
+
+def test_huge_exponents_run_quickly(capsys, tmp_path):
+    """Exponents of three million in a system file are squared, not multiplied
+    out term by term, so `check` and `tropicalize` finish at once."""
+    sys_path = tmp_path / "sys.json"
+    files.dump_json({"field": {"kind": "padic", "p": 3}, "vars": 1, "truncation": 6,
+                     "polynomials": ["x^3000000 - x", "t^3000000*x - x"]}, str(sys_path))
+    cand_path = tmp_path / "cand.json"
+    files.dump_json({"series": [{"truncation": 6, "coeffs": [{"n": 0, "val": "0"}]}]},
+                    str(cand_path))
+    assert main(["tropicalize", "--system", str(sys_path)]) == 0
+    assert "f       = 0 - x\ntrop_v  = x\n" in capsys.readouterr().out  # t^3000000 = 0 mod t^7
+    sys1_path = tmp_path / "sys1.json"
+    files.dump_json({"field": {"kind": "padic", "p": 3}, "vars": 1, "truncation": 6,
+                     "polynomials": ["x^3000000 - x"]}, str(sys1_path))
+    assert main(["check", "--system", str(sys1_path), "--candidate", str(cand_path),
+                 "--order", "2"]) == 0
     capsys.readouterr()
 
 

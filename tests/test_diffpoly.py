@@ -70,7 +70,7 @@ def test_diff_examples():
         X2: PowerSeries.one(EISEN3, n - 1),
         X: mono(EISEN3, n - 1, EISEN3.elem(-6) * z, 1),
         X1: mono(EISEN3, n - 1, EISEN3.elem(-3) * z, 2),
-    })
+    }.items())
     assert df == expected
 
     const = DiffPoly.constant(PADIC3, 1, mono(PADIC3, 5, PADIC3.elem(7), 0))
@@ -99,6 +99,46 @@ def test_tropicalize_poly_examples():
     })
 
     assert tropicalize_poly(DiffPoly.zero(PADIC3, 1, 5)).is_zero
+
+
+def test_make_sums_repeated_and_cancelling_monomials():
+    """`make` takes (monomial, coefficient) pairs: equal monomials are summed,
+    coefficients are re-windowed, and monomials whose sum is zero are dropped."""
+    a = mono(PADIC3, 6, PADIC3.elem(2), 1)
+    wide = mono(PADIC3, 9, PADIC3.elem(3), 1)  # re-windowed from 9 to 6
+    beyond = mono(PADIC3, 9, PADIC3.elem(5), 8)  # zero once re-windowed
+    f = DiffPoly.make(PADIC3, 1, 6, [(X, a), (X1, a), (X, wide), (X1, -a),
+                                     (X * X1, beyond), (X, a)])
+    assert f.terms == ((X, mono(PADIC3, 6, PADIC3.elem(7), 1)),)
+    assert f == DiffPoly.make(PADIC3, 1, 6, iter([(X, mono(PADIC3, 6, PADIC3.elem(7), 1))]))
+    assert DiffPoly.make(PADIC3, 1, 6, [(X, a), (X, -a), (X1, -a), (X1, a)]).is_zero
+
+
+def test_powers_match_repeated_products():
+    g = parse_poly("x' + 2*t - zeta*x^2", EISEN3, 1, 5)
+    product = DiffPoly.constant(EISEN3, 1, PowerSeries.one(EISEN3, 5))
+    for k in range(9):
+        assert g ** k == product, k
+        product = product * g
+    assert g ** 1 is g
+    with pytest.raises(ValueError):
+        g ** -1
+
+
+def test_huge_exponent_parses_by_repeated_squaring(monkeypatch):
+    """x^3000000 takes at most 2 log2(3000000) < 44 products, not 2,999,999."""
+    calls = []
+    mul = DiffPoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(DiffPoly, "__mul__", counted)
+    f = parse_poly("x^3000000 - x", PADIC3, 1, 6)
+    assert len(calls) <= 44
+    one = PowerSeries.one(PADIC3, 6)
+    assert f.terms == ((X, -one), (ExponentMatrix.make({(0, 0): 3000000}), one))
 
 
 def test_diffpoly_coefficients_nonzero_in_window():
@@ -267,7 +307,7 @@ def test_is_tropical_solution_and_perturbation():
 
     cs = list(s.coeffs)
     cs[3] = TropNum(cs[3].value + 1)
-    perturbed = TropSeries(s.nat_val, 18, tuple(cs))
+    perturbed = TropSeries.from_coeffs(s.nat_val, 18, tuple(cs))
     bad = is_tropical_solution(system, (perturbed,))
     assert not bad.all_vanish
     assert bad.failing and min(bad.failing) <= 3

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from tropdiff import files
-from tropdiff.semiring import NatValuation
+from tropdiff.semiring import NatValuation, TropNum
 from tropdiff.verify import exp_tropical_closed_form, solve_linear
 
 from helpers import EISEN3, PADIC3, rand_power_series, rand_trop_series, rng_for
@@ -39,6 +41,23 @@ def test_trop_series_round_trip():
     with pytest.raises(ValueError):
         files.trop_series_from_dict({"truncation": 2, "coeffs": [{"n": 5, "val": "1"}]},
                                     nv)
+
+
+def test_series_records_share_one_reader():
+    """Classical and tropical records alike keep the last record of a repeated
+    index, drop zero / infinite values, and refuse an index outside the window."""
+    nv = NatValuation(3)
+    recs = [{"n": 2, "val": "1"}, {"n": 0, "val": "5"}, {"n": 2, "val": "7/2"}]
+    trop = files.trop_series_from_dict(
+        {"truncation": 3, "coeffs": recs + [{"n": 0, "val": "inf"}]}, nv)
+    assert trop.terms == ((2, TropNum(Fraction(7, 2))),)
+    classical = files.series_from_dict(
+        {"truncation": 3, "coeffs": recs + [{"n": 0, "val": "0"}]}, PADIC3)
+    assert classical.terms == ((2, PADIC3.elem(Fraction(7, 2))),)
+    for read, arg in ((files.trop_series_from_dict, nv), (files.series_from_dict, PADIC3)):
+        for k in (-1, 3):
+            with pytest.raises(ValueError, match="outside truncation"):
+                read({"truncation": 2, "coeffs": [{"n": k, "val": "1"}]}, arg)
 
 
 def test_candidate_round_trip():

@@ -52,7 +52,7 @@ def test_initial_form_zero_and_monomial():
     backend = EISEN3
     nv = backend.nat_val
     # all windows infinite: the evaluation is infinite, the initial form zero
-    f = DiffPoly.make(backend, 1, 6, {X * X1: PowerSeries.one(backend, 6)})
+    f = DiffPoly.make(backend, 1, 6, {X * X1: PowerSeries.one(backend, 6)}.items())
     s = TropSeries.inf(nv, 6)
     assert initial_form(f, (s,)).is_zero
     assert eval_tropical(tropicalize_poly(f), (s,)).value.is_inf
@@ -74,7 +74,7 @@ def test_truncation_ambiguity():
     backend = EISEN3
     nv = backend.nat_val
     one = PowerSeries.one(backend, 6)
-    f = DiffPoly.make(backend, 1, 6, {X1: one, X: -one})
+    f = DiffPoly.make(backend, 1, 6, {X1: one, X: -one}.items())
 
     # S known only at degree 0: the derivative window is empty, so the x'
     # term could still tie or beat the x term at first coordinate 0
@@ -105,7 +105,7 @@ def test_monomial_check_perturbed_witness():
     s = exp_tropical_closed_form(p, 18)
     cs = list(s.coeffs)
     cs[3] = TropNum(cs[3].value + 1)
-    perturbed = TropSeries(s.nat_val, 18, tuple(cs))
+    perturbed = TropSeries.from_coeffs(s.nat_val, 18, tuple(cs))
     report = initial_system_monomial_check([derived_system(f, 9)], (perturbed,))
     assert not report.monomial_free
     assert report.witnesses
@@ -173,7 +173,7 @@ def check_initial_literal_oracle(count=50):
                                   max_degree=2)
         # coefficients inside the value group (1/e)Z so the section applies
         coeffs = tuple(TropNum.of(Fraction(rng.randint(-6, 6), e)) for _ in range(9))
-        s = TropSeries(nv, 8, coeffs)
+        s = TropSeries.from_coeffs(nv, 8, coeffs)
         assert initial_form(f, (s,)) == initial_form_literal(f, (s,))
 
 

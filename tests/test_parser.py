@@ -24,7 +24,7 @@ def test_parse_worked_equation():
 def test_parse_micro_monomial():
     f = parse_poly("x*x^(3)", PADIC3, 1, 6)
     assert f == DiffPoly.make(PADIC3, 1, 6,
-                              {X * X3: PowerSeries.one(PADIC3, 6)})
+                              {X * X3: PowerSeries.one(PADIC3, 6)}.items())
 
 
 def test_parse_zero():

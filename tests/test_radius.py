@@ -149,13 +149,13 @@ def test_fit_rule():
         assert radius_from_rule(rule).log_radius == 0
 
     nv = NatValuation(3)
-    geo = TropSeries(nv, 10, tuple(TropNum.of(k) for k in range(11)))
+    geo = TropSeries.from_coeffs(nv, 10, tuple(TropNum.of(k) for k in range(11)))
     rule = fit_rule(geo, 1, 3)
     assert (rule.stride, rule.slope, rule.offset) == (1, 1, 0)
 
     with pytest.raises(InvalidRule):
         fit_rule(geo, 2, 3)  # support not inside 2N
-    bad = TropSeries(nv, 6, tuple(TropNum.of(k * k) for k in range(7)))
+    bad = TropSeries.from_coeffs(nv, 6, tuple(TropNum.of(k * k) for k in range(7)))
     with pytest.raises(InvalidRule):
         fit_rule(bad, 1, 3)
 

@@ -40,7 +40,7 @@ def tser(nat_val, truncation, entries):
     cs = [T_INF] * (truncation + 1)
     for k, v in entries.items():
         cs[k] = TropNum.of(v)
-    return TropSeries(nat_val, truncation, tuple(cs))
+    return TropSeries.from_coeffs(nat_val, truncation, tuple(cs))
 
 
 def test_phi_leading_examples():
@@ -265,7 +265,7 @@ def check_diff_leading_closed_form(count=20):
             nv = NatValuation((None, 2, 3, 5)[case % 4])
             inf_prob = (0.0, 0.3, 0.8, 1.0)[case // 4 % 4]
             s = rand_trop_series(rng, nv, truncation, inf_prob=inf_prob)
-            fresh = TropSeries(s.nat_val, s.truncation, s.coeffs)
+            fresh = TropSeries.from_coeffs(s.nat_val, s.truncation, s.coeffs)
             support = [k for k in range(truncation + 1) if rng.random() >= inf_prob]
             b = tser(TRIVIAL_NAT_VAL, truncation, {k: 0 for k in support})
             js = list(range(truncation + 4))

@@ -5,6 +5,8 @@ of the dense reference, with the terms sorted, inside the window and nonzero,
 so that `==` and `hash` compare values.
 """
 
+import math
+
 import pytest
 
 from tropdiff.errors import TruncationExhausted
@@ -85,6 +87,24 @@ def test_powers_scaling_and_derivative_match_reference():
                 a.derivative()
         else:
             assert_series(a.derivative(), ref_series_derivative(ra))
+
+
+def test_huge_power_by_repeated_squaring(monkeypatch):
+    """(1 + t)^3000000 takes at most 44 series products, and its coefficients
+    are the binomials C(3000000, k)."""
+    calls = []
+    mul = PowerSeries.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(PowerSeries, "__mul__", counted)
+    one = PADIC3.one()
+    s = PowerSeries.from_coeffs(PADIC3, 4, [one, one]) ** 3000000
+    assert len(calls) <= 44
+    assert s.coeffs == tuple(PADIC3.elem(math.comb(3000000, k)) for k in range(5))
+    assert (PowerSeries.monomial(PADIC3, 4, one, 1) ** 3000000).is_zero
 
 
 def test_truncation_and_rewindowing_match_reference():

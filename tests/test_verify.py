@@ -102,7 +102,7 @@ def test_truncation_vectors_perturbed():
     s = exp_tropical_closed_form(3, 18)
     cs = list(s.coeffs)
     cs[3] = TropNum(cs[3].value + 1)
-    perturbed = TropSeries(s.nat_val, 18, tuple(cs))
+    perturbed = TropSeries.from_coeffs(s.nat_val, 18, tuple(cs))
     report = check_truncation_vectors(derived_system(f, 6), (perturbed,))
     assert not report.all_vanish
     assert 2 in report.failing  # F_2 = x''' - 6*zeta*x sees the bad b_3
