@@ -39,8 +39,6 @@ from .verify import (
     verify_ft,
 )
 
-SCHEMA_VERSION = files.SCHEMA_VERSION
-
 
 def _order(p: Optional[int], order: Optional[int]) -> int:
     """m from --order after its range check, defaulted from p when unset."""
@@ -62,7 +60,7 @@ def _window(p: Optional[int], truncation: Optional[int], order: Optional[int]) -
 
 def _write_json(path: Optional[str], payload: dict):
     if path:
-        files.dump_json({"schema": SCHEMA_VERSION, **payload}, path)
+        files.dump_json({"schema": files.SCHEMA_VERSION, **payload}, path)
 
 
 def _report_line(rep, label: str) -> str:

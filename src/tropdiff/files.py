@@ -20,6 +20,7 @@ from typing import Sequence
 
 from .diffpoly import CONSTANT_MONOMIAL, DiffPoly
 from .fields import FieldBackend, FieldElem
+from .parser import parse_poly, print_poly
 from .semiring import NatValuation, TropNum, format_rational, parse_rational
 from .series import PowerSeries, TropSeries
 from .verify import LinearODE
@@ -125,8 +126,6 @@ def candidate_from_dict(data: dict, nat_val: NatValuation) -> tuple[TropSeries, 
 
 def system_from_dict(data: dict):
     """Returns (backend, nvars, truncation, polynomials)."""
-    from .parser import parse_poly  # deferred: parser imports nothing from here
-
     backend = field_from_dict(data["field"])
     nvars = int(data["vars"])
     truncation = _read_truncation(data)
@@ -143,8 +142,6 @@ def system_from_dict(data: dict):
 
 def system_to_dict(backend: FieldBackend, nvars: int, truncation: int,
                    polynomials: Sequence[DiffPoly]) -> dict:
-    from .parser import print_poly
-
     return {
         "field": field_to_dict(backend),
         "vars": nvars,
@@ -155,8 +152,6 @@ def system_to_dict(backend: FieldBackend, nvars: int, truncation: int,
 
 def ode_from_dict(data: dict) -> LinearODE:
     """Linear-ODE record: {"field": ..., "truncation": N, "g": expr|series, "c0": val}."""
-    from .parser import parse_poly
-
     backend = field_from_dict(data["field"])
     truncation = _read_truncation(data)
     g_data = data["g"]

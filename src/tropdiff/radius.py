@@ -1,8 +1,8 @@
 """Tropical radius of convergence of a tropical power series.
 
 With coefficients a_i, the radius with respect to a base c > 1 is
-r_c = c^L where L = liminf a_i / i (conventions: r = infinity when the
-coefficients are cofinitely infinite, r = 0 when L = -infinity).  Radii are
+r_c = c^L where L = liminf a_i / i (convention: r = infinity when the
+coefficients are cofinitely infinite).  Radii are
 kept in log space as exact rationals; only display exponentiates.
 
 A finite truncation cannot certify a liminf, so estimates come in two kinds:
@@ -27,10 +27,9 @@ from .errors import BadBase, InvalidRule, TrivialBackend
 from .semiring import NatValuation, Rat, T_INF, TropNum, format_rational, is_prime, v_p_factorial
 from .series import PowerSeries, TropSeries, tropicalize_series
 
-LogValue = Union[Fraction, float]  # float only as +/- infinity marker
+LogValue = Union[Fraction, float]  # float: the infinity marker, or an inexact base change
 
 LOG_INF = float("inf")
-LOG_NEG_INF = float("-inf")
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,8 +80,6 @@ class RadiusEstimate:
     def log_str(self) -> str:
         if self.log_radius == LOG_INF:
             return "inf"
-        if self.log_radius == LOG_NEG_INF:
-            return "-inf"
         return format_rational(self.log_radius)
 
 
@@ -146,7 +143,7 @@ def base_change(est: RadiusEstimate, c: Rat, cprime: Rat) -> BaseChange:
     if c <= 1 or cprime <= 1:
         raise BadBase("bases must be rationals > 1")
     log = est.log_radius
-    if isinstance(log, float):  # +/- infinity markers survive any base change
+    if isinstance(log, float):  # the infinity marker survives any base change
         return BaseChange(c, log, cprime, log, True)
     ratio = _exact_log_ratio(c, cprime)
     if ratio is not None:
@@ -208,8 +205,6 @@ def describe_radius(est: RadiusEstimate, base: Rat) -> str:
     log = est.log_radius
     if log == LOG_INF:
         r = "inf"
-    elif log == LOG_NEG_INF:
-        r = "0"
     elif log.denominator == 1:
         r = format_rational(base ** log.numerator)
     else:

@@ -162,6 +162,25 @@ def test_verify_ft_derives_each_ode_once(monkeypatch):
     assert len(calls) == 450
 
 
+def test_verify_ft_certifies_each_solution_once(monkeypatch):
+    """solve_linear's residual check is the only certificate: one classical
+    evaluation and one tropicalization per ODE."""
+    counts = {"eval_classical": 0, "tropicalize_series": 0}
+
+    def counting(name):
+        original = getattr(verify, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(verify, name, counting(name))
+    assert verify_ft(3, 4, 18, 9, DEFAULT_SEED).passed
+    assert counts == {"eval_classical": 4, "tropicalize_series": 4}
+
+
 def test_derived_system_works_on_the_support(monkeypatch):
     """The exp equation at p = 13 derived to order 39 costs 403 field products
     and 390 sums; a dense window of every coefficient cost 26,417 and 24,115."""
