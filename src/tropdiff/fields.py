@@ -19,6 +19,15 @@ whole sum once, which is what series convolutions use.  For p = 2
 the vector has length one and zeta is the rational -2.  Because zero has one
 form, `+` and scaling by an `int` return an operand unchanged when one side
 is zero, without touching the integers; `-` is `+` of the negation.
+
+Scaling by a nonzero `int` k stays on the integers as well.  `x * k`
+divides out gcd(den, k) alone, which canonical form makes the whole common
+factor; `x / k` divides out gcd(k, *num) and moves the sign of k to the
+numerators, so den stays positive; `x / 0` raises ZeroDivisionError.
+
+Valuations are exact: `valuation()` gives an `int` when the value is
+integral, always so on the trivial and p-adic backends, and a `Fraction`
+in (1/e)Z otherwise; never a float.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ from .semiring import (
     NatValuation,
     Rat,
     T_INF,
+    T_ZERO,
     TropNum,
     Trop2,
     format_rational,
@@ -178,7 +188,11 @@ class FieldElem:
                 return self
             if not other:
                 return FieldElem(self.backend, (0,) * len(self.num), 1)
-            return _normal(self.backend, tuple([a * other for a in self.num]), self.den)
+            # gcd(den, *num) == 1, so gcd(den, k) is the whole common factor
+            g = math.gcd(self.den, other)
+            if g != 1:
+                other //= g
+            return FieldElem(self.backend, tuple([a * other for a in self.num]), self.den // g)
         self._check(other)
         return _normal(self.backend, tuple(_product(self.backend, self.num, other.num)),
                        self.den * other.den)
@@ -208,7 +222,18 @@ class FieldElem:
                     rows[r] = [v - factor * w for v, w in zip(rows[r], rows[col])]
         return self.backend.from_coeffs(rows[i][d] for i in range(d))
 
-    def __truediv__(self, other: "FieldElem") -> "FieldElem":
+    def __truediv__(self, other: Union["FieldElem", int]) -> "FieldElem":
+        """Field quotient; an int divisor scales the denominator directly."""
+        if isinstance(other, int):
+            if not other:
+                raise ZeroDivisionError("division of a field element by zero")
+            # gcd(den, *num) == 1, so gcd(k, *num) is the whole common factor
+            g = math.gcd(other, *self.num)
+            k = other // g
+            num = self.num if g == 1 else tuple([a // g for a in self.num])
+            if k < 0:
+                k, num = -k, tuple(map(operator.neg, num))
+            return FieldElem(self.backend, num, self.den * k)
         return self * other.inverse()
 
     def __pow__(self, n: int) -> "FieldElem":
@@ -217,16 +242,16 @@ class FieldElem:
         return power(self, n, self.backend.one())
 
     def valuation(self) -> TropNum:
-        """Exact valuation; zero maps to infinity."""
+        """Exact valuation, an int when integral; zero maps to infinity."""
         if self.is_zero:
             return T_INF
         b = self.backend
         if b.kind == "trivial":
-            return TropNum.of(0)
+            return T_ZERO
         # v(num[i] / den) + i/e, compared as the integers e*v_p(num[i]) + i
         e, p = b.ramification, b.p
-        best = min(e * v_p(a, p) + i for i, a in enumerate(self.num) if a)
-        return TropNum(Fraction(best - e * v_p(self.den, p), e))
+        best = min(e * v_p(a, p) + i for i, a in enumerate(self.num) if a) - e * v_p(self.den, p)
+        return TropNum(best // e if best % e == 0 else Fraction(best, e))
 
     def __str__(self) -> str:
         coeffs = self.coeffs

@@ -4,6 +4,10 @@ Two carrier types: TropNum (rank 1, Q u {inf}, plus = min, times = +) and
 Trop2 (rank 2, Q^2 u {inf}, plus = lexicographic min, times = componentwise +).
 The Boolean sub-semiring {0, inf} is TropNum restricted by `is_boolean`.
 Infinity is encoded as value None and is absorbing for times, neutral for plus.
+A finite value is an exact rational: an `int` where the program builds an
+integral value (t-exponents, valuations on Z, factorial corrections), a
+`Fraction` otherwise, never a float.  The two compare and hash equal, so a
+value's type never changes an answer.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ def format_rational(q: Rat) -> str:
 class TropNum:
     """Element of the tropical numbers: a rational, or infinity (None)."""
 
-    value: Optional[Fraction]
+    value: Optional[Rat]
 
     @staticmethod
     def of(x: Rat) -> "TropNum":
@@ -70,7 +74,7 @@ class TropNum:
         if n < 0:
             raise ValueError("tropical powers need n >= 0")
         if n == 0:
-            return TropNum(Fraction(0))
+            return T_ZERO
         if n == 1:
             return self
         if self.value is None:
@@ -92,7 +96,7 @@ class TropNum:
 class Trop2:
     """Element of the rank-2 tropical numbers: a pair of rationals, or infinity."""
 
-    value: Optional[tuple[Fraction, Fraction]]
+    value: Optional[tuple[Rat, Rat]]
 
     @staticmethod
     def of(a: Rat, b: Rat) -> "Trop2":
@@ -118,7 +122,7 @@ class Trop2:
         if n < 0:
             raise ValueError("tropical powers need n >= 0")
         if n == 0:
-            return Trop2((Fraction(0), Fraction(0)))
+            return T2_ZERO
         if n == 1:
             return self
         if self.value is None:
@@ -138,9 +142,9 @@ class Trop2:
 
 
 T_INF = TropNum(None)
-T_ZERO = TropNum(Fraction(0))  # multiplicative identity of T
+T_ZERO = TropNum(0)  # multiplicative identity of T
 T2_INF = Trop2(None)
-T2_ZERO = Trop2((Fraction(0), Fraction(0)))
+T2_ZERO = Trop2((0, 0))
 
 TropElem = Union[TropNum, Trop2]
 
@@ -238,13 +242,13 @@ class NatValuation:
             return T_INF
         if self.p is None:
             return T_ZERO
-        return TropNum.of(v_p(n, self.p))
+        return TropNum(v_p(n, self.p))
 
     def factorial(self, m: int) -> TropNum:
         """Valuation of m! (zero in trivial mode)."""
         if self.p is None:
             return T_ZERO
-        return TropNum.of(v_p_factorial(m, self.p))
+        return TropNum(v_p_factorial(m, self.p))
 
 
 TRIVIAL_NAT_VAL = NatValuation(None)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
@@ -152,18 +151,25 @@ class PowerSeries:
         return PowerSeries(self.backend, self.truncation, tuple((k, -c) for k, c in self.terms))
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        """Cauchy product in the smaller window; each coefficient is one `dot`."""
+        """Cauchy product in the smaller window; each coefficient is one `dot`.
+
+        Only the degrees i + j <= n that some pair of terms reaches are
+        visited, so a sparse product costs its pairs, not the window.
+        """
         n = self._common(other)
         a, b = self.truncate(n).terms, other.truncate(n).terms
         if len(a) > len(b):  # scan the smaller support, look up the larger
             a, b = b, a
+        lookup = dict(b)
+        b_degrees = list(lookup)
+        reached: set[int] = set()
+        for i, _ in a:
+            reached.update(map(i.__add__, b_degrees[:bisect_right(b_degrees, n - i)]))
         out = []
-        if a:
-            lookup = dict(b)
-            for k in range(a[0][0] + b[0][0], min(n, a[-1][0] + b[-1][0]) + 1):
-                c = dot(self.backend, _pairs(a, lookup, k))
-                if not c.is_zero:
-                    out.append((k, c))
+        for k in sorted(reached):
+            c = dot(self.backend, _pairs(a, lookup, k))
+            if not c.is_zero:
+                out.append((k, c))
         return PowerSeries(self.backend, n, tuple(out))
 
     def __pow__(self, n: int) -> "PowerSeries":
@@ -313,7 +319,7 @@ class TropSeries:
                 table.append(LeadingTerm(T2_INF, True, n - j + 1))
                 continue
             k, c = terms[t]
-            table.append(LeadingTerm(Trop2((Fraction(k - j), c.value + vfact[k] - vfact[k - j]))))
+            table.append(LeadingTerm(Trop2((k - j, c.value + vfact[k] - vfact[k - j]))))
         table.reverse()
         return tuple(table)
 
@@ -335,12 +341,12 @@ def rank2_val(a: PowerSeries) -> LeadingTerm:
     if a.is_zero:
         return LeadingTerm(T2_INF, True, a.truncation + 1)
     k, c = a.terms[0]
-    return LeadingTerm(Trop2((Fraction(k), c.valuation().value)))
+    return LeadingTerm(Trop2((k, c.valuation().value)))
 
 
 def psi_one(a: Sequence[FieldElem], backend: FieldBackend) -> PowerSeries:
     """Taylor packing: coefficient j of the output is a_j / j!."""
-    cs = (c * backend.elem(Fraction(1, math.factorial(j))) for j, c in enumerate(a))
+    cs = (c / math.factorial(j) for j, c in enumerate(a))
     return PowerSeries.from_coeffs(backend, len(a) - 1, cs)
 
 

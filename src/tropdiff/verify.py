@@ -81,9 +81,9 @@ def solve_linear(ode: LinearODE) -> PowerSeries:
     """Exact power-series solution by the convolution recurrence.
 
     c_{k+1} = (1/(k+1)) sum_{j<=k} g_j c_{k-j}, summed over the nonzero g_j
-    only, as one `dot` per coefficient.  The result is re-checked against the
-    defining polynomial on every run; a nonzero residual raises
-    NotAClassicalSolution.
+    only, as one `dot` per coefficient and one exact division by the int
+    k + 1.  The result is re-checked against the defining polynomial on
+    every run; a nonzero residual raises NotAClassicalSolution.
     """
     backend = ode.g.backend
     g_support = [(j, gj) for j, gj in ode.g.terms if j < ode.truncation]
@@ -91,7 +91,7 @@ def solve_linear(ode: LinearODE) -> PowerSeries:
     for k in range(ode.truncation):
         acc = dot(backend, ((gj, coeffs[k - j]) for j, gj in g_support
                             if j <= k and not coeffs[k - j].is_zero))
-        coeffs.append(acc if acc.is_zero else acc * backend.elem(Fraction(1, k + 1)))
+        coeffs.append(acc / (k + 1))
     sol = PowerSeries.from_coeffs(backend, ode.truncation, coeffs)
     if ode.truncation >= 1:
         residual = eval_classical(ode.as_diffpoly(), (sol,))

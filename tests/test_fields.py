@@ -233,6 +233,15 @@ def test_kernel_matches_fraction_reference():
             assert_canonical(a * b, ref_mul(ra, rb, backend))
             n = rng.choice((0, 1, -1, 3, -12, 2**70))
             assert_canonical(a * n, tuple(c * n for c in ra))
+            # x * k divides out gcd(den, k) alone, x / k gcd(k, *num) and the sign of k
+            p = backend.p or 3
+            for k in (1, -1, 2, -2, p, -p, 7 * p**3, -7 * p**3, 2**100 + 1):
+                for got, ref in ((a * k, tuple(c * k for c in ra)),
+                                 (a / k, tuple(c / k for c in ra))):
+                    assert_canonical(got, ref)
+                    assert_same(got, backend.from_coeffs(ref))
+            with pytest.raises(ZeroDivisionError):
+                a / 0
             for k in range(4):
                 assert_canonical(a ** k, ref_pow(ra, k, backend))
             # zero operands take the short-circuit paths of + - and int *

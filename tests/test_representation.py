@@ -1,0 +1,88 @@
+"""Tropical values keep their exact type: `int` when integral, `Fraction` otherwise.
+
+Valuations on Z, t-exponents and factorial corrections are built as `int`;
+fractional valuations over Q(zeta) as `Fraction`; no float ever appears.
+The two types compare and hash equal, so a series holds the same value
+whichever type its coefficients have.
+"""
+
+from fractions import Fraction
+
+from tropdiff.fields import FieldBackend
+from tropdiff.semiring import TropNum
+from tropdiff.series import TropSeries, rank2_val, tropicalize_series
+from tropdiff.verify import exp_equation, exp_tropical_closed_form, solve_linear
+
+from helpers import (
+    EISEN3,
+    EISEN5,
+    PADIC3,
+    TRIVIAL,
+    rand_elem,
+    rand_power_series,
+    ref_valuation,
+    rng_for,
+)
+
+BACKENDS = (TRIVIAL, FieldBackend("padic", 2), PADIC3, EISEN3, EISEN5)
+
+
+def assert_exact(q):
+    """q is an int when integral and a Fraction with denominator > 1 otherwise."""
+    if type(q) is not int:
+        assert type(q) is Fraction and q.denominator > 1, repr(q)
+
+
+def test_valuation_is_int_exactly_when_integral():
+    rng = rng_for("repr-valuation")
+    for backend in BACKENDS:
+        for _ in range(40):
+            x = rand_elem(rng, backend)
+            v = x.valuation()
+            if x.is_zero:
+                assert v.is_inf
+                continue
+            assert v.value == ref_valuation(x.coeffs, backend)
+            assert_exact(v.value)
+        if backend.kind == "trivial":
+            continue
+        e = backend.ramification
+        for k in range(-2 * e - 1, 2 * e + 2):
+            v = backend.uniformizer_pow(k).valuation().value
+            assert v == Fraction(k, e)
+            assert type(v) is (int if k % e == 0 else Fraction)
+
+
+def test_leading_exponents_are_int():
+    rng = rng_for("repr-leading")
+    for backend in BACKENDS:
+        for _ in range(6):
+            a = rand_power_series(rng, backend, 8)
+            lt = rank2_val(a)
+            if not lt.is_inf:
+                assert type(lt.value.value[0]) is int
+                assert_exact(lt.value.value[1])
+            s = tropicalize_series(a)
+            for _, c in s.terms:
+                assert_exact(c.value)
+            for j in range(s.truncation + 3):
+                lt = s.diff_leading(j)
+                if not lt.is_inf:
+                    assert type(lt.value.value[0]) is int
+                    assert_exact(lt.value.value[1])
+
+
+def test_int_and_fraction_values_give_equal_series():
+    rng = rng_for("repr-equal")
+    for backend in BACKENDS:
+        s = tropicalize_series(rand_power_series(rng, backend, 10))
+        as_fractions = TropSeries(s.nat_val, s.truncation, tuple(
+            (k, TropNum(Fraction(c.value))) for k, c in s.terms))
+        assert s == as_fractions and hash(s) == hash(as_fractions)
+    # the closed form builds Fractions; the tropicalized oracle solution has
+    # ints at the integral indices
+    for p in (3, 5):
+        s = tropicalize_series(solve_linear(exp_equation(p, 6 * p)[0]))
+        expected = exp_tropical_closed_form(p, 6 * p)
+        assert any(type(c.value) is int for _, c in s.terms)
+        assert s == expected and hash(s) == hash(expected)

@@ -10,6 +10,7 @@ import math
 import pytest
 
 from tropdiff.errors import TruncationExhausted
+from tropdiff import series as series_module
 from tropdiff.series import PowerSeries
 
 from helpers import (
@@ -105,6 +106,30 @@ def test_huge_power_by_repeated_squaring(monkeypatch):
     assert len(calls) <= 44
     assert s.coeffs == tuple(PADIC3.elem(math.comb(3000000, k)) for k in range(5))
     assert (PowerSeries.monomial(PADIC3, 4, one, 1) ** 3000000).is_zero
+
+
+def test_sparse_product_visits_only_reached_degrees(monkeypatch):
+    """A product makes one `dot` per degree i + j <= N that a pair of terms
+    reaches, not one per degree of the window."""
+    calls = []
+    dot = series_module.dot
+
+    def counted(backend, pairs):
+        calls.append(1)
+        return dot(backend, pairs)
+
+    monkeypatch.setattr(series_module, "dot", counted)
+    one, two = PADIC3.one(), PADIC3.elem(2)
+    a = PowerSeries(PADIC3, 10**5, ((0, one), (50000, one)))
+    assert (a * a).terms == ((0, one), (50000, two), (100000, one))
+    assert len(calls) == 3
+    b = PowerSeries(PADIC3, 10**5, ((0, one), (60000, one)))
+    calls.clear()
+    assert (a * b).terms == ((0, one), (50000, one), (60000, one))
+    assert len(calls) == 3  # 110000 lies past the window
+    calls.clear()
+    assert (b * b).terms == ((0, one), (60000, two))
+    assert len(calls) == 2
 
 
 def test_truncation_and_rewindowing_match_reference():
