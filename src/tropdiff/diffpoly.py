@@ -4,21 +4,22 @@ A differential polynomial is a finite sum of terms A_lam * x^lam where lam is
 a sparse exponent matrix over pairs (variable i, derivative order j) and
 A_lam is a truncated series.  Tropicalization replaces each A_lam by its
 rank-2 valuation, giving a `Poly`, the one sparse container for
-polynomials with tropical, field or residue coefficients.  One loop
-(`term_weights`) evaluates such a polynomial: a leading-term provider gives
-the value of x_i^(j), e.g. the leading term of the j-th tropical derivative
-of a series, and the report asks whether the minimum tropically vanishes.
+polynomials with tropical, field or residue coefficients.  One evaluator
+(`evaluate`) computes such a polynomial's value: a leading-term provider
+gives the value of x_i^(j), e.g. the leading term of the j-th tropical
+derivative of a series, and the report gives the minimum, the monomials
+attaining it, whether it tropically vanishes, and whether an exhausted
+window could still reach it (`ambiguous`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import MissingVariable, TruncationExhausted
 from .fields import FieldBackend, FieldElem, power
-from .semiring import T2_INF, Trop2, TropElem, TropNum, tropically_vanishes
+from .semiring import T2_INF, Rat, Trop2, TropElem, TropNum, tropically_vanishes
 from .series import LeadingTerm, PowerSeries, TropSeries, rank2_val
 
 
@@ -235,13 +236,15 @@ class EvalReport:
 
     `truncation_limited` records that some needed leading term came from an
     exhausted window, in which case a non-vanishing verdict holds only up to
-    the truncation.
+    the truncation.  `ambiguous` records that the minimum is finite and such
+    a term could still reach it, so the attainment set is not certified.
     """
 
     value: TropElem
     attainment: tuple[ExponentMatrix, ...]
     vanishes: bool
     truncation_limited: bool
+    ambiguous: bool
 
 
 def tropicalize_poly(f: DiffPoly) -> Poly:
@@ -283,64 +286,39 @@ def eval_classical(f: DiffPoly, a: Sequence[PowerSeries]) -> PowerSeries:
 LeadingProvider = Callable[[int, int], LeadingTerm]
 
 
-class TermWeight(NamedTuple):
-    """One monomial's weight coeff * prod Phi(d^j S_i)^e in a tropical evaluation.
-
-    A flagged weight has a factor from an exhausted window; it reads as
-    infinite, and `bound` is then a lower bound on the first coordinate of
-    the true weight (None on unflagged terms).
-    """
-
-    monomial: ExponentMatrix
-    weight: TropElem
-    truncation_limited: bool
-    bound: Optional[Fraction]
-
-
-def _first(w: TropElem) -> Fraction:
+def _first(w: TropElem) -> Rat:
     """First coordinate of a finite tropical value."""
     return w.value[0] if isinstance(w, Trop2) else w.value
 
 
-def term_weights(g: Poly, leading: LeadingProvider) -> list[TermWeight]:
-    """The per-monomial weights of g, with Phi(d^j S_i) read from `leading(i, j)`.
+def evaluate(g: Poly, leading: LeadingProvider, inf: TropElem) -> EvalReport:
+    """Tropical evaluation of g with x_i^(j) read from `leading`; `inf` is the empty sum.
 
-    The bound of a flagged term is the first coordinate of its known part
-    (coefficient and unflagged factors) plus, per flagged factor, e times
-    the first exponent past that factor's window.
+    Each monomial weighs coeff * prod Phi(d^j S_i)^e.  A weight with a factor
+    from an exhausted window reads as infinite; the first coordinate of its
+    true value is at least that of its known part (coefficient and unflagged
+    factors) plus, per flagged factor, e times the first exponent past that
+    factor's window.  The report is `ambiguous` when such a bound does not
+    exceed a finite minimum.
     """
-    out = []
+    weights, bounds = [], []
     for lam, coeff in g.terms:
-        w, beyond, inf = coeff, 0, None
+        w, beyond, flagged = coeff, 0, False
         for (i, j), e in lam.entries:
             lt = leading(i, j)
             if lt.truncation_limited:
                 beyond += e * lt.beyond
-                inf = lt.value
+                flagged = True
             else:
                 w = w * lt.value ** e
-        if inf is None:
-            out.append(TermWeight(lam, w, False, None))
-        else:
-            out.append(TermWeight(lam, inf, True, _first(w) + beyond))
-    return out
-
-
-def evaluate(g: Poly, leading: LeadingProvider, inf: TropElem) -> EvalReport:
-    """Tropical evaluation of g with x_i^(j) read from `leading`; `inf` is the empty sum."""
-    terms = term_weights(g, leading)
-    vr = tropically_vanishes([t.weight for t in terms], inf=inf)
-    attainment = tuple(sorted((terms[k].monomial for k in vr.attainment),
+        if flagged:
+            bounds.append(_first(w) + beyond)
+        weights.append(inf if flagged else w)
+    vr = tropically_vanishes(weights, inf=inf)
+    attainment = tuple(sorted((g.terms[k][0] for k in vr.attainment),
                               key=ExponentMatrix.sort_key))
-    limited = any(t.truncation_limited for t in terms)
-    return EvalReport(vr.total, attainment, vr.vanishes, limited)
-
-
-def at_series(s: Sequence[TropSeries], nvars: int) -> LeadingProvider:
-    """Pair-style provider: x_i^(j) is Phi(d_v^j S_i)."""
-    if len(s) != nvars:
-        raise MissingVariable(f"expected {nvars} series, got {len(s)}")
-    return lambda i, j: s[i].diff_leading(j)
+    ambiguous = not vr.total.is_inf and any(b <= _first(vr.total) for b in bounds)
+    return EvalReport(vr.total, attainment, vr.vanishes, bool(bounds), ambiguous)
 
 
 def at_vector(b: Sequence[Sequence[TropNum]]) -> LeadingProvider:
@@ -353,8 +331,10 @@ def at_vector(b: Sequence[Sequence[TropNum]]) -> LeadingProvider:
 
 
 def eval_tropical(g: Poly, s: Sequence[TropSeries]) -> EvalReport:
-    """Evaluate a tropicalized polynomial at tropical series (pair-style evaluation)."""
-    return evaluate(g, at_series(s, g.nvars), T2_INF)
+    """Evaluate a tropicalized polynomial at tropical series: x_i^(j) is Phi(d_v^j S_i)."""
+    if len(s) != g.nvars:
+        raise MissingVariable(f"expected {g.nvars} series, got {len(s)}")
+    return evaluate(g, lambda i, j: s[i].diff_leading(j), T2_INF)
 
 
 def f_lr(f: DiffPoly, r: int) -> Poly:
@@ -383,10 +363,15 @@ class SolutionReport:
     truncation_limited: bool
     failing: tuple[int, ...]
 
+    @staticmethod
+    def of(reports: Iterable[EvalReport]) -> "SolutionReport":
+        """The table of the per-equation reports, in equation order."""
+        reports = tuple(reports)
+        failing = tuple(k for k, r in enumerate(reports) if not r.vanishes)
+        limited = any(r.truncation_limited for r in reports)
+        return SolutionReport(reports, not failing, limited, failing)
+
 
 def is_tropical_solution(system: Sequence[Poly], s: Sequence[TropSeries]) -> SolutionReport:
     """Check a candidate against every equation of a (derived) tropical system."""
-    reports = tuple(eval_tropical(g, s) for g in system)
-    failing = tuple(k for k, r in enumerate(reports) if not r.vanishes)
-    limited = any(r.truncation_limited for r in reports)
-    return SolutionReport(reports, not failing, limited, failing)
+    return SolutionReport.of(eval_tropical(g, s) for g in system)

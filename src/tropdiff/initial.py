@@ -16,14 +16,12 @@ from .diffpoly import (
     DiffPoly,
     Poly,
     SolutionReport,
-    at_series,
+    eval_tropical,
     is_tropical_solution,
-    term_weights,
     tropicalize_poly,
 )
 from .errors import TruncationAmbiguous
 from .fields import angular_component
-from .semiring import T2_INF, trop_sum
 from .series import TropSeries
 
 
@@ -35,27 +33,22 @@ def is_monomial(g: Poly) -> bool:
 def initial_form(f: DiffPoly, s: Sequence[TropSeries]) -> Poly:
     """Initial form via the angular-component closed form.
 
-    Per monomial lam the weight is v(A_lam) + sum lam_ij * Phi(d^j S_i); the
-    minimizing monomials survive with coefficient ac(leading coefficient of
-    A_lam), a residue.  Raises TruncationAmbiguous when an exhausted window
-    could still change the attainment set.
+    The monomials attaining the tropical evaluation of f at s (`eval_tropical`)
+    survive with coefficient ac(leading coefficient of A_lam), a residue.
+    Raises TruncationAmbiguous when an exhausted window could still change
+    the attainment set.
     """
-    terms = term_weights(tropicalize_poly(f), at_series(s, f.nvars))
-    total = trop_sum([t.weight for t in terms], inf=T2_INF)
-    if total.is_inf:
+    report = eval_tropical(tropicalize_poly(f), s)
+    if report.value.is_inf:
         # All terms are infinite as far as the windows can tell: the zero
         # initial form, matching the (possibly truncation-qualified)
         # vanishing verdict of the tropical evaluation.
         return Poly(f.nvars, ())
-    if any(t.truncation_limited and total.value[0] >= t.bound for t in terms):
+    if report.ambiguous:
         raise TruncationAmbiguous(
             "an exhausted window could still reach the computed minimum")
-    out = {}
-    for t in terms:
-        if t.weight == total:
-            _, lead = f.coefficient(t.monomial).terms[0]
-            out[t.monomial] = angular_component(lead)
-    return Poly.make(f.nvars, out)
+    return Poly.make(f.nvars, {lam: angular_component(f.coefficient(lam).terms[0][1])
+                               for lam in report.attainment})
 
 
 @dataclass(frozen=True, slots=True)

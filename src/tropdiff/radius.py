@@ -114,16 +114,39 @@ def radius_window_estimate(a: TropSeries, window_start: Optional[int] = None) ->
     return RadiusEstimate(best, "window-lower-bound", window)
 
 
+def _integer_root(n: int, k: int) -> Optional[int]:
+    """The integer r with r^k = n, for n >= 1, when n is an exact k-th power."""
+    r = 1 << -(-n.bit_length() // k)  # r^k > n: Newton's method from above
+    while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = s
+    return r if r ** k == n else None
+
+
 def _exact_log_ratio(c: Fraction, cprime: Fraction) -> Optional[Fraction]:
-    """Rational x = log_{c'}(c), i.e. c'^x = c, when one exists (bounded search)."""
-    if c == cprime:
-        return Fraction(1)
-    target = math.log(c) / math.log(cprime)
-    for den in range(1, 65):
-        num = round(target * den)
-        if num >= 0 and Fraction(c) ** den == Fraction(cprime) ** num:
-            return Fraction(num, den)
-    return None
+    """Rational x = log_{c'}(c), i.e. c'^x = c, when one exists.
+
+    Each base is written r^k with k largest: numerator and denominator are
+    exact integer k-th powers (a prime factor q of k needs 2^q <= numerator).
+    The log ratio is rational iff the two roots r agree, and it is k/k'.
+    """
+    roots = []
+    for num, den in ((c.numerator, c.denominator), (cprime.numerator, cprime.denominator)):
+        k, q = 1, 2
+        while 1 << q <= num:
+            rn = _integer_root(num, q) if is_prime(q) else None
+            rd = None if rn is None else _integer_root(den, q)
+            if rd is None:
+                q += 1
+            else:
+                num, den, k = rn, rd, k * q
+        roots.append((Fraction(num, den), k))
+    (r, k), (rprime, kprime) = roots
+    return Fraction(k, kprime) if r == rprime else None
+
+
+def _log(c: Fraction) -> float:
+    """ln c from integer logs, which cannot overflow."""
+    return math.log(c.numerator) - math.log(c.denominator)
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,7 +171,7 @@ def base_change(est: RadiusEstimate, c: Rat, cprime: Rat) -> BaseChange:
     ratio = _exact_log_ratio(c, cprime)
     if ratio is not None:
         return BaseChange(c, log, cprime, log * ratio, True)
-    return BaseChange(c, log, cprime, float(log) * math.log(c) / math.log(cprime), False)
+    return BaseChange(c, log, cprime, float(log) * _log(c) / _log(cprime), False)
 
 
 def classical_radius(a: PowerSeries, window_start: Optional[int] = None,

@@ -4,10 +4,11 @@ Two carrier types: TropNum (rank 1, Q u {inf}, plus = min, times = +) and
 Trop2 (rank 2, Q^2 u {inf}, plus = lexicographic min, times = componentwise +).
 The Boolean sub-semiring {0, inf} is TropNum restricted by `is_boolean`.
 Infinity is encoded as value None and is absorbing for times, neutral for plus.
-A finite value is an exact rational: an `int` where the program builds an
-integral value (t-exponents, valuations on Z, factorial corrections), a
-`Fraction` otherwise, never a float.  The two compare and hash equal, so a
-value's type never changes an answer.
+A finite value is an exact rational: an `int` where the program builds or
+parses an integral value (t-exponents, valuations on Z, factorial
+corrections, integers in candidate files), a `Fraction` otherwise, never a
+float.  The two compare and hash equal, so a value's type never changes an
+answer.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ class TropNum:
         text = text.strip()
         if text in ("inf", "+inf", "infinity"):
             return T_INF
-        return TropNum(parse_rational(text))
+        q = parse_rational(text)
+        return TropNum(q.numerator if q.denominator == 1 else q)
 
     @property
     def is_inf(self) -> bool:

@@ -289,35 +289,34 @@ class TropSeries:
     def diff_leading(self, j: int) -> LeadingTerm:
         """Phi(d_v^j S) for j >= 0: (first finite exponent, its coefficient) in T_2.
 
-        Read from a table of all j = 0 .. N+1, built on the first call
-        (`_leading_table`); every j > N+1 has the leading term of j = N+1.
+        Read from a table of j = 0 .. K, K the last finite index, built on
+        the first call (`_leading_table`).  Every j > K leaves no finite
+        coefficient in the window: a flagged infinity whose true leading
+        exponent is at least N - j + 1.
         """
         table = self._leading
         if table is None:
             table = self._leading_table()
             object.__setattr__(self, "_leading", table)
-        return table[min(j, self.truncation + 1)]
+        if j < len(table):
+            return table[j]
+        return LeadingTerm(T2_INF, True, max(self.truncation - j + 1, 0))
 
     def _leading_table(self) -> tuple[LeadingTerm, ...]:
-        """Phi(d_v^j S) for j = 0 .. N+1 in closed form, walking the terms backwards.
+        """Phi(d_v^j S) for j = 0 .. K in closed form, walking the terms backwards.
 
         Coefficient i of d_v^j S is S_{i+j} + v((i+j)!) - v(i!), so the first
         finite index k >= j gives the leading term (k - j, S_k + v(k!) - v((k-j)!)).
-        Flagged infinity when no finite index k in [j, N] exists; the true
-        leading exponent is then at least N - j + 1.
         """
-        n, p = self.truncation, self.nat_val.p
-        vfact = ([0] * (n + 1) if p is None  # vfact[m] = v(m!)
-                 else [v_p_factorial(m, p) for m in range(n + 1)])
-        table = [LeadingTerm(T2_INF, True, 0)]  # j = N+1
-        terms = self.terms
-        t = len(terms)  # terms[t] is the first term of index >= j, if t < len(terms)
-        for j in range(n, -1, -1):
+        terms, p = self.terms, self.nat_val.p
+        last = terms[-1][0] if terms else -1
+        vfact = ([0] * (last + 1) if p is None  # vfact[m] = v(m!)
+                 else [v_p_factorial(m, p) for m in range(last + 1)])
+        table = []
+        t = len(terms)  # terms[t] is the first term of index >= j
+        for j in range(last, -1, -1):
             if t and terms[t - 1][0] == j:
                 t -= 1
-            if t == len(terms):
-                table.append(LeadingTerm(T2_INF, True, n - j + 1))
-                continue
             k, c = terms[t]
             table.append(LeadingTerm(Trop2((k - j, c.value + vfact[k] - vfact[k - j]))))
         table.reverse()

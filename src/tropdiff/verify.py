@@ -210,10 +210,9 @@ def check_truncation_vectors(family: Sequence[DiffPoly], s: Sequence[TropSeries]
     truncation-limited.
     """
     b = tuple(psi_trop_inverse(si) for si in s)
-    reports = tuple(evaluate(g.constant_terms().map(FieldElem.valuation), at_vector(b), T_INF)
-                    for g in family)
-    failing = tuple(r for r, rep in enumerate(reports) if not rep.vanishes)
-    return SolutionReport(reports, not failing, False, failing)
+    return SolutionReport.of(
+        evaluate(g.constant_terms().map(FieldElem.valuation), at_vector(b), T_INF)
+        for g in family)
 
 
 def random_linear_odes(count: int, backend: FieldBackend, truncation: int,

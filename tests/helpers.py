@@ -153,6 +153,35 @@ def leading(s: TropSeries) -> LeadingTerm:
     return LeadingTerm(T2_INF, True, s.truncation + 1)
 
 
+def ambiguous_by_bounds(g: Poly, s) -> bool:
+    """Literal truncation-ambiguity rule of a tropical evaluation, term by term,
+    on leading terms of d^j S_i computed by differentiating j times.
+
+    A weight with a flagged factor gets the bound: first coordinate of its
+    known part (coefficient and unflagged factors) plus, per flagged factor,
+    e times the first exponent past that factor's window.  The evaluation is
+    ambiguous iff the minimum of the unflagged weights is finite and some
+    bound is <= its first coordinate.
+    """
+    finite, bounds = [], []
+    for lam, coeff in g.terms:
+        first, second = coeff.value
+        beyond, flagged = 0, False
+        for (i, j), e in lam.entries:
+            lt = leading(diff_n(s[i], j))
+            if lt.truncation_limited:
+                beyond += e * lt.beyond
+                flagged = True
+            else:
+                first += e * lt.value.value[0]
+                second += e * lt.value.value[1]
+        if flagged:
+            bounds.append(first + beyond)
+        else:
+            finite.append((first, second))
+    return bool(finite) and any(b <= min(finite)[0] for b in bounds)
+
+
 def vp_factorial_bruteforce(m: int, p: int) -> int:
     """Valuation of m! by factoring the literal product."""
     count = 0

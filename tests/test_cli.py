@@ -131,6 +131,12 @@ def test_solve_linear_and_radius(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "in base 9: log_r = 0" in out
 
+    # a base past float range is compared on integer logs
+    big = 10 ** 400
+    assert main(["radius", "--series", str(sol_path), "--rule", "p,auto",
+                 "--base2", str(big)]) == 0
+    assert f"in base {big}: log_r = 0.0 (approximate)" in capsys.readouterr().out
+
 
 def test_radius_tropical_input(capsys, tmp_path):
     s = exp_tropical_closed_form(3, 60)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropdiff.diffpoly import (
     DiffPoly,
@@ -25,6 +26,8 @@ from helpers import (
     EISEN2,
     EISEN3,
     EISEN5,
+    PADIC3,
+    ambiguous_by_bounds,
     initial_form_literal,
     poly_mul,
     rand_full_trop_series,
@@ -87,6 +90,41 @@ def test_truncation_ambiguity():
     s6 = TropSeries.monomial(nv, 6, TropNum.of(0), 0)
     form = initial_form(f, (s6,))
     assert is_monomial(form) and form.terms[0][0] == X
+
+
+COEFF_WINDOW = 4
+# {(variable, derivative order): exponent} of one monomial in two variables
+monomials = st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 3)),
+                            st.integers(1, 2), max_size=3)
+# (t-degree, valuation) of a coefficient 3^v t^k
+coefficients = st.tuples(st.integers(0, COEFF_WINDOW), st.integers(-2, 2))
+# (N, {index: value}) of a candidate series with a short window, so that
+# derivatives of order up to 3 run past it
+candidates = st.integers(-1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.dictionaries(st.integers(0, max(n, 0)), st.integers(-2, 2),
+                                max_size=n + 1)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(terms=st.lists(st.tuples(monomials, coefficients), min_size=1, max_size=4),
+       windows=st.lists(candidates, min_size=2, max_size=2))
+def test_ambiguity_matches_per_term_bounds(terms, windows):
+    """`evaluate` flags, and `initial_form` refuses, exactly the evaluations
+    where a flagged weight's bound could still reach the minimum."""
+    f = DiffPoly.make(PADIC3, 2, COEFF_WINDOW, [
+        (ExponentMatrix.make(lam), PowerSeries.monomial(
+            PADIC3, COEFF_WINDOW, PADIC3.elem(Fraction(3) ** v), k))
+        for lam, (k, v) in terms])
+    s = tuple(TropSeries(PADIC3.nat_val, n, tuple(
+        (k, TropNum(v)) for k, v in sorted(values.items()))) for n, values in windows)
+    expected = ambiguous_by_bounds(tropicalize_poly(f), s)
+    assert eval_tropical(tropicalize_poly(f), s).ambiguous == expected
+    try:
+        initial_form(f, s)
+        raised = False
+    except TruncationAmbiguous:
+        raised = True
+    assert raised == expected
 
 
 def test_monomial_check_worked_example():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -115,6 +116,29 @@ def test_base_change():
 
     with pytest.raises(BadBase):
         base_change(est, 1, 3)
+
+
+def test_base_change_finds_every_rational_ratio():
+    est = radius_from_rule(RadiusRule(1, Fraction(3)))
+    change = base_change(est, 2, 2 ** 65)
+    assert change.exact and change.new_log_radius == Fraction(3, 65)
+    # c = (2/3)^6 and c' = (2/3)^4 share the root 2/3: log_{c'}(c) = 6/4
+    change = base_change(est, Fraction(729, 64), Fraction(81, 16))
+    assert change.exact and change.new_log_radius == Fraction(9, 2)
+    change = base_change(est, 10 ** 120, 10 ** 400)
+    assert change.exact and change.new_log_radius == Fraction(9, 10)
+    for c, cprime in ((6, 12), (4, 8 * 3), (2, 3 ** 70), (Fraction(9, 4), Fraction(3, 2) ** 3 * 2)):
+        assert not base_change(est, c, cprime).exact
+
+
+def test_inexact_base_change_of_a_huge_base_is_finite():
+    est = radius_from_rule(RadiusRule(1, Fraction(1)))
+    change = base_change(est, 3, 10 ** 400)
+    assert not change.exact
+    assert change.new_log_radius == pytest.approx(math.log(3) / (400 * math.log(10)))
+    back = base_change(est, Fraction(10 ** 400 + 1, 7), 3)
+    expected = (400 * math.log(10) - math.log(7)) / math.log(3)
+    assert not back.exact and back.new_log_radius == pytest.approx(expected, rel=1e-12)
 
 
 def test_classical_radius():

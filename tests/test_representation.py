@@ -8,8 +8,9 @@ whichever type its coefficients have.
 
 from fractions import Fraction
 
+from tropdiff import files
 from tropdiff.fields import FieldBackend
-from tropdiff.semiring import TropNum
+from tropdiff.semiring import T_INF, TropNum
 from tropdiff.series import TropSeries, rank2_val, tropicalize_series
 from tropdiff.verify import exp_equation, exp_tropical_closed_form, solve_linear
 
@@ -86,3 +87,17 @@ def test_int_and_fraction_values_give_equal_series():
         expected = exp_tropical_closed_form(p, 6 * p)
         assert any(type(c.value) is int for _, c in s.terms)
         assert s == expected and hash(s) == hash(expected)
+
+
+def test_parsed_values_are_int_exactly_when_integral():
+    for text, value in (("3", 3), ("-4", -4), (" 0 ", 0), ("6/2", 3), ("-8/4", -2),
+                        ("3/2", Fraction(3, 2)), ("-1/3", Fraction(-1, 3)), ("0.5", Fraction(1, 2))):
+        parsed = TropNum.parse(text).value
+        assert parsed == value
+        assert_exact(parsed)
+    assert TropNum.parse("inf") == T_INF
+    # candidate files read every tropical value through the same parser
+    record = {"truncation": 4, "coeffs": [{"n": k, "val": v} for k, v in
+                                          enumerate(("2", "inf", "5/3", "-6/3", 7))]}
+    s = files.trop_series_from_dict(record, FieldBackend("padic", 3).nat_val)
+    assert [type(c.value) for _, c in s.terms] == [int, Fraction, int, int]

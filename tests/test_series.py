@@ -3,8 +3,17 @@ from fractions import Fraction
 import pytest
 
 from tropdiff.errors import TruncationExhausted
-from tropdiff.semiring import NatValuation, T_INF, TRIVIAL_NAT_VAL, TropNum, Trop2
+from tropdiff.semiring import (
+    NatValuation,
+    T_INF,
+    T2_INF,
+    TRIVIAL_NAT_VAL,
+    TropNum,
+    Trop2,
+    v_p_factorial,
+)
 from tropdiff.series import (
+    LeadingTerm,
     PowerSeries,
     TropSeries,
     psi,
@@ -283,6 +292,28 @@ def check_diff_leading_closed_form(count=20):
 
 def test_diff_leading_closed_form():
     check_diff_leading_closed_form()
+
+
+def test_leading_table_stops_at_last_finite_index(monkeypatch):
+    """A sparse series reads its factorial valuations only up to its last finite index."""
+    import tropdiff.series as series_module
+
+    calls = []
+
+    def counting(m, p):
+        calls.append(m)
+        return v_p_factorial(m, p)
+
+    monkeypatch.setattr(series_module, "v_p_factorial", counting)
+    s = TropSeries.monomial(V3, 100000, TropNum.of(0), 5)
+    # d_v^2 t^5 = 20 t^3, and v_3(20) = 0
+    assert s.diff_leading(2) == LeadingTerm(Trop2((3, 0)))
+    assert sorted(calls) == list(range(6))
+    assert s.diff_leading(5) == LeadingTerm(Trop2((0, 1)))  # v_3(5!) = 1
+    assert s.diff_leading(6) == LeadingTerm(T2_INF, True, 100000 - 6 + 1)
+    assert s.diff_leading(100001) == LeadingTerm(T2_INF, True, 0)
+    assert s.diff_leading(200000) == LeadingTerm(T2_INF, True, 0)
+    assert len(calls) == 6
 
 
 def test_enhancement_commutation():
