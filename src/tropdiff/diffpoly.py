@@ -14,6 +14,7 @@ window could still reach it (`ambiguous`).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -23,15 +24,31 @@ from .semiring import T2_INF, Rat, Trop2, TropElem, TropNum, tropically_vanishes
 from .series import LeadingTerm, PowerSeries, TropSeries, rank2_val
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ExponentMatrix:
     """Sparse exponent matrix of a differential monomial prod (x_i^(j))^e.
 
     Entries are (((i, j), e), ...) with e >= 1, sorted by (i, j); variable
-    indices i are 0-based internally.
+    indices i are 0-based internally.  The graded key (degree, entries) and
+    its hash are computed once, on construction.
     """
 
     entries: tuple[tuple[tuple[int, int], int], ...]
+    _key: tuple = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        key = (sum(e for _, e in self.entries), self.entries)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __eq__(self, other):
+        if other.__class__ is not ExponentMatrix:
+            return NotImplemented
+        return self._hash == other._hash and self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def make(exponents: Mapping[tuple[int, int], int]) -> "ExponentMatrix":
@@ -46,7 +63,7 @@ class ExponentMatrix:
         return ExponentMatrix((((i, j), 1),))
 
     def degree(self) -> int:
-        return sum(e for _, e in self.entries)
+        return self._key[0]
 
     def order(self) -> int:
         """Largest derivative order appearing; -1 for the constant monomial."""
@@ -69,15 +86,30 @@ class ExponentMatrix:
         return ExponentMatrix.make(merged)
 
     def bump(self, i: int, j: int) -> "ExponentMatrix":
-        """Leibniz step: one factor x_i^(j) becomes x_i^(j+1)."""
-        merged = dict(self.entries)
-        merged[(i, j)] = merged.get((i, j), 0) - 1
-        merged[(i, j + 1)] = merged.get((i, j + 1), 0) + 1
-        return ExponentMatrix.make(merged)
+        """Leibniz step: one factor x_i^(j) becomes x_i^(j+1).
+
+        (i, j+1) sorts right after (i, j), so the entries are edited where
+        (i, j) stands, in one pass.
+        """
+        entries = self.entries
+        ij = (i, j)
+        for k, (key, e) in enumerate(entries):
+            if key == ij:
+                break
+        else:
+            raise ValueError(f"no factor x_{i + 1}^({j}) to differentiate")
+        up = (i, j + 1)
+        rest = k + 1
+        if rest < len(entries) and entries[rest][0] == up:
+            tail = ((up, entries[rest][1] + 1),) + entries[rest + 1:]
+        else:
+            tail = ((up, 1),) + entries[rest:]
+        head = entries[:k] if e == 1 else entries[:k] + ((ij, e - 1),)
+        return ExponentMatrix(head + tail)
 
     def sort_key(self):
         """Graded ordering key, then entrywise lexicographic for determinism."""
-        return (self.degree(), self.entries)
+        return self._key
 
 
 CONSTANT_MONOMIAL = ExponentMatrix(())
@@ -105,6 +137,9 @@ class Poly:
 
     nvars: int
     terms: tuple[tuple[ExponentMatrix, object], ...]
+    # Memo of `eval_tropical`: the last candidate's series and the report
+    # there; not part of the value, so equality, hashing and repr ignore it.
+    _eval: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def make(nvars: int, terms: Mapping[ExponentMatrix, object]) -> "Poly":
@@ -140,15 +175,21 @@ class DiffPoly:
              terms: Iterable[tuple[ExponentMatrix, PowerSeries]]) -> "DiffPoly":
         """The sum of the (monomial, coefficient) pairs in window `truncation`.
 
-        Each coefficient is re-windowed, the coefficients of equal monomials
-        are summed and zero sums are dropped; every DiffPoly operation builds
-        its result here.
+        Each monomial's coefficients are collected first and summed once,
+        degree by degree, in the window; zero sums are dropped.  Every
+        DiffPoly operation builds its result here.
         """
-        collected: dict[ExponentMatrix, PowerSeries] = {}
+        collected: dict[ExponentMatrix, list[PowerSeries]] = {}
         for lam, coeff in terms:
-            coeff = coeff.with_window(truncation)
-            collected[lam] = collected[lam] + coeff if lam in collected else coeff
-        return DiffPoly(backend, nvars, truncation, _sorted_terms(collected))
+            parts = collected.get(lam)
+            if parts is None:
+                collected[lam] = [coeff]
+            else:
+                parts.append(coeff)
+        return DiffPoly(backend, nvars, truncation, _sorted_terms({
+            lam: parts[0].with_window(truncation) if len(parts) == 1
+            else PowerSeries.sum(backend, truncation, parts)
+            for lam, parts in collected.items()}))
 
     @staticmethod
     def zero(backend: FieldBackend, nvars: int, truncation: int) -> "DiffPoly":
@@ -331,10 +372,20 @@ def at_vector(b: Sequence[Sequence[TropNum]]) -> LeadingProvider:
 
 
 def eval_tropical(g: Poly, s: Sequence[TropSeries]) -> EvalReport:
-    """Evaluate a tropicalized polynomial at tropical series: x_i^(j) is Phi(d_v^j S_i)."""
+    """Evaluate a tropicalized polynomial at tropical series: x_i^(j) is Phi(d_v^j S_i).
+
+    The last report is kept in g's `_eval` memo, keyed on the identity of
+    the series in s (which the memo holds), so the checks that evaluate one
+    equation at one candidate share a single evaluation.
+    """
     if len(s) != g.nvars:
         raise MissingVariable(f"expected {g.nvars} series, got {len(s)}")
-    return evaluate(g, lambda i, j: s[i].diff_leading(j), T2_INF)
+    memo = g._eval
+    if memo is not None and all(map(operator.is_, memo[0], s)):
+        return memo[1]
+    report = evaluate(g, lambda i, j: s[i].diff_leading(j), T2_INF)
+    object.__setattr__(g, "_eval", (tuple(s), report))
+    return report
 
 
 def f_lr(f: DiffPoly, r: int) -> Poly:

@@ -426,12 +426,23 @@ def residue(x: FieldElem) -> ResidueElem:
 
 
 def angular_component(x: FieldElem) -> ResidueElem:
-    """Residue of the unit part x * phi(-v(x)); multiplicative in x."""
+    """Residue of the unit part x * phi(-v(x)); multiplicative in x.
+
+    Closed form on the integers: the index i minimising e*v_p(num[i]) + i is
+    unique, since e*k + i fixes i mod e.  With num[i] = p^k u and
+    den = p^b d' (u, d' prime to p), the unit part is u/d' (p/pi^e)^(k-b)
+    plus terms of positive valuation; pi^e = -p over Q(zeta) and p over
+    Q_p, so ac(x) = (-1)^(k-b) u/d' mod p, without the sign on Q_p.
+    """
     if x.is_zero:
         raise ZeroInput("the angular component of zero is undefined")
     b = x.backend
     if b.kind == "trivial":
         return ResidueElem(None, Fraction(x.num[0], x.den))
-    v = x.valuation().value
-    unit = x * b.uniformizer_pow(-int(v * b.ramification))
-    return residue(unit)
+    p, e = b.p, b.ramification
+    w, i = min((e * v_p(a, p) + i, i) for i, a in enumerate(x.num) if a)
+    k, kb = (w - i) // e, v_p(x.den, p)
+    u, d = x.num[i] // p ** k, x.den // p ** kb
+    if b.kind == "eisenstein" and (k - kb) % 2:
+        u = -u
+    return ResidueElem(p, u * pow(d, -1, p) % p)

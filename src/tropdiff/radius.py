@@ -115,8 +115,27 @@ def radius_window_estimate(a: TropSeries, window_start: Optional[int] = None) ->
 
 
 def _integer_root(n: int, k: int) -> Optional[int]:
-    """The integer r with r^k = n, for n >= 1, when n is an exact k-th power."""
-    r = 1 << -(-n.bit_length() // k)  # r^k > n: Newton's method from above
+    """The integer r with r^k = n, for n >= 1, when n is an exact k-th power.
+
+    log2 of the root, read off the top 53 bits of n, estimates the root to
+    a relative error of about 2^-40.  A root below 2^32 is therefore the
+    rounded estimate, checked on the low 64 bits before the full power.  A
+    larger one is reached by Newton's method from above, started at the
+    estimate raised until r^k >= n, so a few steps reach floor(n^(1/k)).
+    """
+    shift = max(n.bit_length() - 53, 0)
+    log_root = (math.log2(n >> shift) + shift) / k
+    if log_root < 32:
+        r = round(2.0 ** log_root)
+        low = 1 << 64
+        return r if pow(r, k, low) == n % low and r ** k == n else None
+    whole = int(log_root)
+    exact_bits = min(whole, 52)
+    r = int(2.0 ** (log_root - whole + exact_bits)) << (whole - exact_bits)
+    step = (r >> 32) + 1
+    while r ** k < n:
+        r += step
+        step *= 2
     while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
         r = s
     return r if r ** k == n else None
@@ -166,7 +185,7 @@ def base_change(est: RadiusEstimate, c: Rat, cprime: Rat) -> BaseChange:
     if c <= 1 or cprime <= 1:
         raise BadBase("bases must be rationals > 1")
     log = est.log_radius
-    if isinstance(log, float):  # the infinity marker survives any base change
+    if isinstance(log, float) or log == 0:  # infinity and 0 are the same in every base
         return BaseChange(c, log, cprime, log, True)
     ratio = _exact_log_ratio(c, cprime)
     if ratio is not None:

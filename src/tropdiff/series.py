@@ -130,19 +130,32 @@ class PowerSeries:
             raise ValueError("mixed field backends")
         return min(self.truncation, other.truncation)
 
+    @staticmethod
+    def sum(backend: FieldBackend, truncation: int,
+            parts: Iterable["PowerSeries"]) -> "PowerSeries":
+        """The sum of `parts` in window N = truncation, one running sum per degree.
+
+        A degree whose running sum cancels is dropped; a later term there
+        starts it afresh.
+        """
+        out: dict[int, FieldElem] = {}
+        for part in parts:
+            for k, c in part.terms:
+                if k > truncation:
+                    break
+                old = out.get(k)
+                if old is None:
+                    out[k] = c
+                    continue
+                total = old + c
+                if total.is_zero:
+                    del out[k]
+                else:
+                    out[k] = total
+        return PowerSeries(backend, truncation, tuple(sorted(out.items())))
+
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = self._common(other)
-        out = dict(self.truncate(n).terms)
-        for k, c in other.truncate(n).terms:
-            if k not in out:
-                out[k] = c
-                continue
-            total = out[k] + c
-            if total.is_zero:
-                del out[k]
-            else:
-                out[k] = total
-        return PowerSeries(self.backend, n, tuple(sorted(out.items())))
+        return PowerSeries.sum(self.backend, self._common(other), (self, other))
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
         return self + (-other)

@@ -113,6 +113,23 @@ def rand_nonzero_diffpoly(rng, backend, nvars, truncation, **kw) -> DiffPoly:
             return f
 
 
+def count_evaluations(monkeypatch) -> list:
+    """Patch `diffpoly.evaluate`, also where `verify` imported it; the returned
+    list gets one entry per call."""
+    from tropdiff import diffpoly, verify
+
+    calls = []
+    original = diffpoly.evaluate
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(diffpoly, "evaluate", counted)
+    monkeypatch.setattr(verify, "evaluate", counted)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # independent oracles
 
@@ -539,3 +556,51 @@ def ref_trop_diff(a: tuple, p) -> tuple:
     """d_v: coefficient k-1 becomes v(k) + a_k, with v(k) = v_p(k), or 0 when p is None."""
     return tuple(ref_trop_times(0 if p is None else ref_vp(k, p), a[k])
                  for k in range(1, len(a)))
+
+
+# ---------------------------------------------------------------------------
+# reference monomial arithmetic and DiffPoly construction: exponents edited in
+# a dict and re-sorted, coefficients summed on the dense reference series
+
+def bump_by_dict(lam: ExponentMatrix, i: int, j: int) -> ExponentMatrix:
+    """The Leibniz step x_i^(j) -> x_i^(j+1) by editing a dict of exponents and
+    rebuilding through `ExponentMatrix.make`, which sorts and validates."""
+    merged = dict(lam.entries)
+    merged[(i, j)] = merged.get((i, j), 0) - 1
+    merged[(i, j + 1)] = merged.get((i, j + 1), 0) + 1
+    return ExponentMatrix.make(merged)
+
+
+def ref_rewindow(ref: tuple, truncation: int, backend: FieldBackend) -> tuple:
+    """The dense reference in window `truncation`: cut, or padded with zeros."""
+    ref = ref[:truncation + 1]
+    return ref + (ref_zero(backend),) * (truncation + 1 - len(ref))
+
+
+def ref_diffpoly_make(backend: FieldBackend, truncation: int, terms) -> list:
+    """(entries, dense coefficient) pairs of the sum of (monomial, series) pairs:
+    equal monomials summed on the dense references in the window, zero sums
+    dropped, sorted by degree and then entries."""
+    sums = {}
+    for lam, coeff in terms:
+        ref = ref_rewindow(ref_from_terms(coeff), truncation, backend)
+        sums[lam.entries] = ref_series_add(sums[lam.entries], ref) if lam.entries in sums else ref
+    kept = [(entries, ref) for entries, ref in sums.items()
+            if any(any(c) for c in ref)]
+    return sorted(kept, key=lambda kv: (sum(e for _, e in kv[0]), kv[0]))
+
+
+# ---------------------------------------------------------------------------
+# integer roots by bisection
+
+def integer_root_bisect(n: int, k: int):
+    """The integer r with r^k = n when there is one, else None, for n >= 1:
+    the largest r with r^k <= n, found by bisection on the integers."""
+    lo, hi = 1, 1 << (n.bit_length() // k + 1)  # lo^k <= n < hi^k
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid ** k <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo if lo ** k == n else None

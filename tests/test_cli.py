@@ -131,11 +131,15 @@ def test_solve_linear_and_radius(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "in base 9: log_r = 0" in out
 
-    # a base past float range is compared on integer logs
-    big = 10 ** 400
-    assert main(["radius", "--series", str(sol_path), "--rule", "p,auto",
-                 "--base2", str(big)]) == 0
-    assert f"in base {big}: log_r = 0.0 (approximate)" in capsys.readouterr().out
+    # log_r = 0 is exactly 0 in every base, also in bases that share no root
+    # with 3, even past float range
+    json_path = tmp_path / "radius.json"
+    for base2 in ("10", str(10 ** 400)):
+        assert main(["radius", "--series", str(sol_path), "--rule", "p,auto",
+                     "--base2", base2, "--json", str(json_path)]) == 0
+        assert f"in base {base2}: log_r = 0\n" in capsys.readouterr().out
+        assert json.loads(json_path.read_text())["base_change"] == {
+            "base": base2, "log_radius": "0", "exact": True}
 
 
 def test_radius_tropical_input(capsys, tmp_path):

@@ -36,9 +36,14 @@ from tropdiff.verify import exp_equation, exp_tropical_closed_form, solve_linear
 from helpers import (
     EISEN3,
     PADIC3,
+    bump_by_dict,
     kpoly_evaluate,
     rand_elem,
     rand_diffpoly,
+    rand_exponent_matrix,
+    rand_power_series,
+    ref_diffpoly_make,
+    ref_from_terms,
     rng_for,
 )
 
@@ -112,6 +117,47 @@ def test_make_sums_repeated_and_cancelling_monomials():
     assert f.terms == ((X, mono(PADIC3, 6, PADIC3.elem(7), 1)),)
     assert f == DiffPoly.make(PADIC3, 1, 6, iter([(X, mono(PADIC3, 6, PADIC3.elem(7), 1))]))
     assert DiffPoly.make(PADIC3, 1, 6, [(X, a), (X, -a), (X1, -a), (X1, a)]).is_zero
+
+
+def test_bump_matches_dict_oracle():
+    """The in-place Leibniz step equals the dict edit re-sorted by `make`, for
+    every factor of random monomials; a missing factor raises in both."""
+    rng = rng_for("bump-oracle")
+    for _ in range(300):
+        lam = rand_exponent_matrix(rng, rng.randint(1, 3), 3, 5)
+        for (i, j), _ in lam.entries:
+            got = lam.bump(i, j)
+            want = bump_by_dict(lam, i, j)
+            assert got == want and got.entries == want.entries
+            assert hash(got) == hash(want) and got.sort_key() == want.sort_key()
+            assert got.degree() == lam.degree()
+        i, j = rng.randrange(3), rng.randint(0, 4)
+        if lam.exponent(i, j) == 0:
+            with pytest.raises(ValueError):
+                bump_by_dict(lam, i, j)
+            with pytest.raises(ValueError):
+                lam.bump(i, j)
+
+
+def test_make_matches_pairwise_oracle():
+    """`make` on random (monomial, series) lists with repeated monomials,
+    mixed windows and cancellations equals the dense reference sum."""
+    rng = rng_for("make-oracle")
+    for backend in (PADIC3, EISEN3):
+        for _ in range(60):
+            n = rng.randint(0, 6)
+            monomials = [rand_exponent_matrix(rng, 2, 2, 2) for _ in range(3)]
+            terms = []
+            for _ in range(rng.randint(0, 8)):
+                lam = rng.choice(monomials)
+                coeff = rand_power_series(rng, backend, rng.randint(0, 8), zero_prob=0.5)
+                terms.append((lam, coeff))
+                if rng.random() < 0.3:  # cancel it again, maybe in another window
+                    terms.append((lam, -coeff.with_window(rng.randint(0, 8))))
+            f = DiffPoly.make(backend, 2, n, terms)
+            assert [(lam.entries, ref_from_terms(c)) for lam, c in f.terms] == \
+                ref_diffpoly_make(backend, n, terms)
+            assert all(c.truncation == n for _, c in f.terms)
 
 
 def test_powers_match_repeated_products():
@@ -199,6 +245,27 @@ def test_eval_tropical_micro_example():
     assert report.value == Trop2.of(1, 2)
     assert not report.vanishes
     assert report.attainment == (X * X3,)
+
+
+def test_eval_tropical_memo_is_outside_the_value():
+    """`eval_tropical` keeps the last candidate's report on the polynomial:
+    the same series objects get the same report object, equal but distinct
+    series a fresh and equal one, and equality, hashing and repr ignore it."""
+    _, f = exp_equation(3, 12)
+    g = tropicalize_poly(f)
+    fresh = Poly.make(g.nvars, dict(g.terms))
+    s = exp_tropical_closed_form(3, 12)
+    twin = exp_tropical_closed_form(3, 12)
+    other = TropSeries.from_coeffs(EISEN3.nat_val, 12, [TropNum.of(0)])
+    report = eval_tropical(g, (s,))
+    assert eval_tropical(g, [s]) is report
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+    assert eval_tropical(g, (twin,)) == report
+    assert eval_tropical(g, (twin,)) is not report
+    assert eval_tropical(g, (other,)) != report
+    assert eval_tropical(g, (s,)) == report
+    with pytest.raises(MissingVariable):
+        eval_tropical(g, (s, s))
 
 
 def test_eval_tropical_exp_solution():

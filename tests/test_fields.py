@@ -222,8 +222,20 @@ def test_kernel_matches_fraction_reference():
         for case in range(24):
             bits = 1024 if case % 12 == 0 else rng.choice((1, 4, 12))
             ra, rb = (rand_ref_coeffs(rng, backend, bits) for _ in range(2))
+            p = backend.p or 3
             if case == 1:
                 ra = (Fraction(0),) * backend.degree
+            elif case in (2, 3, 4):
+                # num[i] = p^k u over den = p^b d' at the index i that sets the
+                # valuation, with k - b odd, so ac(a) carries the sign (-1)^(k-b)
+                # over Q(zeta): den divisible by p (at i = 0, and at i = 1 where
+                # there is a zeta), or a numerator with an odd power of p
+                pad = (Fraction(0),) * backend.degree
+                ra = {2: (Fraction(5, 7 * p),),
+                      3: (Fraction(4, 7 * p**2), Fraction(-1, p**3))
+                      if backend.degree > 1 else (Fraction(-3, 7 * p**3),),
+                      4: (Fraction(5 * p**3, 7),)}[case]
+                ra = (ra + pad)[:backend.degree]
             a, b = backend.from_coeffs(ra), backend.from_coeffs(rb)
             assert_canonical(a, ra)
             assert_canonical(b, rb)
@@ -234,7 +246,6 @@ def test_kernel_matches_fraction_reference():
             n = rng.choice((0, 1, -1, 3, -12, 2**70))
             assert_canonical(a * n, tuple(c * n for c in ra))
             # x * k divides out gcd(den, k) alone, x / k gcd(k, *num) and the sign of k
-            p = backend.p or 3
             for k in (1, -1, 2, -2, p, -p, 7 * p**3, -7 * p**3, 2**100 + 1):
                 for got, ref in ((a * k, tuple(c * k for c in ra)),
                                  (a / k, tuple(c / k for c in ra))):

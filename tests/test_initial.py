@@ -19,8 +19,8 @@ from tropdiff.initial import (
     is_monomial,
 )
 from tropdiff.semiring import TropNum
-from tropdiff.series import PowerSeries, TropSeries
-from tropdiff.verify import exp_equation, exp_tropical_closed_form
+from tropdiff.series import PowerSeries, TropSeries, tropicalize_series
+from tropdiff.verify import exp_equation, exp_tropical_closed_form, solve_linear
 
 from helpers import (
     EISEN2,
@@ -28,6 +28,7 @@ from helpers import (
     EISEN5,
     PADIC3,
     ambiguous_by_bounds,
+    count_evaluations,
     initial_form_literal,
     poly_mul,
     rand_full_trop_series,
@@ -135,6 +136,17 @@ def test_monomial_check_worked_example():
         assert report.monomial_free and report.cross_check_ok
         assert report.verdict == f"MONOMIAL_FREE_UP_TO_{3 * p}"
         assert report.solution_report.all_vanish
+
+
+def test_monomial_check_evaluates_each_equation_once(monkeypatch):
+    """`initial_form` and the tropical-solution cross-check share one
+    evaluation per derived equation: 10 for d^0 .. d^9."""
+    ode, f = exp_equation(3, 18)
+    s = tropicalize_series(solve_linear(ode))
+    calls = count_evaluations(monkeypatch)
+    report = initial_system_monomial_check([derived_system(f, 9)], (s,))
+    assert report.monomial_free and report.cross_check_ok
+    assert len(calls) == 10
 
 
 def test_monomial_check_perturbed_witness():

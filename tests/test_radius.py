@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ from tropdiff.errors import BadBase, InvalidRule, TrivialBackend
 from tropdiff.radius import (
     LOG_INF,
     RadiusRule,
+    _exact_log_ratio,
+    _integer_root,
     base_change,
     classical_radius,
     describe_radius,
@@ -18,7 +21,7 @@ from tropdiff.semiring import NatValuation, TropNum, digit_sum
 from tropdiff.series import PowerSeries, TropSeries, tropicalize_series
 from tropdiff.verify import exp_equation, exp_tropical_closed_form, solve_linear
 
-from helpers import PADIC3, TRIVIAL, rng_for, vp_factorial_bruteforce
+from helpers import PADIC3, TRIVIAL, integer_root_bisect, rng_for, vp_factorial_bruteforce
 
 
 def exp_rule(p):
@@ -129,6 +132,38 @@ def test_base_change_finds_every_rational_ratio():
     assert change.exact and change.new_log_radius == Fraction(9, 10)
     for c, cprime in ((6, 12), (4, 8 * 3), (2, 3 ** 70), (Fraction(9, 4), Fraction(3, 2) ** 3 * 2)):
         assert not base_change(est, c, cprime).exact
+
+
+def test_base_change_of_log_zero_is_exact():
+    """log_r = 0 is 0 in every base, also in bases that share no root."""
+    zero = radius_from_rule(RadiusRule(1, Fraction(0)))
+    for c, cprime in ((3, 10), (2, 3), (Fraction(7, 2), 10 ** 400)):
+        change = base_change(zero, c, cprime)
+        assert change.exact and change.new_log_radius == 0
+
+
+def test_integer_root_matches_bisection():
+    """Exact powers r^k and their neighbours r^k +- 1 and r^k +- 2^64 (equal
+    low 64 bits), for k up to 97 and r up to 2^200, including roots on both
+    sides of 2^32 and 2^53."""
+    rng = rng_for("integer-root")
+    roots = [1, 2, 3, 7, 2**31 - 1, 2**32 - 1, 2**32, 2**32 + 1, 2**53 + 1,
+             10**15 + 37, 3**100, 2**200 - 1, 2**200, rng.getrandbits(200) | 1]
+    for k in (1, 2, 3, 5, 31, 64, 97):
+        for r in roots:
+            for n in (r**k - 2**64, r**k - 1, r**k, r**k + 1, r**k + 2**64):
+                if n >= 1:
+                    assert _integer_root(n, k) == integer_root_bisect(n, k), (r, k, n - r**k)
+            assert _integer_root(r**k, k) == r
+
+
+def test_exact_log_ratio_of_a_huge_base_is_fast():
+    """A 4,000-digit base is tried against every prime exponent below its
+    13,288 bits; Newton's method from 2^ceil(bits/k) took seconds here."""
+    start = time.perf_counter()
+    assert _exact_log_ratio(Fraction(10**4000 + 1, 7), Fraction(3)) is None
+    assert _exact_log_ratio(Fraction(10**4000), Fraction(10**40)) == 100
+    assert time.perf_counter() - start < 1.0
 
 
 def test_inexact_base_change_of_a_huge_base_is_finite():

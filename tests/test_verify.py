@@ -22,7 +22,7 @@ from tropdiff.verify import (
     verify_ft,
 )
 
-from helpers import EISEN3, PADIC3
+from helpers import EISEN3, PADIC3, count_evaluations
 
 
 def test_solve_linear_exp_closed_form():
@@ -200,3 +200,12 @@ def test_derived_system_works_on_the_support(monkeypatch):
     family = derived_system(exp_equation(13, 78)[1], 39)
     assert len(family) == 40
     assert counts == {"mul": 403, "add": 390}
+
+
+def test_selftest_evaluates_each_equation_once(monkeypatch):
+    """At p = 3 (m = 9) the derived-system step evaluates the 10 equations
+    once; `initial_form` and the monomial cross-check reuse those reports;
+    the Grigoriev projection evaluates its own 10 polynomials."""
+    calls = count_evaluations(monkeypatch)
+    assert reproduce_exponential_example(3).passed
+    assert len(calls) == 20
