@@ -139,7 +139,7 @@ def test_bump_matches_dict_oracle():
                 lam.bump(i, j)
 
 
-def test_make_matches_pairwise_oracle():
+def test_make_matches_dense_reference():
     """`make` on random (monomial, series) lists with repeated monomials,
     mixed windows and cancellations equals the dense reference sum."""
     rng = rng_for("make-oracle")
