@@ -86,37 +86,40 @@ def cmd_tropicalize(args) -> int:
     return 0
 
 
-def _load_system_and_candidate(args):
+def _derive_and_evaluate(args):
+    """Load system and candidate, derive to order m, evaluate each equation once.
+
+    Returns the report header, the derived families and their solution
+    table, which `check` and `initial` both read their verdicts off.
+    """
     backend, nvars, truncation, polys = files.system_from_dict(files.load_json(args.system))
     candidate = files.candidate_from_dict(files.load_json(args.candidate), backend.nat_val)
     if len(candidate) != nvars:
         raise ValueError(f"system has {nvars} variable(s), candidate has {len(candidate)}")
-    return backend, nvars, truncation, polys, candidate
+    m = _order(backend.p, args.order)
+    families = [derived_system(f, m) for f in polys]
+    solution = is_tropical_solution(
+        [tropicalize_poly(g) for family in families for g in family], candidate)
+    header = {"field": files.field_to_dict(backend), "vars": nvars,
+              "truncation": truncation, "order": m}
+    return header, families, solution
 
 
 def cmd_check(args) -> int:
-    backend, nvars, truncation, polys, candidate = _load_system_and_candidate(args)
-    m = _order(backend.p, args.order)
-    labels, system = [], []
-    for l, f in enumerate(polys):
-        for k, g in enumerate(derived_system(f, m)):
-            labels.append((l, k))
-            system.append(tropicalize_poly(g))
-    report = is_tropical_solution(system, candidate)
-    print(f"check: {len(polys)} generator(s), derived to order m = {m}, "
-          f"truncation N = {truncation}")
+    header, families, report = _derive_and_evaluate(args)
+    labels = [(l, k) for l, family in enumerate(families) for k in range(len(family))]
+    print(f"check: {len(families)} generator(s), derived to order m = {header['order']}, "
+          f"truncation N = {header['truncation']}")
     for (l, k), rep in zip(labels, report.reports):
         print(_report_line(rep, f"generator {l}, d^{k}"))
     records = [{"generator": l, "order": k, "vanishes": rep.vanishes,
                 "value": str(rep.value), "attained": len(rep.attainment),
                 "truncation_limited": rep.truncation_limited}
                for (l, k), rep in zip(labels, report.reports)]
-    payload = {"command": "check", "field": files.field_to_dict(backend),
-               "vars": nvars, "truncation": truncation, "order": m,
-               "all_vanish": report.all_vanish,
-               "truncation_limited": report.truncation_limited,
-               "equations": records}
-    _write_json(args.json, payload)
+    _write_json(args.json, {"command": "check", **header,
+                            "all_vanish": report.all_vanish,
+                            "truncation_limited": report.truncation_limited,
+                            "equations": records})
     if report.all_vanish:
         qualifier = " (up to truncation)" if report.truncation_limited else ""
         print(f"verdict: tropical solution of the derived system{qualifier}")
@@ -128,19 +131,16 @@ def cmd_check(args) -> int:
 
 
 def cmd_initial(args) -> int:
-    backend, nvars, truncation, polys, candidate = _load_system_and_candidate(args)
-    m = _order(backend.p, args.order)
-    check = initial_system_monomial_check([derived_system(f, m) for f in polys], candidate)
+    header, families, solution = _derive_and_evaluate(args)
+    check = initial_system_monomial_check(families, solution)
     records = []
     for (l, k), form in check.initials:
         text = print_poly(form)
         records.append({"generator": l, "order": k, "initial_form": text,
                         "monomial": (l, k) in check.witnesses})
         print(f"in_S(d^{k} f_{l}) = {text}")
-    payload = {"command": "initial", "field": files.field_to_dict(backend),
-               "vars": nvars, "truncation": truncation, "order": m,
-               "verdict": check.verdict, "initial_forms": records}
-    _write_json(args.json, payload)
+    _write_json(args.json, {"command": "initial", **header,
+                            "verdict": check.verdict, "initial_forms": records})
     print(f"verdict: {check.verdict}")
     if not check.monomial_free:
         l, k = check.witnesses[0]

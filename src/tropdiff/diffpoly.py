@@ -9,12 +9,13 @@ polynomials with tropical, field or residue coefficients.  One evaluator
 gives the value of x_i^(j), e.g. the leading term of the j-th tropical
 derivative of a series, and the report gives the minimum, the monomials
 attaining it, whether it tropically vanishes, and whether an exhausted
-window could still reach it (`ambiguous`).
+window could still reach it (`ambiguous`).  Reports are values: a caller
+that evaluates a system passes them on to whatever reads them (the solution
+table, initial forms), so no polynomial is evaluated twice at one candidate.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -137,9 +138,6 @@ class Poly:
 
     nvars: int
     terms: tuple[tuple[ExponentMatrix, object], ...]
-    # Memo of `eval_tropical`: the last candidate's series and the report
-    # there; not part of the value, so equality, hashing and repr ignore it.
-    _eval: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def make(nvars: int, terms: Mapping[ExponentMatrix, object]) -> "Poly":
@@ -166,9 +164,6 @@ class DiffPoly:
     nvars: int
     truncation: int
     terms: tuple[tuple[ExponentMatrix, PowerSeries], ...]
-    # Memo of `tropicalize_poly`, set on its first call; not part of the
-    # value, so equality, hashing and repr ignore it.
-    _trop: Optional["Poly"] = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def make(backend: FieldBackend, nvars: int, truncation: int,
@@ -293,12 +288,8 @@ def tropicalize_poly(f: DiffPoly) -> Poly:
 
     Every coefficient of a DiffPoly is nonzero inside its window (`make`
     drops the others), so no rank-2 value here is truncation-limited.
-    Computed once per polynomial and kept in its `_trop` memo.
     """
-    if f._trop is None:
-        object.__setattr__(f, "_trop", Poly.make(
-            f.nvars, {lam: rank2_val(a).value for lam, a in f.terms}))
-    return f._trop
+    return Poly.make(f.nvars, {lam: rank2_val(a).value for lam, a in f.terms})
 
 
 def eval_classical(f: DiffPoly, a: Sequence[PowerSeries]) -> PowerSeries:
@@ -372,20 +363,10 @@ def at_vector(b: Sequence[Sequence[TropNum]]) -> LeadingProvider:
 
 
 def eval_tropical(g: Poly, s: Sequence[TropSeries]) -> EvalReport:
-    """Evaluate a tropicalized polynomial at tropical series: x_i^(j) is Phi(d_v^j S_i).
-
-    The last report is kept in g's `_eval` memo, keyed on the identity of
-    the series in s (which the memo holds), so the checks that evaluate one
-    equation at one candidate share a single evaluation.
-    """
+    """Evaluate a tropicalized polynomial at tropical series: x_i^(j) is Phi(d_v^j S_i)."""
     if len(s) != g.nvars:
         raise MissingVariable(f"expected {g.nvars} series, got {len(s)}")
-    memo = g._eval
-    if memo is not None and all(map(operator.is_, memo[0], s)):
-        return memo[1]
-    report = evaluate(g, lambda i, j: s[i].diff_leading(j), T2_INF)
-    object.__setattr__(g, "_eval", (tuple(s), report))
-    return report
+    return evaluate(g, lambda i, j: s[i].diff_leading(j), T2_INF)
 
 
 def f_lr(f: DiffPoly, r: int) -> Poly:

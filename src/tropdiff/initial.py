@@ -4,7 +4,9 @@ The initial form of f at a tropical series tuple S keeps exactly the
 monomials where the tropical evaluation attains its minimum, with the
 angular component of the corresponding leading coefficient as residue-field
 coefficient; it is zero iff the tropical evaluation is infinite, and a
-monomial iff the minimum is attained exactly once.
+monomial iff the minimum is attained exactly once.  It is read off the
+evaluation report of trop(f) at S, which the caller computed once for the
+solution check, so both verdicts on S rest on the same evaluation.
 """
 
 from __future__ import annotations
@@ -12,17 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .diffpoly import (
-    DiffPoly,
-    Poly,
-    SolutionReport,
-    eval_tropical,
-    is_tropical_solution,
-    tropicalize_poly,
-)
+from .diffpoly import DiffPoly, EvalReport, Poly, SolutionReport
 from .errors import TruncationAmbiguous
 from .fields import angular_component
-from .series import TropSeries
 
 
 def is_monomial(g: Poly) -> bool:
@@ -30,15 +24,14 @@ def is_monomial(g: Poly) -> bool:
     return len(g.terms) == 1
 
 
-def initial_form(f: DiffPoly, s: Sequence[TropSeries]) -> Poly:
+def initial_form(f: DiffPoly, report: EvalReport) -> Poly:
     """Initial form via the angular-component closed form.
 
-    The monomials attaining the tropical evaluation of f at s (`eval_tropical`)
-    survive with coefficient ac(leading coefficient of A_lam), a residue.
-    Raises TruncationAmbiguous when an exhausted window could still change
-    the attainment set.
+    `report` is the tropical evaluation of trop(f) at S (`eval_tropical`).
+    The monomials attaining it survive with coefficient ac(leading
+    coefficient of A_lam), a residue.  Raises TruncationAmbiguous when an
+    exhausted window could still change the attainment set.
     """
-    report = eval_tropical(tropicalize_poly(f), s)
     if report.value.is_inf:
         # All terms are infinite as far as the windows can tell: the zero
         # initial form, matching the (possibly truncation-qualified)
@@ -59,8 +52,6 @@ class MonomialCheckReport:
     monomial_free: bool
     witnesses: tuple[tuple[int, int], ...]  # (generator index, derivative order)
     initials: tuple[tuple[tuple[int, int], Poly], ...]
-    solution_report: SolutionReport
-    cross_check_ok: bool
 
     @property
     def verdict(self) -> str:
@@ -69,33 +60,20 @@ class MonomialCheckReport:
 
 
 def initial_system_monomial_check(families: Sequence[Sequence[DiffPoly]],
-                                  s: Sequence[TropSeries]) -> MonomialCheckReport:
+                                  solution: SolutionReport) -> MonomialCheckReport:
     """Compute in_S(d^k f_l) over derived families and look for monomial initial forms.
 
     `families[l]` is the derived family f_l, d f_l, ..., d^m f_l of generator
     l (see `derived_system`); the report's order is m, or -1 without
-    generators.  Also evaluates the derived tropical system at s and checks
-    that the two verdicts coincide (a monomial initial form is exactly a
-    uniquely attained finite minimum).
+    generators.  `solution` is the tropical-solution table of all families
+    at S, one report per equation in the same order (`is_tropical_solution`
+    on their tropicalizations), so a monomial initial form is exactly an
+    equation that does not vanish there.
     """
-    initials: list[tuple[tuple[int, int], Poly]] = []
-    witnesses: list[tuple[int, int]] = []
-    trop_system = []
-    for l, family in enumerate(families):
-        for k, g in enumerate(family):
-            form = initial_form(g, s)
-            initials.append(((l, k), form))
-            if is_monomial(form):
-                witnesses.append((l, k))
-            trop_system.append(tropicalize_poly(g))
-    sol = is_tropical_solution(trop_system, s)
-    monomial_free = not witnesses
-    cross_ok = all(r.vanishes == (not is_monomial(form))
-                   for r, (_, form) in zip(sol.reports, initials))
-    if not cross_ok:
-        raise AssertionError(
-            "monomial check and tropical-solution check disagree; "
-            "this indicates an internal inconsistency")
+    equations = [((l, k), g) for l, family in enumerate(families)
+                 for k, g in enumerate(family)]
+    initials = tuple((lk, initial_form(g, report))
+                     for (lk, g), report in zip(equations, solution.reports, strict=True))
+    witnesses = tuple(lk for lk, form in initials if is_monomial(form))
     m = len(families[0]) - 1 if families else -1
-    return MonomialCheckReport(m, monomial_free, tuple(witnesses),
-                               tuple(initials), sol, cross_ok)
+    return MonomialCheckReport(m, not witnesses, witnesses, initials)

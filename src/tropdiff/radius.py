@@ -2,8 +2,9 @@
 
 With coefficients a_i, the radius with respect to a base c > 1 is
 r_c = c^L where L = liminf a_i / i (convention: r = infinity when the
-coefficients are cofinitely infinite).  Radii are
-kept in log space as exact rationals; only display exponentiates.
+coefficients are cofinitely infinite).  Radii are kept in log space as
+exact rationals, and so are base changes, by Euclid's algorithm on logarithms,
+whenever exact; display writes r = c^L out only when it has few enough digits.
 
 A finite truncation cannot certify a liminf, so estimates come in two kinds:
 ``exact-from-rule`` for coefficient laws of the shape
@@ -19,6 +20,7 @@ of Legendre's formula contributes 0 along m = p^k), and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -114,53 +116,39 @@ def radius_window_estimate(a: TropSeries, window_start: Optional[int] = None) ->
     return RadiusEstimate(best, "window-lower-bound", window)
 
 
-def _integer_root(n: int, k: int) -> Optional[int]:
-    """The integer r with r^k = n, for n >= 1, when n is an exact k-th power.
+def _int_log_ratio(x: int, y: int) -> Optional[Fraction]:
+    """log_y(x) for integers x, y >= 2 when it is rational, else None.
 
-    log2 of the root, read off the top 53 bits of n, estimates the root to
-    a relative error of about 2^-40.  A root below 2^32 is therefore the
-    rounded estimate, checked on the low 64 bits before the full power.  A
-    larger one is reached by Newton's method from above, started at the
-    estimate raised until r^k >= n, so a few steps reach floor(n^(1/k)).
+    One step of Euclid's algorithm on logarithms: x = y^k * r, k largest, read
+    off the squares y, y^2, y^4, ... that divide x.  x and y are powers of one
+    integer iff r = 1, or r < y and so are y and r; log_y(x) = k + 1/log_r(y).
     """
-    shift = max(n.bit_length() - 53, 0)
-    log_root = (math.log2(n >> shift) + shift) / k
-    if log_root < 32:
-        r = round(2.0 ** log_root)
-        low = 1 << 64
-        return r if pow(r, k, low) == n % low and r ** k == n else None
-    whole = int(log_root)
-    exact_bits = min(whole, 52)
-    r = int(2.0 ** (log_root - whole + exact_bits)) << (whole - exact_bits)
-    step = (r >> 32) + 1
-    while r ** k < n:
-        r += step
-        step *= 2
-    while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
-        r = s
-    return r if r ** k == n else None
+    squares = [y]
+    while x % squares[-1] == 0:
+        squares.append(squares[-1] ** 2)
+    k = 0
+    for i in reversed(range(len(squares) - 1)):
+        if x % squares[i] == 0:
+            x //= squares[i]
+            k += 1 << i
+    if x == 1:
+        return Fraction(k)
+    rest = _int_log_ratio(y, x) if x < y else None
+    return None if rest is None else k + 1 / rest
 
 
 def _exact_log_ratio(c: Fraction, cprime: Fraction) -> Optional[Fraction]:
-    """Rational x = log_{c'}(c), i.e. c'^x = c, when one exists.
+    """Rational x = log_{c'}(c), i.e. c'^x = c, when one exists, for c, c' > 1.
 
-    Each base is written r^k with k largest: numerator and denominator are
-    exact integer k-th powers (a prime factor q of k needs 2^q <= numerator).
-    The log ratio is rational iff the two roots r agree, and it is k/k'.
+    In lowest terms c'^x = c holds iff it holds for the numerators and for
+    the denominators apart, so x is the log ratio of the numerators, which
+    the denominators must share, unless both are 1.
     """
-    roots = []
-    for num, den in ((c.numerator, c.denominator), (cprime.numerator, cprime.denominator)):
-        k, q = 1, 2
-        while 1 << q <= num:
-            rn = _integer_root(num, q) if is_prime(q) else None
-            rd = None if rn is None else _integer_root(den, q)
-            if rd is None:
-                q += 1
-            else:
-                num, den, k = rn, rd, k * q
-        roots.append((Fraction(num, den), k))
-    (r, k), (rprime, kprime) = roots
-    return Fraction(k, kprime) if r == rprime else None
+    x = _int_log_ratio(c.numerator, cprime.numerator)
+    d, dprime = c.denominator, cprime.denominator
+    if d == dprime == 1 or x is None:
+        return x
+    return x if 1 not in (d, dprime) and _int_log_ratio(d, dprime) == x else None
 
 
 def _log(c: Fraction) -> float:
@@ -239,6 +227,17 @@ def fit_rule(a: TropSeries, stride: int, p: Optional[int]) -> RadiusRule:
     raise InvalidRule("coefficients do not follow an affine law in m")
 
 
+def _power_prints(x: int, k: int) -> bool:
+    """Whether x^k, for x >= 1 and k >= 0, has at most sys.get_int_max_str_digits() digits.
+
+    x^k >= 2^(k*(bits(x) - 1)) settles the large cases from bit lengths; any
+    other x^k has at most twice the bits of 10^limit and is compared with it.
+    """
+    limit = sys.get_int_max_str_digits()
+    bound = 10 ** limit  # the least number with limit + 1 digits
+    return limit == 0 or (k * (x.bit_length() - 1) < bound.bit_length() and x ** k < bound)
+
+
 def describe_radius(est: RadiusEstimate, base: Rat) -> str:
     """Human rendering, e.g. "log_r = 0, r = 1 (base 3)"."""
     base = Fraction(base)
@@ -247,7 +246,8 @@ def describe_radius(est: RadiusEstimate, base: Rat) -> str:
     log = est.log_radius
     if log == LOG_INF:
         r = "inf"
-    elif log.denominator == 1:
+    elif log.denominator == 1 and all(_power_prints(x, abs(log.numerator))
+                                      for x in (base.numerator, base.denominator)):
         r = format_rational(base ** log.numerator)
     else:
         r = f"{format_rational(base)}^({format_rational(log)})"

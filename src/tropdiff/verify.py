@@ -300,7 +300,7 @@ def reproduce_exponential_example(p: int, truncation: Optional[int] = None,
     if not solution.all_vanish:
         return report()
 
-    form = initial_form(f, (s,))
+    form = initial_form(f, solution.reports[0])
     expected_form = Poly.make(1, {
         ExponentMatrix.var(0, 1): ResidueElem(p, 1),
         ExponentMatrix.var(0, 0): ResidueElem(p, 1),
@@ -309,7 +309,7 @@ def reproduce_exponential_example(p: int, truncation: Optional[int] = None,
                 "in_S(f) = x' + x over F_p"):
         return report()
 
-    monomials = initial_system_monomial_check([family], (s,))
+    monomials = initial_system_monomial_check([family], solution)
     if not step("initial-ideal-monomial-free", monomials.monomial_free,
                 f"no monomial initial form among d^k f, k <= {m}; "
                 "verdict matches the solution check"):

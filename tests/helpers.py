@@ -1,11 +1,22 @@
 """Seeded random generators and independent oracles shared by the test suite."""
 
 from fractions import Fraction
+import functools
+import math
 import random
+from typing import Optional
 
-from tropdiff.diffpoly import DiffPoly, ExponentMatrix, Poly
+from tropdiff.diffpoly import (
+    DiffPoly,
+    ExponentMatrix,
+    Poly,
+    eval_tropical,
+    is_tropical_solution,
+    tropicalize_poly,
+)
 from tropdiff.fields import FieldBackend, FieldElem, ResidueElem, residue
-from tropdiff.semiring import NatValuation, T_INF, T2_INF, TropNum, Trop2, trop_sum
+from tropdiff.initial import initial_form, initial_system_monomial_check, is_monomial
+from tropdiff.semiring import NatValuation, T_INF, T2_INF, TropNum, Trop2, is_prime, trop_sum
 from tropdiff.series import LeadingTerm, PowerSeries, TropSeries
 
 SEED = 20260810
@@ -277,10 +288,30 @@ class Laurent:
         return residue(self.coeffs[0])
 
 
+def initial_at(f: DiffPoly, s) -> Poly:
+    """in_S(f), read off a fresh evaluation of trop(f) at s."""
+    return initial_form(f, eval_tropical(tropicalize_poly(f), s))
+
+
+def checked_monomial_check(families, s):
+    """(solution table, monomial check) of derived families at s.
+
+    Asserts that the monomial verdict agrees with the solution table: the
+    families are monomial-free iff every equation vanishes, and each initial
+    form is a monomial iff its equation does not vanish.
+    """
+    solution = is_tropical_solution([tropicalize_poly(g) for family in families
+                                     for g in family], s)
+    report = initial_system_monomial_check(families, solution)
+    assert report.monomial_free == solution.all_vanish
+    for (_, form), rep in zip(report.initials, solution.reports, strict=True):
+        assert is_monomial(form) == (not rep.vanishes)
+    return solution, report
+
+
 def initial_form_literal(f: DiffPoly, s) -> "Poly":
     """Literal h_S expansion of the initial form: multiply every coefficient by
     the section values, divide out the minimum, and reduce mod the maximal ideal."""
-    from tropdiff.diffpoly import eval_tropical, tropicalize_poly
     from tropdiff.fields import section_phi
 
     backend = f.backend
@@ -591,7 +622,7 @@ def ref_diffpoly_make(backend: FieldBackend, truncation: int, terms) -> list:
 
 
 # ---------------------------------------------------------------------------
-# integer roots by bisection
+# integer roots by bisection, and exact base change by integer roots
 
 def integer_root_bisect(n: int, k: int):
     """The integer r with r^k = n when there is one, else None, for n >= 1:
@@ -604,3 +635,58 @@ def integer_root_bisect(n: int, k: int):
         else:
             hi = mid
     return lo if lo ** k == n else None
+
+
+def integer_root_newton(n: int, k: int) -> Optional[int]:
+    """The integer r with r^k = n, for n >= 1, when n is an exact k-th power
+    (the root finder of the reference `exact_log_ratio_by_roots`).
+
+    log2 of the root, read off the top 53 bits of n, estimates the root to
+    a relative error of about 2^-40.  A root below 2^32 is therefore the
+    rounded estimate, checked on the low 64 bits before the full power.  A
+    larger one is reached by Newton's method from above, started at the
+    estimate raised until r^k >= n, so a few steps reach floor(n^(1/k)).
+    """
+    shift = max(n.bit_length() - 53, 0)
+    log_root = (math.log2(n >> shift) + shift) / k
+    if log_root < 32:
+        r = round(2.0 ** log_root)
+        low = 1 << 64
+        return r if pow(r, k, low) == n % low and r ** k == n else None
+    whole = int(log_root)
+    exact_bits = min(whole, 52)
+    r = int(2.0 ** (log_root - whole + exact_bits)) << (whole - exact_bits)
+    step = (r >> 32) + 1
+    while r ** k < n:
+        r += step
+        step *= 2
+    while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = s
+    return r if r ** k == n else None
+
+
+@functools.cache
+def root_by_roots(c: Fraction) -> tuple[Fraction, int]:
+    """(r, k) with c = r^k and k largest: numerator and denominator are exact
+    integer k-th powers (a prime factor q of k needs 2^q <= numerator)."""
+    num, den = c.numerator, c.denominator
+    k, q = 1, 2
+    while 1 << q <= num:
+        rn = integer_root_newton(num, q) if is_prime(q) else None
+        rd = None if rn is None else integer_root_newton(den, q)
+        if rd is None:
+            q += 1
+        else:
+            num, den, k = rn, rd, k * q
+    return Fraction(num, den), k
+
+
+def exact_log_ratio_by_roots(c: Fraction, cprime: Fraction) -> Optional[Fraction]:
+    """Rational x = log_{c'}(c), i.e. c'^x = c, when one exists; the
+    reference for `radius._exact_log_ratio`.
+
+    Each base is written r^k with k largest (`root_by_roots`, cached per
+    base).  The log ratio is rational iff the two roots r agree, and it is k/k'.
+    """
+    (r, k), (rprime, kprime) = root_by_roots(c), root_by_roots(cprime)
+    return Fraction(k, kprime) if r == rprime else None

@@ -20,7 +20,6 @@ from tropdiff.diffpoly import (
 )
 from tropdiff.diffpoly import ExponentMatrix
 from tropdiff.fields import FieldBackend, ResidueElem
-from tropdiff.initial import initial_form, initial_system_monomial_check
 from tropdiff.radius import RadiusRule, radius_from_rule, radius_window_estimate
 from tropdiff.semiring import T_INF, TropNum, Trop2
 from tropdiff.series import TropSeries, psi_trop_inverse, tropicalize_series
@@ -34,6 +33,7 @@ from tropdiff.verify import (
     solve_linear,
 )
 
+from helpers import checked_monomial_check, initial_at, initial_form_literal
 from test_diffpoly import check_taylor_identity
 from test_fields import (
     check_angular_multiplicative,
@@ -110,7 +110,7 @@ def test_criterion_3_initial_form():
             _, f = exp_equation(p, 6 * p)
             s = exp_tropical_closed_form(p, 6 * p)
             expected = Poly.make(1, {X1: ResidueElem(p, 1), X: ResidueElem(p, 1)})
-            assert initial_form(f, (s,)) == expected
+            assert initial_at(f, (s,)) == expected
 
 
 def test_criterion_4_radius():
@@ -179,19 +179,25 @@ def test_criterion_8_monomial_check_equivalence():
         for p in (2, 3, 5):
             _, f = exp_equation(p, 6 * p)
             s = exp_tropical_closed_form(p, 6 * p)
-            report = initial_system_monomial_check([derived_system(f, 3 * p)], (s,))
-            assert report.cross_check_ok and report.monomial_free
+            family = derived_system(f, 3 * p)
+            solution, report = checked_monomial_check([family], (s,))
+            assert report.monomial_free and solution.all_vanish
+            for (_, k), form in report.initials:
+                assert form == initial_form_literal(family[k], (s,))
 
         _, f = exp_equation(3, 18)
         s = exp_tropical_closed_form(3, 18)
         cs = list(s.coeffs)
         cs[3] = TropNum(cs[3].value + 1)
         perturbed = TropSeries.from_coeffs(s.nat_val, 18, tuple(cs))
-        report = initial_system_monomial_check([derived_system(f, 9)], (perturbed,))
-        assert report.cross_check_ok and not report.monomial_free
+        family = derived_system(f, 9)
+        solution, report = checked_monomial_check([family], (perturbed,))
+        assert not report.monomial_free and not solution.all_vanish
+        for (_, k), form in report.initials:
+            assert form == initial_form_literal(family[k], (perturbed,))
 
         for ode in _ft_instances():
             f = ode.as_diffpoly()
             s = tropicalize_series(solve_linear(ode))
-            report = initial_system_monomial_check([derived_system(f, 8)], (s,))
-            assert report.cross_check_ok and report.monomial_free
+            solution, report = checked_monomial_check([derived_system(f, 8)], (s,))
+            assert report.monomial_free and solution.all_vanish

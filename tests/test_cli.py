@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -149,6 +150,20 @@ def test_radius_tropical_input(capsys, tmp_path):
     files.dump_json(record, str(path))
     assert main(["radius", "--series", str(path), "--rule", "3,auto"]) == 0
     assert "r = 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("val", ["300000000", "3000000"])
+def test_radius_of_a_huge_integral_log_prints_a_power(capsys, tmp_path, val):
+    """r = 3^L has more digits than Python prints: radius prints the power
+    form, without computing 3^L."""
+    path = tmp_path / "trop.json"
+    path.write_text(json.dumps({"p": 3, "truncation": 2, "coeffs": [
+        {"n": 1, "val": val}, {"n": 2, "val": str(2 * int(val))}]}))
+    for extra in ([], ["--rule", f"1,{val},0,nocorr"]):
+        start = time.perf_counter()
+        assert main(["radius", "--series", str(path), *extra]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out.startswith(f"log_r = {val}, r = 3^({val}) (base 3)")
 
 
 def test_verify_ft(capsys, tmp_path):

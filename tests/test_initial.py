@@ -13,11 +13,7 @@ from tropdiff.diffpoly import (
 )
 from tropdiff.errors import TruncationAmbiguous
 from tropdiff.fields import ResidueElem
-from tropdiff.initial import (
-    initial_form,
-    initial_system_monomial_check,
-    is_monomial,
-)
+from tropdiff.initial import is_monomial
 from tropdiff.semiring import TropNum
 from tropdiff.series import PowerSeries, TropSeries, tropicalize_series
 from tropdiff.verify import exp_equation, exp_tropical_closed_form, solve_linear
@@ -28,7 +24,9 @@ from helpers import (
     EISEN5,
     PADIC3,
     ambiguous_by_bounds,
+    checked_monomial_check,
     count_evaluations,
+    initial_at,
     initial_form_literal,
     poly_mul,
     rand_full_trop_series,
@@ -49,7 +47,7 @@ def test_initial_form_worked_example():
     for p in (2, 3, 5):
         _, f = exp_equation(p, 6 * p)
         s = exp_tropical_closed_form(p, 6 * p)
-        assert initial_form(f, (s,)) == x_prime_plus_x(p)
+        assert initial_at(f, (s,)) == x_prime_plus_x(p)
 
 
 def test_initial_form_zero_and_monomial():
@@ -58,12 +56,12 @@ def test_initial_form_zero_and_monomial():
     # all windows infinite: the evaluation is infinite, the initial form zero
     f = DiffPoly.make(backend, 1, 6, {X * X1: PowerSeries.one(backend, 6)}.items())
     s = TropSeries.inf(nv, 6)
-    assert initial_form(f, (s,)).is_zero
+    assert initial_at(f, (s,)).is_zero
     assert eval_tropical(tropicalize_poly(f), (s,)).value.is_inf
 
     x_poly = DiffPoly.var(backend, 1, 6, 0, 0)
     s = rand_full_trop_series(rng_for("monomial-x"), nv, 6)
-    form = initial_form(x_poly, (s,))
+    form = initial_at(x_poly, (s,))
     assert form == Poly.make(1, {X: ResidueElem(3, 1)})
     assert is_monomial(form)
 
@@ -84,12 +82,12 @@ def test_truncation_ambiguity():
     # term could still tie or beat the x term at first coordinate 0
     s0 = TropSeries.monomial(nv, 0, TropNum.of(0), 0)
     with pytest.raises(TruncationAmbiguous):
-        initial_form(f, (s0,))
+        initial_at(f, (s0,))
 
     # S known to degree 6 pins the derivative weight above 6: the all-INF
     # window is data, and the x term is an exact monomial minimum
     s6 = TropSeries.monomial(nv, 6, TropNum.of(0), 0)
-    form = initial_form(f, (s6,))
+    form = initial_at(f, (s6,))
     assert is_monomial(form) and form.terms[0][0] == X
 
 
@@ -121,7 +119,7 @@ def test_ambiguity_matches_per_term_bounds(terms, windows):
     expected = ambiguous_by_bounds(tropicalize_poly(f), s)
     assert eval_tropical(tropicalize_poly(f), s).ambiguous == expected
     try:
-        initial_form(f, s)
+        initial_at(f, s)
         raised = False
     except TruncationAmbiguous:
         raised = True
@@ -132,20 +130,23 @@ def test_monomial_check_worked_example():
     for p in (2, 3, 5):
         _, f = exp_equation(p, 6 * p)
         s = exp_tropical_closed_form(p, 6 * p)
-        report = initial_system_monomial_check([derived_system(f, 3 * p)], (s,))
-        assert report.monomial_free and report.cross_check_ok
+        family = derived_system(f, 3 * p)
+        solution, report = checked_monomial_check([family], (s,))
+        assert report.monomial_free
         assert report.verdict == f"MONOMIAL_FREE_UP_TO_{3 * p}"
-        assert report.solution_report.all_vanish
+        assert solution.all_vanish
+        for (_, k), form in report.initials:
+            assert form == initial_form_literal(family[k], (s,))
 
 
 def test_monomial_check_evaluates_each_equation_once(monkeypatch):
-    """`initial_form` and the tropical-solution cross-check share one
-    evaluation per derived equation: 10 for d^0 .. d^9."""
+    """The caller's solution check evaluates each derived equation once and
+    the monomial check reads those reports: 10 for d^0 .. d^9."""
     ode, f = exp_equation(3, 18)
     s = tropicalize_series(solve_linear(ode))
     calls = count_evaluations(monkeypatch)
-    report = initial_system_monomial_check([derived_system(f, 9)], (s,))
-    assert report.monomial_free and report.cross_check_ok
+    _, report = checked_monomial_check([derived_system(f, 9)], (s,))
+    assert report.monomial_free
     assert len(calls) == 10
 
 
@@ -156,17 +157,20 @@ def test_monomial_check_perturbed_witness():
     cs = list(s.coeffs)
     cs[3] = TropNum(cs[3].value + 1)
     perturbed = TropSeries.from_coeffs(s.nat_val, 18, tuple(cs))
-    report = initial_system_monomial_check([derived_system(f, 9)], (perturbed,))
+    family = derived_system(f, 9)
+    _, report = checked_monomial_check([family], (perturbed,))
     assert not report.monomial_free
     assert report.witnesses
     l, k = report.witnesses[0]
     assert l == 0 and k <= 3
     assert report.verdict == "MONOMIAL_FOUND"
+    for (_, k), form in report.initials:
+        assert form == initial_form_literal(family[k], (perturbed,))
 
 
 def test_monomial_check_empty_generators():
     s = rand_full_trop_series(rng_for("empty-gens"), EISEN3.nat_val, 6)
-    report = initial_system_monomial_check([], (s,))
+    _, report = checked_monomial_check([], (s,))
     assert report.monomial_free and not report.witnesses
 
 
@@ -185,7 +189,7 @@ def check_initial_biconditionals(count=1000):
             s = rand_full_trop_series(rng, nv, 6)
         report = eval_tropical(tropicalize_poly(f), (s,))
         try:
-            form = initial_form(f, (s,))
+            form = initial_at(f, (s,))
         except TruncationAmbiguous:
             assert report.truncation_limited
             continue
@@ -209,7 +213,7 @@ def check_initial_multiplicativity(count=50):
         g = rand_nonzero_diffpoly(rng, backend, 1, 8, max_terms=2, max_order=1,
                                   max_degree=1)
         s = rand_full_trop_series(rng, nv, 8)
-        assert initial_form(f * g, (s,)) == poly_mul(initial_form(f, (s,)), initial_form(g, (s,)))
+        assert initial_at(f * g, (s,)) == poly_mul(initial_at(f, (s,)), initial_at(g, (s,)))
 
 
 def check_initial_literal_oracle(count=50):
@@ -224,7 +228,7 @@ def check_initial_literal_oracle(count=50):
         # coefficients inside the value group (1/e)Z so the section applies
         coeffs = tuple(TropNum.of(Fraction(rng.randint(-6, 6), e)) for _ in range(9))
         s = TropSeries.from_coeffs(nv, 8, coeffs)
-        assert initial_form(f, (s,)) == initial_form_literal(f, (s,))
+        assert initial_at(f, (s,)) == initial_form_literal(f, (s,))
 
 
 def test_initial_biconditionals():

@@ -9,7 +9,6 @@ from tropdiff.radius import (
     LOG_INF,
     RadiusRule,
     _exact_log_ratio,
-    _integer_root,
     base_change,
     classical_radius,
     describe_radius,
@@ -21,7 +20,15 @@ from tropdiff.semiring import NatValuation, TropNum, digit_sum
 from tropdiff.series import PowerSeries, TropSeries, tropicalize_series
 from tropdiff.verify import exp_equation, exp_tropical_closed_form, solve_linear
 
-from helpers import PADIC3, TRIVIAL, integer_root_bisect, rng_for, vp_factorial_bruteforce
+from helpers import (
+    PADIC3,
+    TRIVIAL,
+    exact_log_ratio_by_roots,
+    integer_root_bisect,
+    integer_root_newton,
+    rng_for,
+    vp_factorial_bruteforce,
+)
 
 
 def exp_rule(p):
@@ -142,10 +149,12 @@ def test_base_change_of_log_zero_is_exact():
         assert change.exact and change.new_log_radius == 0
 
 
-def test_integer_root_matches_bisection():
-    """Exact powers r^k and their neighbours r^k +- 1 and r^k +- 2^64 (equal
+def test_exact_log_ratio_matches_root_reference():
+    """Euclid's algorithm on logarithms agrees with the integer-root reference
+    on exact powers r^k and their neighbours r^k +- 1 and r^k +- 2^64 (equal
     low 64 bits), for k up to 97 and r up to 2^200, including roots on both
-    sides of 2^32 and 2^53."""
+    sides of 2^32 and 2^53, against the bases r and r^2 in both orders.  The
+    reference's root finder is itself checked against bisection."""
     rng = rng_for("integer-root")
     roots = [1, 2, 3, 7, 2**31 - 1, 2**32 - 1, 2**32, 2**32 + 1, 2**53 + 1,
              10**15 + 37, 3**100, 2**200 - 1, 2**200, rng.getrandbits(200) | 1]
@@ -153,15 +162,37 @@ def test_integer_root_matches_bisection():
         for r in roots:
             for n in (r**k - 2**64, r**k - 1, r**k, r**k + 1, r**k + 2**64):
                 if n >= 1:
-                    assert _integer_root(n, k) == integer_root_bisect(n, k), (r, k, n - r**k)
-            assert _integer_root(r**k, k) == r
+                    assert integer_root_newton(n, k) == integer_root_bisect(n, k), (r, k, n - r**k)
+                if n < 2 or r < 2:
+                    continue
+                for c, cprime in ((n, r), (r, n), (n, r * r), (r * r, n)):
+                    c, cprime = Fraction(c), Fraction(cprime)
+                    assert _exact_log_ratio(c, cprime) == exact_log_ratio_by_roots(c, cprime), \
+                        (r, k, n - r**k)
+            assert integer_root_newton(r**k, k) == r
+            if r >= 2:
+                assert _exact_log_ratio(Fraction(r**k), Fraction(r)) == k
+
+
+def test_exact_log_ratio_matches_root_reference_on_random_bases():
+    """Rational bases g^i against g^j for g = a/b > 1, one side sometimes
+    multiplied by a small factor that breaks the common root."""
+    rng = rng_for("log-ratio-random")
+    factors = [1, 1, 1, 2, 3, 7, Fraction(3, 2), Fraction(5, 4)]
+    for _ in range(2000):
+        a = rng.randint(2, 60)
+        g = Fraction(a, rng.randint(1, a - 1))
+        c = g ** rng.randint(1, 12) * rng.choice(factors)
+        cprime = g ** rng.randint(1, 12) * rng.choice(factors)
+        assert _exact_log_ratio(c, cprime) == exact_log_ratio_by_roots(c, cprime), (c, cprime)
 
 
 def test_exact_log_ratio_of_a_huge_base_is_fast():
-    """A 4,000-digit base is tried against every prime exponent below its
-    13,288 bits; Newton's method from 2^ceil(bits/k) took seconds here."""
+    """Bases of thousands of digits, with and without a common root, cost a
+    few big-integer divisions each."""
     start = time.perf_counter()
     assert _exact_log_ratio(Fraction(10**4000 + 1, 7), Fraction(3)) is None
+    assert _exact_log_ratio(Fraction(10**4299 + 1), Fraction(10**4299)) is None
     assert _exact_log_ratio(Fraction(10**4000), Fraction(10**40)) == 100
     assert time.perf_counter() - start < 1.0
 
@@ -227,3 +258,17 @@ def test_describe_radius():
         radius_from_rule(RadiusRule(2, Fraction(1))), 3)
     assert "r = inf" in describe_radius(
         radius_from_rule(RadiusRule(1, Fraction(0), finite_support=True)), 3)
+
+
+def test_describe_radius_prints_r_within_the_digit_limit():
+    """3^9012 has 4,300 digits, the most Python prints by default; 3^9013
+    and 3^-9013 are printed as powers, decided without computing them."""
+    def r_of(log):
+        text = describe_radius(radius_from_rule(RadiusRule(1, Fraction(log))), 3)
+        return text.split(", r = ")[1].split(" (base")[0]
+
+    assert r_of(9012) == str(3 ** 9012)
+    assert r_of(-9012) == f"1/{3 ** 9012}"
+    assert r_of(9013) == "3^(9013)"
+    assert r_of(-9013) == "3^(-9013)"
+    assert r_of(10 ** 30) == f"3^({10 ** 30})"

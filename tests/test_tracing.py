@@ -32,3 +32,48 @@ def test_tracer_patches_every_target(monkeypatch):
         tracer.uninstall()
     assert patched == targets
     assert [t for t in targets if current(*t) is not originals[t]] == []
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def traced_counts(monkeypatch, capsys, argv):
+    """(exit code, tracer counts) of one `cli.main` run under the bench tracer."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tropdiff import cli
+    tracer = importlib.import_module("tracing").Tracer()
+    tracer.install()
+    try:
+        code = cli.main(argv)
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    return code, tracer.counts
+
+
+def test_traced_counts_of_initial(monkeypatch, capsys):
+    """`initial` evaluates each of the 10 derived equations once and reads
+    one initial form off each report."""
+    code, counts = traced_counts(monkeypatch, capsys, [
+        "initial", "--system", str(GOLDEN / "sys.json"),
+        "--candidate", str(GOLDEN / "cand.json"), "--order", "9"])
+    assert code == 0
+    assert counts["diffpoly.eval_tropical_calls"] == 10
+    assert counts["initial.initial_form_calls"] == 10
+
+
+def test_traced_counts_of_selftest(monkeypatch, capsys):
+    """`selftest --p 3` evaluates its 10 derived equations once; the
+    initial-form step and the monomial check read 1 + 10 initial forms."""
+    code, counts = traced_counts(monkeypatch, capsys, ["selftest", "--p", "3"])
+    assert code == 0
+    assert counts["diffpoly.eval_tropical_calls"] == 10
+    assert counts["initial.initial_form_calls"] == 11
+
+
+def test_traced_ambiguous_initial(monkeypatch, capsys):
+    code, counts = traced_counts(monkeypatch, capsys, [
+        "initial", "--system", str(GOLDEN / "sys-ambiguous.json"),
+        "--candidate", str(GOLDEN / "cand-ambiguous.json"), "--order", "4"])
+    assert code == 1
+    assert counts["initial.ambiguous_count"] == 1

@@ -204,7 +204,7 @@ def test_derived_system_works_on_the_support(monkeypatch):
 
 def test_selftest_evaluates_each_equation_once(monkeypatch):
     """At p = 3 (m = 9) the derived-system step evaluates the 10 equations
-    once; `initial_form` and the monomial cross-check reuse those reports;
+    once; the initial-form and monomial steps are passed those reports;
     the Grigoriev projection evaluates its own 10 polynomials."""
     calls = count_evaluations(monkeypatch)
     assert reproduce_exponential_example(3).passed
