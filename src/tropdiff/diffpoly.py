@@ -293,21 +293,36 @@ def tropicalize_poly(f: DiffPoly) -> Poly:
 
 
 def eval_classical(f: DiffPoly, a: Sequence[PowerSeries]) -> PowerSeries:
-    """Plug d^j(a_i) in for x_i^(j) and expand; exact up to the propagated truncation."""
+    """Plug d^j(a_i) in for x_i^(j) and expand; exact up to the propagated truncation.
+
+    Each term multiplies its derivative factors first; a unit coefficient
+    only cuts that product to its window instead of convolving with 1.
+    """
     if len(a) != f.nvars:
         raise MissingVariable(f"expected {f.nvars} series, got {len(a)}")
+    backend = f.backend
     derivs: dict[int, list[PowerSeries]] = {}  # derivs[i][j] = d^j(a_i)
     for lam, _ in f.terms:
         for (i, j), _ in lam.entries:
+            if i not in derivs and a[i].backend is not backend and a[i].backend != backend:
+                raise ValueError("mixed field backends")
             chain = derivs.setdefault(i, [a[i]])
             while len(chain) <= j:
                 chain.append(chain[-1].derivative())
 
+    unit = ((0, backend.one()),)
     total: Optional[PowerSeries] = None
     for lam, coeff in f.terms:
-        prod = coeff
+        prod = None
         for (i, j), e in lam.entries:
-            prod = prod * derivs[i][j] ** e
+            factor = derivs[i][j] ** e
+            prod = factor if prod is None else prod * factor
+        if prod is None:
+            prod = coeff
+        elif coeff.terms == unit:
+            prod = prod.truncate(coeff.truncation)
+        else:
+            prod = coeff * prod
         total = prod if total is None else total + prod
     if total is None:
         n = min([f.truncation] + [ai.truncation for ai in a])

@@ -249,8 +249,11 @@ def describe_radius(est: RadiusEstimate, base: Rat) -> str:
     elif log.denominator == 1 and all(_power_prints(x, abs(log.numerator))
                                       for x in (base.numerator, base.denominator)):
         r = format_rational(base ** log.numerator)
-    else:
-        r = f"{format_rational(base)}^({format_rational(log)})"
+    else:  # a fractional base is parenthesised: (7/2)^(1/2), not 7/2^(1/2)
+        b = format_rational(base)
+        if base.denominator != 1:
+            b = f"({b})"
+        r = f"{b}^({format_rational(log)})"
     text = f"log_r = {est.log_str()}, r = {r} (base {format_rational(base)})"
     if est.kind == "window-lower-bound":
         text += f" [window {est.window[0]}..{est.window[1]}, lower-bound proxy]"

@@ -166,6 +166,21 @@ def test_radius_of_a_huge_integral_log_prints_a_power(capsys, tmp_path, val):
         assert capsys.readouterr().out.startswith(f"log_r = {val}, r = 3^({val}) (base 3)")
 
 
+@pytest.mark.parametrize("rule, base, r", [
+    ("2,1,0,nocorr", "7/2", "(7/2)^(1/2)"),
+    ("1,3000000,0,nocorr", "7/2", "(7/2)^(3000000)"),
+    ("1,2,0,nocorr", "7/2", "49/4"),
+    ("2,1,0,nocorr", "3", "3^(1/2)"),
+])
+def test_radius_parenthesises_a_fractional_base(capsys, tmp_path, rule, base, r):
+    """A power of a fractional base reads (7/2)^(1/2), not 7/2^(1/2), also
+    when r has too many digits; integral bases and printed r are unchanged."""
+    path = tmp_path / "trop.json"
+    path.write_text(json.dumps({"p": 2, "truncation": 4, "coeffs": [{"n": 0, "val": "0"}]}))
+    assert main(["radius", "--series", str(path), "--rule", rule, "--base", base]) == 0
+    assert f", r = {r} (base {base})\n" in capsys.readouterr().out
+
+
 def test_verify_ft(capsys, tmp_path):
     out_path = tmp_path / "ft.json"
     assert main(["verify-ft", "--p", "3", "--count", "5", "--truncation", "16",

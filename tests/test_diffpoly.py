@@ -44,6 +44,10 @@ from helpers import (
     rand_power_series,
     ref_diffpoly_make,
     ref_from_terms,
+    ref_series_add,
+    ref_series_derivative,
+    ref_series_mul,
+    ref_series_pow,
     rng_for,
 )
 
@@ -234,6 +238,56 @@ def test_eval_classical_examples():
 
     one_poly = DiffPoly.constant(PADIC3, 1, PowerSeries.one(PADIC3, 6))
     assert eval_classical(one_poly, (a,)) == PowerSeries.one(PADIC3, 6)
+
+
+def ref_eval_classical(f: DiffPoly, a) -> tuple:
+    """The dense sum over the terms of coeff * prod (d^j a_i)^e, every product
+    taken by `ref_series_mul` with the coefficient as its first factor."""
+    total = None
+    for lam, coeff in f.terms:
+        prod = ref_from_terms(coeff)
+        for (i, j), e in lam.entries:
+            d = ref_from_terms(a[i])
+            for _ in range(j):
+                d = ref_series_derivative(d)
+            prod = ref_series_mul(prod, ref_series_pow(d, e, f.backend), f.backend)
+        total = prod if total is None else ref_series_add(total, prod)
+    return total
+
+
+def test_eval_classical_unit_coefficients_match_dense_reference():
+    """Unit coefficients in windows below, at and above their factors'
+    windows, alone or mixed with other terms, give the dense reference
+    sum of coeff * prod."""
+    rng = rng_for("eval-classical-unit")
+    monomials = [ExponentMatrix.make(m) for m in (
+        {(0, 0): 1}, {(0, 1): 1}, {(1, 2): 1}, {(0, 0): 1, (1, 1): 1},
+        {(0, 1): 2}, {(1, 0): 3}, {})]
+    seen = set()
+    for backend in (PADIC3, EISEN3):
+        for _ in range(60):
+            a = tuple(rand_power_series(rng, backend, rng.randint(2, 8), zero_prob=0.4)
+                      for _ in range(2))
+            n = rng.randint(0, 10)
+            picked = rng.sample(monomials, rng.randint(1, 4))
+            units = rng.randint(1, len(picked))
+            terms = [(lam, PowerSeries.one(backend, n)) for lam in picked[:units]]
+            terms += [(lam, rand_power_series(rng, backend, n, zero_prob=0.5))
+                      for lam in picked[units:]]
+            f = DiffPoly.make(backend, 2, n, terms)
+            for lam, coeff in f.terms:
+                if lam.entries and coeff == PowerSeries.one(backend, n):
+                    w = min(a[i].truncation - j for (i, j), _ in lam.entries)
+                    seen.add((n > w) - (n < w))
+            assert ref_from_terms(eval_classical(f, a)) == ref_eval_classical(f, a)
+    assert seen == {-1, 0, 1}
+
+
+def test_eval_classical_mixed_backends_raise():
+    x1 = DiffPoly.var(PADIC3, 1, 6, 0, 1)
+    a = PowerSeries.one(EISEN3, 6)
+    with pytest.raises(ValueError, match="mixed field backends"):
+        eval_classical(x1, (a,))
 
 
 def test_eval_tropical_micro_example():

@@ -5,6 +5,7 @@ name, so a rename inside tropdiff would break `bench/run.py --trace 1`.
 """
 
 import importlib
+from collections import Counter
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -38,7 +39,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def traced_counts(monkeypatch, capsys, argv):
-    """(exit code, tracer counts) of one `cli.main` run under the bench tracer."""
+    """(exit code, tracer counts, spans per name) of one `cli.main` run under
+    the bench tracer."""
     monkeypatch.syspath_prepend(str(BENCH))
     from tropdiff import cli
     tracer = importlib.import_module("tracing").Tracer()
@@ -48,13 +50,13 @@ def traced_counts(monkeypatch, capsys, argv):
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    return code, tracer.counts
+    return code, tracer.counts, Counter(name for name, *_ in tracer.spans)
 
 
 def test_traced_counts_of_initial(monkeypatch, capsys):
     """`initial` evaluates each of the 10 derived equations once and reads
     one initial form off each report."""
-    code, counts = traced_counts(monkeypatch, capsys, [
+    code, counts, _ = traced_counts(monkeypatch, capsys, [
         "initial", "--system", str(GOLDEN / "sys.json"),
         "--candidate", str(GOLDEN / "cand.json"), "--order", "9"])
     assert code == 0
@@ -65,14 +67,33 @@ def test_traced_counts_of_initial(monkeypatch, capsys):
 def test_traced_counts_of_selftest(monkeypatch, capsys):
     """`selftest --p 3` evaluates its 10 derived equations once; the
     initial-form step and the monomial check read 1 + 10 initial forms."""
-    code, counts = traced_counts(monkeypatch, capsys, ["selftest", "--p", "3"])
+    code, counts, _ = traced_counts(monkeypatch, capsys, ["selftest", "--p", "3"])
     assert code == 0
     assert counts["diffpoly.eval_tropical_calls"] == 10
     assert counts["initial.initial_form_calls"] == 11
 
 
+def test_traced_products_of_selftest(monkeypatch, capsys):
+    """`selftest --p 3` solves and certifies one oracle: one residual, whose
+    unit x' term takes no product, so g*x is the only series product."""
+    code, counts, spans = traced_counts(monkeypatch, capsys, ["selftest", "--p", "3"])
+    assert code == 0
+    assert counts["series.mul_calls"] == 1
+    assert spans["verify.solve_linear"] == 1
+    assert spans["diffpoly.eval_classical"] == 1
+
+
+def test_traced_products_of_verify_ft(monkeypatch, capsys):
+    """One series product per ODE: g*x in the residual of its solution."""
+    code, counts, spans = traced_counts(monkeypatch, capsys,
+                                        ["verify-ft", "--p", "3", "--count", "5"])
+    assert code == 0
+    assert counts["series.mul_calls"] == 5
+    assert spans["verify.solve_linear"] == 5
+
+
 def test_traced_ambiguous_initial(monkeypatch, capsys):
-    code, counts = traced_counts(monkeypatch, capsys, [
+    code, counts, _ = traced_counts(monkeypatch, capsys, [
         "initial", "--system", str(GOLDEN / "sys-ambiguous.json"),
         "--candidate", str(GOLDEN / "cand-ambiguous.json"), "--order", "4"])
     assert code == 1

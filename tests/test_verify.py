@@ -22,7 +22,20 @@ from tropdiff.verify import (
     verify_ft,
 )
 
-from helpers import EISEN3, PADIC3, count_evaluations
+from helpers import (
+    EISEN3,
+    EISEN5,
+    PADIC3,
+    count_evaluations,
+    rand_ref_coeffs,
+    rand_ref_series,
+    ref_add,
+    ref_from_terms,
+    ref_mul,
+    ref_zero,
+    rng_for,
+    series_from_ref,
+)
 
 
 def test_solve_linear_exp_closed_form():
@@ -49,6 +62,116 @@ def test_solve_linear_degenerate():
     g = PowerSeries.from_coeffs(PADIC3, 7, [PADIC3.elem(2), PADIC3.elem(1)])
     sol = solve_linear(LinearODE(g, PADIC3.zero(), 8))
     assert sol.is_zero
+
+
+def ref_solve_linear(g: tuple, c0: tuple, truncation: int, backend: FieldBackend) -> tuple:
+    """Dense recurrence c_(k+1) = (1/(k+1)) sum_(j<=k) g_j c_(k-j) over every
+    j, zero terms included, on the plain-tuple reference arithmetic."""
+    c = [c0]
+    for k in range(truncation):
+        acc = ref_zero(backend)
+        for j in range(min(k, len(g) - 1) + 1):
+            acc = ref_add(acc, ref_mul(g[j], c[k - j], backend))
+        c.append(tuple(q / (k + 1) for q in acc))
+    return tuple(c)
+
+
+def sparse_ref_g(rng, backend: FieldBackend, window: int, shape: str) -> tuple:
+    """A right-hand side with gaps ("sparse"), with g_0 = 0 ("no-constant"),
+    or a single term at degree >= 2 ("monomial")."""
+    g = list(rand_ref_series(rng, backend, window, "sparse"))
+    if shape == "no-constant":
+        g[0] = ref_zero(backend)
+    elif shape == "monomial":
+        k = rng.randint(2, window)
+        g = [ref_zero(backend)] * (window + 1)
+        while not any(g[k]):
+            g[k] = rand_ref_coeffs(rng, backend, 4)
+    return tuple(g)
+
+
+@pytest.mark.parametrize("backend", [FieldBackend("padic", 2), PADIC3, FieldBackend("padic", 5),
+                                     EISEN3, EISEN5], ids=lambda b: f"{b.kind}-{b.p}")
+def test_solve_linear_matches_dense_recurrence(backend):
+    """Sparse right-hand sides, and c0 = 0: the recurrence that skips the
+    steps with no nonzero pair equals the dense reference, coefficient for
+    coefficient."""
+    rng = rng_for(f"sparse-recurrence-{backend.kind}-{backend.p}")
+    for shape in ("sparse", "no-constant", "monomial"):
+        for _ in range(6):
+            n = rng.randint(3, 14)
+            g = sparse_ref_g(rng, backend, n - 1, shape)
+            c0 = ref_zero(backend) if rng.random() < 0.25 else rand_ref_coeffs(rng, backend, 4)
+            ode = LinearODE(series_from_ref(backend, g), backend.from_coeffs(c0), n)
+            assert ref_from_terms(solve_linear(ode)) == ref_solve_linear(g, c0, n, backend)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_shared_oracle_is_a_prefix(p):
+    """The window-n solution and tropicalization are the window-n prefixes
+    of the ones at max(n, RADIUS_TRUNCATION)."""
+    for n in (6 * p, 240):
+        long_sol = solve_linear(exp_equation(p, max(n, verify.RADIUS_TRUNCATION))[0])
+        sol = solve_linear(exp_equation(p, n)[0])
+        assert sol == long_sol.with_window(n)
+        assert tropicalize_series(sol) == tropicalize_series(long_sol).truncate(n)
+
+
+def test_selftest_solves_one_oracle(monkeypatch):
+    """Each call solves once, in the window max(N, RADIUS_TRUNCATION)."""
+    windows = []
+    solve = verify.solve_linear
+
+    def recorded(ode):
+        windows.append(ode.truncation)
+        return solve(ode)
+
+    monkeypatch.setattr(verify, "solve_linear", recorded)
+    for args, window in (((3,), 200), ((3, 240), 240), ((37,), 222), ((3, 2, 1), 200)):
+        windows.clear()
+        reproduce_exponential_example(*args)
+        assert windows == [window], args
+
+
+SELFTEST_P3_N240 = """\
+p-adic exponential example, p=3 (backend: Q(zeta), zeta^2 = -3 (3-adic valuation), N=240, m=9)
+  [PASS] oracle-solution: recurrence solution of x' = 3*zeta*t^2*x to degree 240
+  [PASS] tropicalize-solution: coefficientwise valuation over Q(zeta)
+  [PASS] closed-form-coefficients: tropical coefficients equal m/2 - v_3(m!) at indices m*3, infinity elsewhere (exact)
+  [PASS] derived-system-solution: all 10 equations vanish up to order 9
+      d^0: value (2, 3/2), attained 2x (vanishes)
+      d^1: value (1, 3/2), attained 2x (vanishes)
+      d^2: value (0, 3/2), attained 2x (vanishes)
+      d^3: value (2, 3), attained 2x (vanishes)
+      d^4: value (1, 3), attained 2x (vanishes)
+      d^5: value (0, 3), attained 2x (vanishes)
+      d^6: value (2, 9/2), attained 2x (vanishes)
+      d^7: value (1, 9/2), attained 2x (vanishes)
+      d^8: value (0, 9/2), attained 2x (vanishes)
+      d^9: value (2, 6), attained 2x (vanishes)
+  [PASS] initial-form: in_S(f) = x' + x over F_p
+  [PASS] initial-ideal-monomial-free: no monomial initial form among d^k f, k <= 9; verdict matches the solution check
+  [PASS] radius: rule-exact log_r = 0 (r = 1); window estimate 1/162 at N=200, start 100
+  [PASS] grigoriev-projection: support projection solves the t-adic tropicalization of the derived system
+overall: ALL PASS"""
+
+SELFTEST_P3_N2 = """\
+p-adic exponential example, p=3 (backend: Q(zeta), zeta^2 = -3 (3-adic valuation), N=2, m=1)
+  [PASS] oracle-solution: recurrence solution of x' = 3*zeta*t^2*x to degree 2
+  [PASS] tropicalize-solution: coefficientwise valuation over Q(zeta)
+  [PASS] closed-form-coefficients: tropical coefficients equal m/2 - v_3(m!) at indices m*3, infinity elsewhere (exact)
+  [FAIL] derived-system-solution: fails at derivative orders [0, 1] (truncation-limited)
+      d^0: value (2, 3/2), attained 1x (FAILS, truncation-limited)
+      d^1: value (1, 3/2), attained 1x (FAILS, truncation-limited)
+overall: FAILED"""
+
+
+def test_selftest_reports_in_long_and_short_windows():
+    """A window above RADIUS_TRUNCATION, and one far below it whose
+    derived-system step stops the run, print the reports of two separate
+    solves at N and at RADIUS_TRUNCATION."""
+    assert reproduce_exponential_example(3, 240).format_text() == SELFTEST_P3_N240
+    assert reproduce_exponential_example(3, 2, 1).format_text() == SELFTEST_P3_N2
 
 
 def test_solve_linear_raises_on_nonzero_residual(monkeypatch):
