@@ -13,10 +13,19 @@ positive common denominator, c_i = num[i] / den, in canonical form:
 gcd(den, *num) == 1, and zero is (0, ..., 0) over 1.  Equal values therefore
 have equal fields, which `==` and `hash` rely on.  Every operation works on
 the integers and normalizes once with a single multi-argument gcd; the
-rational coefficients are derived on demand by `FieldElem.coeffs`.  `dot`
-sums a run of products with the same folding loop as `*` and normalizes the
-whole sum once, which is what series convolutions use.  For p = 2
-the vector has length one and zeta is the rational -2.  Because zero has one
+rational coefficients are derived on demand by `FieldElem.coeffs`.  For
+p = 2 the vector has length one and zeta is the rational -2.
+
+`*` is the one schoolbook product, `_product`: d^2 integer products, each
+folded by zeta^(p-1) = -p as it lands.  `dot`, the sum of products that
+series convolutions use, normalizes the whole sum once.  A one-pair sum is
+that product; degree-1 sums run on plain ints; otherwise the sum is packed
+(Kronecker substitution): both factors of every pair are evaluated at
+X = 2^B, one big-integer product per pair does the d^2 coefficient
+products, the scaled products are added into one integer, and the 2d - 1
+unfolded coefficients are read back as balanced base-2^B digits and folded
+once.  B bounds every unfolded coefficient strictly below 2^(B-1); the
+bound and its proof are in `dot`'s docstring.  Because zero has one
 form, `+` and scaling by an `int` return an operand unchanged when one side
 is zero, without touching the integers; `-` is `+` of the negation.
 
@@ -120,11 +129,16 @@ class FieldBackend:
         return _normal(self, tuple(num), scale.denominator)
 
     def from_coeffs(self, coeffs) -> "FieldElem":
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != self.degree:
-            raise ValueError(f"expected {self.degree} coefficients, got {len(coeffs)}")
-        den = math.lcm(*(c.denominator for c in coeffs))
-        return _normal(self, tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
+        return self.from_ratios((c.numerator, c.denominator) for c in map(Fraction, coeffs))
+
+    def from_ratios(self, ratios: Iterable[tuple[int, int]]) -> "FieldElem":
+        """sum (n_i / d_i) zeta^i from integer pairs (n_i, d_i), d_i > 0, not
+        necessarily in lowest terms: one lcm and one normalization."""
+        ratios = tuple(ratios)
+        if len(ratios) != self.degree:
+            raise ValueError(f"expected {self.degree} coefficients, got {len(ratios)}")
+        den = math.lcm(*(d for _, d in ratios))
+        return _normal(self, tuple(n * (den // d) for n, d in ratios), den)
 
     def describe(self) -> str:
         if self.kind == "trivial":
@@ -313,25 +327,79 @@ def _product(backend: FieldBackend, a: tuple[int, ...], b: tuple[int, ...]) -> l
 def dot(backend: FieldBackend, pairs: Iterable[tuple[FieldElem, FieldElem]]) -> FieldElem:
     """The sum of a * b over `pairs`, normalized once; the empty sum is zero.
 
-    The integer products are accumulated over a running common denominator
-    (the lcm of the product denominators seen so far), so no partial sum is
-    normalized.
+    A single pair is its product by `_product`, as `*` computes it.  On a
+    degree-1 backend the integer products are summed over a running common
+    denominator.  Otherwise the sum is packed (Kronecker substitution): with
+    D the lcm of the product denominators pden = a.den * b.den, every pair
+    adds (D // pden) * A(X) * B(X) to one integer S, where A(X) and B(X) are
+    the numerator vectors evaluated at X = 2^B, so one big-integer product
+    does the d^2 coefficient products.  S is the unfolded sum evaluated at X;
+    its 2d - 1 coefficients are read back as balanced base-2^B digits, and
+    zeta^(p-1) = -p is folded in once.
+
+    The digits are exact because every unfolded coefficient lies strictly
+    inside (-2^(B-1), 2^(B-1)).  Let n be the number of pairs and
+    B = max_pairs(bits(max|a_i|) + bits(max|b_j|) - bits(pden))
+        + bits(D) + 2 + bits(d * n).
+    Coefficient k of the sum is sum over pairs of (D // pden) times at most d
+    products a_i * b_j with i + j = k.  For one pair, |a_i| < 2^bits(max|a_i|),
+    |b_j| likewise, and D // pden < 2^(bits(D) - bits(pden) + 1), since
+    D < 2^bits(D) and pden >= 2^(bits(pden) - 1).  So each of the d * n terms
+    is below 2^(B - 2 - bits(d*n) + 1), and their sum below
+    2^bits(d*n) * 2^(B - 1 - bits(d*n)) = 2^(B - 1).
     """
-    num, den = [0] * backend.degree, 1
+    pairs = list(pairs)
     for a, b in pairs:
         if ((a.backend is not backend or b.backend is not backend)
                 and (a.backend != backend or b.backend != backend)):
             raise ValueError("mixed field backends")
-        prod, pden = _product(backend, a.num, b.num), a.den * b.den
-        if pden != den:  # rescale the sum and the product to the lcm
-            g = math.gcd(den, pden)
-            sa, sb = pden // g, den // g
-            if sa != 1:
-                num = [x * sa for x in num]
-                den *= sa
-            if sb != 1:
-                prod = [y * sb for y in prod]
-        num = list(map(operator.add, num, prod))
+    if len(pairs) == 1:
+        (a, b), = pairs
+        return _normal(backend, tuple(_product(backend, a.num, b.num)), a.den * b.den)
+    d = backend.degree
+    if d == 1:
+        num, den = 0, 1
+        for a, b in pairs:
+            prod, pden = a.num[0] * b.num[0], a.den * b.den
+            if pden != den:  # rescale the sum and the product to the lcm
+                g = math.gcd(den, pden)
+                sa, sb = pden // g, den // g
+                if sa != 1:
+                    num *= sa
+                    den *= sa
+                if sb != 1:
+                    prod *= sb
+            num += prod
+        return _normal(backend, (num,), den)
+    if not pairs:
+        return _normal(backend, (0,) * d, 1)
+    pdens = [a.den * b.den for a, b in pairs]
+    den = math.lcm(*pdens)
+    bits = int.bit_length
+    width = (max([max(map(bits, a.num)) + max(map(bits, b.num)) - bits(pden)
+                  for (a, b), pden in zip(pairs, pdens)])
+             + bits(den) + 2 + bits(d * len(pairs)))
+    total = 0
+    for (a, b), pden in zip(pairs, pdens):
+        x = y = 0  # A(2^width) and B(2^width) by Horner's rule
+        for c in reversed(a.num):
+            x = (x << width) + c
+        for c in reversed(b.num):
+            y = (y << width) + c
+        scale = den // pden
+        total += x * y if scale == 1 else x * y * scale
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    digits = []
+    for _ in range(2 * d - 1):  # balanced digits, lowest first
+        r = total & mask
+        total >>= width
+        if r >= half:
+            r -= mask + 1
+            total += 1
+        digits.append(r)
+    p = backend.p
+    num = [digits[k] - p * digits[k + d] for k in range(d - 1)]
+    num.append(digits[d - 1])
     return _normal(backend, tuple(num), den)
 
 

@@ -1,8 +1,15 @@
 """JSON file schemas: fields, series, candidates, systems, ODEs, reports.
 
 All exact values serialize as strings "num/den" (or "inf"); Eisenstein
-elements as arrays of rational strings ["c0", "c1", ...].  Series records
-list only the nonzero (classical) / finite (tropical) coefficients:
+elements as arrays of rational strings ["c0", "c1", ...].  A coefficient is
+read from a string or a JSON number (as str(value)), in a scalar and in an
+array alike.  Field elements are written from their integer numerators over
+the common denominator, one gcd per coefficient, and read back into them
+with one lcm and one normalization, without a `Fraction` on either side.
+Numbers are written in full at any length, past the interpreter's int/str
+digit limit; a number of more than MAX_DIGITS characters in a file, string
+or JSON integer, is refused.  Series records list only the nonzero
+(classical) / finite (tropical) coefficients:
 
     {"truncation": N, "coeffs": [{"n": k, "val": ...}, ...]}
 
@@ -11,6 +18,8 @@ A system file is {"field": {...}, "vars": n, "truncation": N,
 candidate file is {"series": [series-record, ...]} over the system's field.
 Both series types share one record reader and writer.  Every reader
 refuses a truncation above MAX_TRUNCATION before allocating anything.
+`dump_json` encodes a whole file before it opens it and writes it with one
+call.
 """
 
 from __future__ import annotations
@@ -21,12 +30,16 @@ from typing import Sequence
 from .diffpoly import CONSTANT_MONOMIAL, DiffPoly
 from .fields import FieldBackend, FieldElem
 from .parser import parse_poly, print_poly
-from .semiring import NatValuation, TropNum, format_rational, parse_rational
+from .semiring import NatValuation, TropNum, format_ratio, parse_ratio
 from .series import PowerSeries, TropSeries
 from .verify import LinearODE
 
 SCHEMA_VERSION = 1
 MAX_TRUNCATION = 10**5
+# Characters of one number in a file.  solve-linear passes the interpreter's
+# 4300-digit int/str limit within a few thousand steps; this bounds the work of
+# reading one number instead (about 1 s for 10^6 digits on CPython 3.11).
+MAX_DIGITS = 10**6
 
 
 def limit_truncation(n: int) -> int:
@@ -57,16 +70,33 @@ def field_from_dict(data: dict) -> FieldBackend:
 
 def elem_to_json(c: FieldElem):
     if c.backend.kind == "eisenstein":
-        return [format_rational(q) for q in c.coeffs]
-    return format_rational(c.coeffs[0])
+        return [format_ratio(a, c.den) for a in c.num]
+    return format_ratio(c.num[0], c.den)
 
 
 def elem_from_json(value, backend: FieldBackend) -> FieldElem:
     if isinstance(value, list):
         if backend.kind != "eisenstein":
             raise ValueError("coefficient arrays are for Eisenstein backends only")
-        return backend.from_coeffs([parse_rational(v) for v in value])
-    return backend.elem(parse_rational(str(value)))
+        return backend.from_ratios(map(_ratio, value))
+    return backend.from_ratios((_ratio(value),) + ((0, 1),) * (backend.degree - 1))
+
+
+def _ratio(value) -> tuple[int, int]:
+    """(num, den) of one rational of a file."""
+    if type(value) is int:  # read, and its length checked, by load_json
+        return value, 1
+    return parse_ratio(_number_text(value))
+
+
+def _number_text(value) -> str:
+    """A number of a file as text: a string, or a JSON number read as
+    str(value); text above MAX_DIGITS characters is refused."""
+    text = value if isinstance(value, str) else str(value)
+    if len(text) > MAX_DIGITS:
+        raise ValueError(f"a number of {len(text)} characters exceeds the limit of "
+                         f"{MAX_DIGITS} digits")
+    return text
 
 
 def _series_to_record(s, fmt) -> dict:
@@ -102,7 +132,7 @@ def trop_series_to_dict(s: TropSeries) -> dict:
 
 
 def trop_series_from_dict(data: dict, nat_val: NatValuation) -> TropSeries:
-    n, terms = _series_from_record(data, lambda v: TropNum.parse(str(v)))
+    n, terms = _series_from_record(data, lambda v: TropNum.parse(_number_text(v)))
     return TropSeries(nat_val, n, tuple((k, c) for k, c in terms if not c.is_inf))
 
 
@@ -167,12 +197,14 @@ def ode_from_dict(data: dict) -> LinearODE:
 
 
 def dump_json(data: dict, path: str):
-    """Canonical serialization: stable key order, no timestamps."""
+    """Canonical serialization: stable key order, no timestamps; encoded in
+    full before the file is opened, and written with one call."""
+    text = json.dumps(data, indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_json(path: str) -> dict:
+    """The JSON value of a file; integer literals are read like number strings."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_int=lambda text: _ratio(text)[0])

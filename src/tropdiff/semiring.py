@@ -13,6 +13,9 @@ answer.
 
 from __future__ import annotations
 
+import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -22,16 +25,89 @@ from .errors import ZeroInput
 Rat = Union[int, Fraction]
 
 
+_RATIO = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*")
+
+
+def parse_ratio(text: str) -> tuple[int, int]:
+    """(num, den), den > 0 and not necessarily in lowest terms, of a rational.
+
+    The spellings the files use, "n" and "n/d" (n signed, surrounding
+    blanks allowed), are read on the integers, at any length.  Every other
+    spelling that `Fraction` accepts ("1_000", "0.5", "1e3") has Fraction's
+    value; "1/0" and what Fraction refuses raise ValueError.
+    """
+    m = _RATIO.fullmatch(text)
+    if m is None:
+        try:
+            q = Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
+        return q.numerator, q.denominator
+    den = _digits_int(m[2]) if m[2] else 1
+    if not den:
+        raise ValueError(f"zero denominator in {text!r}")
+    return _digits_int(m[1]), den
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "num" or "num/den" into an exact Fraction."""
-    return Fraction(text.strip())
+    """The rational spelled by `text`, read by `parse_ratio`."""
+    return Fraction(*parse_ratio(text))
+
+
+def format_ratio(num: int, den: int) -> str:
+    """num/den (den > 0) in lowest terms, as "n" or "n/d", with one gcd; any size."""
+    g = math.gcd(num, den)
+    if g != 1:
+        num, den = num // g, den // g
+    return _int_str(num) if den == 1 else f"{_int_str(num)}/{_int_str(den)}"
 
 
 def format_rational(q: Rat) -> str:
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return format_ratio(q.numerator, q.denominator)
+
+
+# The interpreter's int/str digit limit (0: none), never set below
+# _FREE_DIGITS; interpreters before 3.10.7 and 3.11 have no limit.
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_FREE_DIGITS = getattr(sys.int_info, "str_digits_check_threshold", 0)
+
+
+def _digits_int(s: str) -> int:
+    """int(s) for a signed decimal digit string of any length.
+
+    Past the interpreter's int/str digit limit, the string is split in
+    halves, converted separately and joined by one product.
+    """
+    if len(s) <= _FREE_DIGITS:
+        return int(s)
+    limit = _max_str_digits()
+    if not limit or len(s) < limit:
+        return int(s)
+    if s[0] in "+-":
+        n = _digits_int(s[1:])
+        return -n if s[0] == "-" else n
+    k = len(s) // 2
+    return _digits_int(s[:-k]) * 10**k + _digits_int(s[-k:])
+
+
+def _int_str(n: int) -> str:
+    """str(n) at any size.
+
+    A number of b bits has at most b*log10(2) + 1 < 0.302*b + 1 digits, so
+    one of at most 3 * limit bits is within the interpreter's int/str digit
+    limit.  Past that, |n| is split at 10^k with k = 3/20 of its bits, about
+    half its digits.
+    """
+    bits = n.bit_length()
+    if bits <= 3 * _FREE_DIGITS:
+        return str(n)
+    limit = _max_str_digits()
+    if not limit or bits <= 3 * limit:
+        return str(n)
+    k = bits * 3 // 20
+    hi, lo = divmod(abs(n), 10**k)
+    return ("-" if n < 0 else "") + _int_str(hi) + _int_str(lo).rjust(k, "0")
 
 
 @dataclass(frozen=True, slots=True)

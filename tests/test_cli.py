@@ -143,6 +143,45 @@ def test_solve_linear_and_radius(capsys, tmp_path):
             "base": base2, "log_radius": "0", "exact": True}
 
 
+def test_solve_linear_writes_and_radius_reads_long_coefficients(capsys, tmp_path):
+    """Coefficients past the interpreter's int/str digit limit (4300 digits)
+    are written in full and read back: c_9000 = (-3)^1500 / 3000! takes 8,418
+    characters."""
+    ode_path, sol_path = tmp_path / "ode.json", tmp_path / "sol.json"
+    files.dump_json({"field": {"kind": "eisenstein", "p": 3}, "truncation": 9000,
+                     "c0": "1", "g": "3*zeta*t^2"}, str(ode_path))
+    assert main(["solve-linear", "--ode", str(ode_path), "--out", str(sol_path)]) == 0
+    last = json.loads(sol_path.read_text())["coeffs"][-1]
+    assert last["n"] == 9000 and len(last["val"][0]) == 8418
+    capsys.readouterr()
+    assert main(["radius", "--series", str(sol_path), "--rule", "p,auto"]) == 0
+    assert capsys.readouterr().out.startswith("log_r = 0, r = 1 (base 3)")
+
+
+def test_coefficient_arrays_of_json_numbers(capsys, tmp_path):
+    """Array entries that are JSON numbers are read as str(v), like scalars."""
+    outputs = []
+    for c0 in (["1", "0"], [1, 0], "1", 1, [0.5, 2], ["1/2", "2"]):
+        ode = _write(tmp_path, "ode.json", {"field": {"kind": "eisenstein", "p": 3},
+                                            "truncation": 6, "c0": c0, "g": "3*zeta*t^2"})
+        assert main(["solve-linear", "--ode", ode]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2] == outputs[3] != outputs[4] == outputs[5]
+    ode = _write(tmp_path, "ode.json", {"field": {"kind": "eisenstein", "p": 3},
+                                        "truncation": 6, "c0": [True, 0], "g": "t"})
+    assert main(["solve-linear", "--ode", ode]) == 2
+    assert capsys.readouterr().err.startswith("tropdiff: ")
+
+
+def test_digit_limit_exits_2(capsys, tmp_path):
+    ode = _write(tmp_path, "ode.json", {"field": {"kind": "padic", "p": 3}, "truncation": 2,
+                                        "c0": "1" * (files.MAX_DIGITS + 1), "g": "t"})
+    assert main(["solve-linear", "--ode", ode]) == 2
+    assert capsys.readouterr().err == (
+        f"tropdiff: a number of {files.MAX_DIGITS + 1} characters exceeds the limit of "
+        f"{files.MAX_DIGITS} digits\n")
+
+
 def test_radius_tropical_input(capsys, tmp_path):
     s = exp_tropical_closed_form(3, 60)
     record = {"p": 3, **files.trop_series_to_dict(s)}

@@ -36,6 +36,8 @@ from helpers import (
 
 KERNEL_BACKENDS = (TRIVIAL, FieldBackend("padic", 2), PADIC3, EISEN2, EISEN3, EISEN5,
                    FieldBackend("eisenstein", 7))
+DOT_BACKENDS = (TRIVIAL, PADIC3, EISEN2, EISEN3, EISEN5, FieldBackend("eisenstein", 7),
+                FieldBackend("eisenstein", 11))
 
 
 def test_backend_validation():
@@ -321,7 +323,8 @@ def test_mixed_backends_raise_with_zero_operands():
 
 def test_dot_matches_fraction_reference():
     """`dot` equals the reference sum of products, in canonical form, with one
-    normalization over mixed denominators, 1024-bit operands and cancellation."""
+    normalization over mixed denominators, 1024-bit operands and cancellation,
+    and at the edges of the packing bound for p in {2, 3, 5, 7, 11}."""
     rng = rng_for("dot-oracle")
     for backend in KERNEL_BACKENDS:
         rz = (Fraction(0),) * backend.degree
@@ -347,6 +350,55 @@ def test_dot_matches_fraction_reference():
                 three = backend.elem(3)
                 cancel = [(a * three, b), (-a, b * three)]
                 assert_canonical(dot(backend, cancel), rz)
+
+    def check(backend, refs):
+        pairs = [(backend.from_coeffs(ra), backend.from_coeffs(rb)) for ra, rb in refs]
+        total = (Fraction(0),) * backend.degree
+        for ra, rb in refs:
+            total = ref_add(total, ref_mul(ra, rb, backend))
+        assert_canonical(dot(backend, pairs), total)
+
+    # the packing bound: every coefficient at +-(2^k - 1), all of one sign or
+    # mixed, where the unfolded sums are largest against their width
+    for backend in DOT_BACKENDS:
+        d = backend.degree
+        for k in (1, 2, 31, 64, 257):
+            top = 2**k - 1
+            for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+                for n in (1, 2, 9):
+                    check(backend, [((Fraction(sa * top),) * d, (Fraction(sb * top),) * d)] * n)
+                alternating = tuple(Fraction((-1) ** i * sa * top) for i in range(d))
+                check(backend, [(alternating, (Fraction(sb * top),) * d)] * 3)
+                # numerators at the top over denominators just above a power of two,
+                # so pden is just above 2^(bits(pden) - 1), the bound's lower limit
+                check(backend, [((Fraction(sa * top, 2**k + 1),) * d,
+                                 (Fraction(sb * top, 2**j + 1),) * d) for j in range(1, 5)])
+                if k > 1:
+                    # product denominators 2^k, whose cofactor in D is 2^(k-1) - 1:
+                    # D // pden is at its bound 2^(bits(D) - bits(pden) + 1) - 1
+                    tight = ((Fraction(sa * top, 2**k),) * d, (Fraction(sb * top),) * d)
+                    wide = ((Fraction(sa * top, 2**k * (2**(k - 1) - 1)),) * d,
+                            (Fraction(sb * top),) * d)
+                    check(backend, [tight] * 7 + [wide])
+
+    # 66 pairs over pairwise-coprime denominators, so that D // pden is the
+    # product of the other 65 pairs' denominators
+    primes = [q for q in range(2, 1000) if all(q % r for r in range(2, math.isqrt(q) + 1))]
+    rng = rng_for("dot-packing")
+    for backend in DOT_BACKENDS:
+        d = backend.degree
+        refs = []
+        for i in range(66):
+            qa, qb = primes[2 * i], primes[2 * i + 1]
+            refs.append((tuple(Fraction(rng.choice((-1, 1)) * (rng.getrandbits(40) | 1), qa)
+                               for _ in range(d)),
+                         tuple(Fraction(rng.choice((-1, 1)) * (2**40 - 1), qb)
+                               for _ in range(d))))
+        check(backend, refs)
+        # one-pair sums, also over 1024-bit operands
+        for bits in (1, 12, 1024):
+            for _ in range(4):
+                check(backend, [tuple(rand_ref_coeffs(rng, backend, bits) for _ in range(2))])
 
 
 def test_dot_mixed_backends_raise():

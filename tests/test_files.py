@@ -1,12 +1,17 @@
+import io
+import json
 from fractions import Fraction
 
 import pytest
 
 from tropdiff import files
-from tropdiff.semiring import NatValuation, TropNum
+from tropdiff.fields import FieldBackend
+from tropdiff.semiring import NatValuation, TropNum, parse_ratio, parse_rational
+from tropdiff.series import PowerSeries
 from tropdiff.verify import exp_tropical_closed_form, solve_linear
 
-from helpers import EISEN3, PADIC3, rand_power_series, rand_trop_series, rng_for
+from helpers import (EISEN2, EISEN3, EISEN5, PADIC3, TRIVIAL, rand_power_series,
+                     rand_trop_series, rng_for)
 
 
 def test_field_round_trip():
@@ -97,6 +102,14 @@ def test_dump_is_canonical(tmp_path):
     path = tmp_path / "a.json"
     files.dump_json({"b": 1, "a": [2, 3]}, str(path))
     assert path.read_text() == '{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}\n'
+    # the bytes of json.dump(indent=2, sort_keys=True) and a newline
+    data = {"field": {"kind": "eisenstein", "p": 3},
+            **files.series_to_dict(rand_power_series(rng_for("files-dump"), EISEN3, 30)),
+            "nested": [{"b": [], "a": {}}, None, True, 1.5, "\u00e9"]}
+    files.dump_json(data, str(path))
+    want = io.StringIO()
+    json.dump(data, want, indent=2, sort_keys=True)
+    assert path.read_bytes() == (want.getvalue() + "\n").encode("utf-8")
 
 
 def test_trivial_candidates_must_be_boolean():
@@ -106,3 +119,59 @@ def test_trivial_candidates_must_be_boolean():
     bad = {"series": [{"truncation": 3, "coeffs": [{"n": 1, "val": "1/2"}]}]}
     with pytest.raises(ValueError):
         files.candidate_from_dict(bad, nv)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("3", Fraction(3)), ("-3/4", Fraction(-3, 4)), ("+3", Fraction(3)), (" 3 ", Fraction(3)),
+    ("1_000", Fraction(1000)), ("0.5", Fraction(1, 2)), ("1e3", Fraction(1000)),
+])
+def test_parse_rational_accepts(text, value):
+    """"n" and "n/d" are read on the integers; every spelling keeps Fraction's value."""
+    assert parse_rational(text) == value == Fraction(text)
+    num, den = parse_ratio(text)
+    assert den > 0 and Fraction(num, den) == value
+
+
+@pytest.mark.parametrize("text", ["3/-4", "3 / 4", "1/0", "x"])
+def test_parse_rational_refuses(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
+
+
+def test_series_round_trip_long_values():
+    """Negative numerators over 2,000-bit denominators survive the record codec
+    on every backend, also past the interpreter's int/str digit limit."""
+    rng = rng_for("files-long-values")
+    backends = (TRIVIAL, PADIC3, EISEN2, EISEN3, EISEN5, FieldBackend("eisenstein", 7))
+    for backend in backends:
+        for bits in (2000, 16000):
+            terms = []
+            for k in range(0, 12, 2):
+                coeffs = [Fraction(-rng.getrandbits(bits) - 1, rng.getrandbits(bits) | 1)
+                          for _ in range(backend.degree)]
+                terms.append((k, backend.from_coeffs(coeffs)))
+            s = PowerSeries(backend, 12, tuple(terms))
+            data = json.loads(json.dumps(files.series_to_dict(s)))
+            assert files.series_from_dict(data, backend) == s
+
+
+def test_digit_strings_above_the_limit_are_refused(tmp_path, monkeypatch):
+    """A number above MAX_DIGITS characters is refused, as a string or a JSON
+    integer, classical or tropical; one at the limit is read, also past the
+    interpreter's own limit."""
+    monkeypatch.setattr(files, "MAX_DIGITS", 5000)
+    at_limit = "7" * 5000
+    assert files.elem_from_json(at_limit, PADIC3) == PADIC3.elem(7 * (10**5000 - 1) // 9)
+    path = tmp_path / "big.json"
+    path.write_text('{"c0": ' + at_limit + "}")
+    assert files.load_json(str(path))["c0"] == 7 * (10**5000 - 1) // 9
+    message = "a number of 5001 characters exceeds the limit of 5000 digits"
+    for value in ("-" + at_limit, [at_limit + "7", "0"]):
+        with pytest.raises(ValueError, match=message):
+            files.elem_from_json(value, EISEN3)
+    path.write_text('{"c0": ' + at_limit + "7}")
+    with pytest.raises(ValueError, match=message):
+        files.load_json(str(path))
+    with pytest.raises(ValueError, match=message):
+        files.trop_series_from_dict({"truncation": 1, "coeffs": [{"n": 0, "val": "1" + at_limit}]},
+                                    NatValuation(3))
