@@ -176,13 +176,14 @@ def cmd_radius(args) -> int:
         p = data.get("p")
         series = files.trop_series_from_dict(data, NatValuation(p))
     if args.base:
-        base = Fraction(args.base)
+        base = parse_rational(args.base)
         if base <= 1:
             raise ValueError("base must be > 1")
     elif p:
         base = Fraction(p)
     else:
         raise ValueError("no base given and the field has no prime")
+    base2 = parse_rational(args.base2) if args.base2 else None
     if args.rule:
         estimate = radius_from_rule(_parse_rule_spec(args.rule, p, series))
     else:
@@ -194,8 +195,8 @@ def cmd_radius(args) -> int:
                "truncation": series.truncation,
                "window": list(estimate.window) if estimate.window else None,
                "caveat": estimate.caveat}
-    if args.base2:
-        change = base_change(estimate, base, Fraction(args.base2))
+    if base2 is not None:
+        change = base_change(estimate, base, base2)
         rendered = (format_rational(change.new_log_radius)
                     if isinstance(change.new_log_radius, Fraction)
                     else str(change.new_log_radius))

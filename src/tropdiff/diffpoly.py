@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import MissingVariable, TruncationExhausted
 from .fields import FieldBackend, FieldElem, power
-from .semiring import T2_INF, Rat, Trop2, TropElem, TropNum, tropically_vanishes
+from .semiring import T_INF, Rat, TropNum, tropically_vanishes
 from .series import LeadingTerm, PowerSeries, TropSeries, rank2_val
 
 
@@ -117,7 +117,7 @@ CONSTANT_MONOMIAL = ExponentMatrix(())
 
 
 def _is_additive_identity(c) -> bool:
-    return c.is_inf if isinstance(c, (TropNum, Trop2)) else c.is_zero
+    return c.is_inf if isinstance(c, TropNum) else c.is_zero
 
 
 def _sorted_terms(terms: Mapping[ExponentMatrix, object]):
@@ -130,7 +130,7 @@ def _sorted_terms(terms: Mapping[ExponentMatrix, object]):
 class Poly:
     """Sparse polynomial in the x_i^(j) with coefficients of one type.
 
-    The coefficients carry their own ring: tropical values (TropNum, Trop2),
+    The coefficients carry their own ring: tropical values (TropNum),
     field elements (FieldElem) or residues (ResidueElem).  Terms are sorted
     graded-lexicographically; additive-identity coefficients (inf, 0) are
     dropped on construction.
@@ -276,7 +276,7 @@ class EvalReport:
     a term could still reach it, so the attainment set is not certified.
     """
 
-    value: TropElem
+    value: TropNum
     attainment: tuple[ExponentMatrix, ...]
     vanishes: bool
     truncation_limited: bool
@@ -333,13 +333,13 @@ def eval_classical(f: DiffPoly, a: Sequence[PowerSeries]) -> PowerSeries:
 LeadingProvider = Callable[[int, int], LeadingTerm]
 
 
-def _first(w: TropElem) -> Rat:
+def _first(w: TropNum) -> Rat:
     """First coordinate of a finite tropical value."""
-    return w.value[0] if isinstance(w, Trop2) else w.value
+    return w.value[0] if w.value.__class__ is tuple else w.value
 
 
-def evaluate(g: Poly, leading: LeadingProvider, inf: TropElem) -> EvalReport:
-    """Tropical evaluation of g with x_i^(j) read from `leading`; `inf` is the empty sum.
+def evaluate(g: Poly, leading: LeadingProvider) -> EvalReport:
+    """Tropical evaluation of g with x_i^(j) read from `leading`.
 
     Each monomial weighs coeff * prod Phi(d^j S_i)^e.  A weight with a factor
     from an exhausted window reads as infinite; the first coordinate of its
@@ -360,8 +360,8 @@ def evaluate(g: Poly, leading: LeadingProvider, inf: TropElem) -> EvalReport:
                 w = w * lt.value ** e
         if flagged:
             bounds.append(_first(w) + beyond)
-        weights.append(inf if flagged else w)
-    vr = tropically_vanishes(weights, inf=inf)
+        weights.append(T_INF if flagged else w)
+    vr = tropically_vanishes(weights)
     attainment = tuple(sorted((g.terms[k][0] for k in vr.attainment),
                               key=ExponentMatrix.sort_key))
     ambiguous = not vr.total.is_inf and any(b <= _first(vr.total) for b in bounds)
@@ -381,7 +381,7 @@ def eval_tropical(g: Poly, s: Sequence[TropSeries]) -> EvalReport:
     """Evaluate a tropicalized polynomial at tropical series: x_i^(j) is Phi(d_v^j S_i)."""
     if len(s) != g.nvars:
         raise MissingVariable(f"expected {g.nvars} series, got {len(s)}")
-    return evaluate(g, lambda i, j: s[i].diff_leading(j), T2_INF)
+    return evaluate(g, lambda i, j: s[i].diff_leading(j))
 
 
 def f_lr(f: DiffPoly, r: int) -> Poly:

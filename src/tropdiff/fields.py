@@ -54,7 +54,6 @@ from .semiring import (
     T_INF,
     T_ZERO,
     TropNum,
-    Trop2,
     format_rational,
     is_prime,
     v_p,
@@ -461,7 +460,7 @@ class ResidueElem:
         return f"ResidueElem({self} mod {self.p})" if self.p else f"ResidueElem({self})"
 
 
-def section_phi(w: Trop2, backend: FieldBackend) -> tuple[int, FieldElem]:
+def section_phi(w: TropNum, backend: FieldBackend) -> tuple[int, FieldElem]:
     """Multiplicative section of the rank-2 valuation: (alpha, beta) -> pi^(beta*e) t^alpha.
 
     Returns the pair (t-exponent, scalar); t is kept symbolic.  Raises

@@ -30,16 +30,12 @@ from typing import Sequence
 from .diffpoly import CONSTANT_MONOMIAL, DiffPoly
 from .fields import FieldBackend, FieldElem
 from .parser import parse_poly, print_poly
-from .semiring import NatValuation, TropNum, format_ratio, parse_ratio
+from .semiring import MAX_DIGITS, NatValuation, TropNum, format_ratio, parse_ratio
 from .series import PowerSeries, TropSeries
 from .verify import LinearODE
 
 SCHEMA_VERSION = 1
 MAX_TRUNCATION = 10**5
-# Characters of one number in a file.  solve-linear passes the interpreter's
-# 4300-digit int/str limit within a few thousand steps; this bounds the work of
-# reading one number instead (about 1 s for 10^6 digits on CPython 3.11).
-MAX_DIGITS = 10**6
 
 
 def limit_truncation(n: int) -> int:

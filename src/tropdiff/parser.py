@@ -13,7 +13,9 @@ Grammar (the normative expression format of all system files):
 There is no implicit multiplication.  The parser additionally accepts a
 leading "-" before the first term of an expr for hand-written input; the
 printer never emits it (a leading negative term prints as "0 - ...").
-Derivatives print as primes up to order 3 and as "^(j)" beyond.
+Derivatives print as primes up to order 3 and as "^(j)" beyond.  Rationals
+are read in full up to MAX_DIGITS digits; parentheses nest at most
+MAX_NESTING deep.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ from typing import Iterable, Union
 from .diffpoly import DiffPoly, ExponentMatrix, Poly
 from .errors import PolySyntaxError, UnknownVariable, ZetaUnavailable
 from .fields import FieldBackend, FieldElem, ResidueElem
-from .semiring import T_ZERO, T2_ZERO, Trop2, TropNum, format_rational
+from .semiring import MAX_DIGITS, T_ZERO, T2_ZERO, TropNum, format_rational, parse_rational
 from .series import PowerSeries
 
 _SYMBOLS = "+-*^()'"
+MAX_NESTING = 200  # parenthesis depth, well inside the interpreter's recursion limit
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,6 +52,9 @@ def _tokenize(src: str) -> list[_Token]:
             start = k
             while k < len(src) and src[k].isdigit():
                 k += 1
+            if k - start > MAX_DIGITS:
+                raise PolySyntaxError(f"a number of {k - start} digits exceeds the limit of "
+                                      f"{MAX_DIGITS} digits", start)
             tokens.append(_Token("num", src[start:k], start))
         elif ch.isalpha():
             start = k
@@ -73,6 +79,7 @@ class _Parser:
         self.backend = backend
         self.nvars = nvars
         self.truncation = truncation
+        self.depth = 0  # open parentheses
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.k + ahead, len(self.tokens) - 1)]
@@ -120,18 +127,22 @@ class _Parser:
     def atom(self) -> DiffPoly:
         tok = self.take()
         if tok.kind == "num":
-            num = int(tok.text)
+            value = parse_rational(tok.text)
             if self.peek().kind == "/":
                 self.take()
                 den_tok = self.expect("num")
-                den = int(den_tok.text)
+                den = parse_rational(den_tok.text)
                 if den == 0:
                     raise PolySyntaxError("zero denominator", den_tok.pos)
-                return self.constant(Fraction(num, den))
-            return self.constant(Fraction(num))
+                value /= den
+            return self.constant(value)
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise PolySyntaxError(f"parentheses nested deeper than {MAX_NESTING}", tok.pos)
+            self.depth += 1
             inner = self.expr_inner()
             self.expect(")")
+            self.depth -= 1
             return inner
         if tok.kind == "name":
             if tok.text == "zeta":
@@ -255,7 +266,7 @@ def _monomial_series_factors(c: FieldElem, k: int) -> tuple[int, list[str]]:
 def _coefficient_str(c) -> tuple[int, list[str], bool]:
     """Render a coefficient as (sign, product factors, unit); a unit factor
     is left out before a monomial."""
-    if isinstance(c, (TropNum, Trop2)):
+    if isinstance(c, TropNum):
         return 1, [str(c)], c in (T_ZERO, T2_ZERO)
     if isinstance(c, ResidueElem):
         sign = -1 if (c.p is None and c.value < 0) else 1

@@ -24,11 +24,9 @@ from .fields import FieldBackend, FieldElem, dot, power
 from .semiring import (
     NatValuation,
     T_INF,
-    T2_INF,
     TRIVIAL_NAT_VAL,
     T_ZERO,
     TropNum,
-    Trop2,
     v_p_factorial,
 )
 
@@ -42,7 +40,7 @@ class LeadingTerm:
     from exponent `beyond` (the first index past the window) on.
     """
 
-    value: Union[Trop2, TropNum]
+    value: TropNum
     truncation_limited: bool = False
     beyond: int = 0
 
@@ -313,7 +311,7 @@ class TropSeries:
             object.__setattr__(self, "_leading", table)
         if j < len(table):
             return table[j]
-        return LeadingTerm(T2_INF, True, max(self.truncation - j + 1, 0))
+        return LeadingTerm(T_INF, True, max(self.truncation - j + 1, 0))
 
     def _leading_table(self) -> tuple[LeadingTerm, ...]:
         """Phi(d_v^j S) for j = 0 .. K in closed form, walking the terms backwards.
@@ -331,7 +329,7 @@ class TropSeries:
             if t and terms[t - 1][0] == j:
                 t -= 1
             k, c = terms[t]
-            table.append(LeadingTerm(Trop2((k - j, c.value + vfact[k] - vfact[k - j]))))
+            table.append(LeadingTerm(TropNum((k - j, c.value + vfact[k] - vfact[k - j]))))
         table.reverse()
         return tuple(table)
 
@@ -351,9 +349,9 @@ def tropicalize_series(a: PowerSeries) -> TropSeries:
 def rank2_val(a: PowerSeries) -> LeadingTerm:
     """Rank-2 valuation (t-order, valuation of the leading coefficient)."""
     if a.is_zero:
-        return LeadingTerm(T2_INF, True, a.truncation + 1)
+        return LeadingTerm(T_INF, True, a.truncation + 1)
     k, c = a.terms[0]
-    return LeadingTerm(Trop2((k, c.valuation().value)))
+    return LeadingTerm(TropNum((k, c.valuation().value)))
 
 
 def psi_one(a: Sequence[FieldElem], backend: FieldBackend) -> PowerSeries:
@@ -385,7 +383,7 @@ def psi_trop_inverse(s: TropSeries) -> tuple[TropNum, ...]:
     return tuple(s.nat_val.factorial(j) * c for j, c in enumerate(s.coeffs))
 
 
-def sigma0(w: Trop2) -> TropNum:
+def sigma0(w: TropNum) -> TropNum:
     """Pair morphism on leading terms: projection onto the first component."""
     if w.is_inf:
         return T_INF

@@ -32,7 +32,7 @@ from .errors import NotAClassicalSolution, TruncationExhausted
 from .fields import FieldBackend, FieldElem, ResidueElem, dot
 from .initial import initial_form, initial_system_monomial_check
 from .radius import RadiusRule, radius_from_rule, radius_window_estimate
-from .semiring import NatValuation, T_INF, TropNum, v_p_factorial
+from .semiring import NatValuation, TropNum, v_p_factorial
 from .series import (
     LeadingTerm,
     PowerSeries,
@@ -45,7 +45,7 @@ from .series import (
 
 DEFAULT_SEED = 271828
 G_DEGREE = 3  # degree of the random right-hand sides g of `verify_ft`
-RADIUS_TRUNCATION = 200  # window of the exponential example's radius step
+RADIUS_TRUNCATION = 200  # least window of the exponential example's radius step
 
 
 def default_window(p: Optional[int], truncation: Optional[int] = None,
@@ -213,7 +213,7 @@ def check_truncation_vectors(family: Sequence[DiffPoly], s: Sequence[TropSeries]
     """
     b = tuple(psi_trop_inverse(si) for si in s)
     return SolutionReport.of(
-        evaluate(g.constant_terms().map(FieldElem.valuation), at_vector(b), T_INF)
+        evaluate(g.constant_terms().map(FieldElem.valuation), at_vector(b))
         for g in family)
 
 
@@ -266,11 +266,12 @@ def reproduce_exponential_example(p: int, truncation: Optional[int] = None,
     Steps: oracle solution, tropicalization, closed-form coefficients,
     derived-system solution check, initial form x' + x, radius 1 by rule and
     window, Grigoriev projection.  Stops at the first failing step.  The
-    oracle is solved and tropicalized once, in the window
-    max(N, RADIUS_TRUNCATION); the steps read its window-N and its
-    radius-window prefixes.
+    oracle is solved and tropicalized once, in the window max(N, R); the
+    steps read its window-N and window-R prefixes.  The radius window
+    R = max(RADIUS_TRUNCATION, 2p) holds the support indices p and 2p.
     """
     n, m = default_window(p, truncation, order)
+    radius_n = max(RADIUS_TRUNCATION, 2 * p)
     backend = FieldBackend("eisenstein", p)
     steps: list[FTStep] = []
 
@@ -285,7 +286,7 @@ def reproduce_exponential_example(p: int, truncation: Optional[int] = None,
     # The recurrence is prefix-stable, and the residual certified in the
     # longer window covers every degree of window n.
     f = exp_equation(p, n)[1]
-    long_s = tropicalize_series(solve_linear(exp_equation(p, max(n, RADIUS_TRUNCATION))[0]))
+    long_s = tropicalize_series(solve_linear(exp_equation(p, max(n, radius_n))[0]))
     if not step("oracle-solution", True,
                 f"recurrence solution of x' = {p}*zeta*t^{p - 1}*x to degree {n}"):
         return report()
@@ -324,12 +325,12 @@ def reproduce_exponential_example(p: int, truncation: Optional[int] = None,
 
     rule = RadiusRule(p, Fraction(1, p - 1), Fraction(0), True, p)
     exact = radius_from_rule(rule)
-    window = radius_window_estimate(long_s.truncate(RADIUS_TRUNCATION))
+    window = radius_window_estimate(long_s.truncate(radius_n))
     rule_ok = exact.log_radius == 0
     window_ok = abs(window.log_radius) <= Fraction(15, 100)
     if not step("radius", rule_ok and window_ok,
                 f"rule-exact log_r = {exact.log_str()} (r = 1); window estimate "
-                f"{window.log_str()} at N={RADIUS_TRUNCATION}, start {window.window[0]}"):
+                f"{window.log_str()} at N={radius_n}, start {window.window[0]}"):
         return report()
 
     grig_s = (sigma_to_grigoriev(s),)
@@ -338,7 +339,7 @@ def reproduce_exponential_example(p: int, truncation: Optional[int] = None,
         lt = grig_s[i].diff_leading(j)
         return LeadingTerm(sigma0(lt.value), lt.truncation_limited, lt.beyond)
 
-    grig = tuple(evaluate(g.map(sigma0), grig_leading, T_INF) for g in system)
+    grig = tuple(evaluate(g.map(sigma0), grig_leading) for g in system)
     grig_ok = all(r.vanishes for r in grig)
     step("grigoriev-projection", grig_ok,
          "support projection solves the t-adic tropicalization of the derived system")

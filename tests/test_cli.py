@@ -12,7 +12,7 @@ import pytest
 import tropdiff
 from tropdiff import errors, files
 from tropdiff.cli import main
-from tropdiff.semiring import TropNum
+from tropdiff.semiring import MAX_DIGITS, TropNum
 from tropdiff.series import TropSeries
 from tropdiff.verify import DEFAULT_SEED, exp_tropical_closed_form
 
@@ -180,6 +180,58 @@ def test_digit_limit_exits_2(capsys, tmp_path):
     assert capsys.readouterr().err == (
         f"tropdiff: a number of {files.MAX_DIGITS + 1} characters exceeds the limit of "
         f"{files.MAX_DIGITS} digits\n")
+
+
+def test_polynomial_reads_a_long_coefficient_in_full(capsys, tmp_path):
+    """A coefficient past the interpreter's 4300-digit int/str limit is read
+    and printed in full."""
+    digits = "1" * 5001
+    system = _write(tmp_path, "sys.json", {"field": {"kind": "padic", "p": 3}, "vars": 1,
+                                           "truncation": 4,
+                                           "polynomials": [f"{digits}*x - x'"]})
+    start = time.perf_counter()
+    assert main(["tropicalize", "--system", system]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert f"f       = 0 - x' + {digits}*x\n" in capsys.readouterr().out
+
+
+def test_huge_decimal_exponent_exits_2(capsys, tmp_path):
+    """A decimal exponent above MAX_DIGITS, in a file or in a --base option, is
+    refused before 10^e is built."""
+    ode = _write(tmp_path, "ode.json", {"field": {"kind": "padic", "p": 3}, "truncation": 2,
+                                        "c0": "1e99999999", "g": "t"})
+    series = str(GOLDEN / "sol.json")
+    for argv in (["solve-linear", "--ode", ode],
+                 ["radius", "--series", series, "--base", "1e99999999"],
+                 ["radius", "--series", series, "--base2", "1e99999999"]):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == (
+            "", f"tropdiff: the exponent of '1e99999999' exceeds the limit of {MAX_DIGITS}\n")
+
+
+def test_field_of_a_large_prime(capsys, tmp_path):
+    """The field prime 2^61 - 1 is certified at once, not by trial division."""
+    system = _write(tmp_path, "sys.json", {"field": {"kind": "padic", "p": 2**61 - 1},
+                                           "vars": 1, "truncation": 4,
+                                           "polynomials": ["x' - 2*x"]})
+    start = time.perf_counter()
+    assert main(["tropicalize", "--system", system]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert "trop_v  = x' + x\n" in capsys.readouterr().out
+
+
+def test_parenthesis_nesting_limit(capsys, tmp_path):
+    """200 nested parentheses parse; 201 exit 2 with a syntax error, not a
+    RecursionError traceback."""
+    for depth, code in ((200, 0), (201, 2)):
+        system = _write(tmp_path, "sys.json", {"field": {"kind": "padic", "p": 3}, "vars": 1,
+                                               "truncation": 4,
+                                               "polynomials": ["(" * depth + "x" + ")" * depth]})
+        assert main(["tropicalize", "--system", system]) == code
+    assert capsys.readouterr().err == (
+        "tropdiff: parentheses nested deeper than 200 (at position 200)\n")
 
 
 def test_radius_tropical_input(capsys, tmp_path):

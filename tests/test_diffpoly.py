@@ -344,22 +344,22 @@ def test_eval_trop1_examples():
     m_poly = Poly.make(1, {X * X3: Trop2.of(0, 0)}).map(sigma0)
     assert m_poly == Poly.make(1, {X * X3: TropNum.of(0)})
     b = ((T_INF, TropNum.of(0), T_INF, TropNum.of(2)),)
-    report = evaluate(m_poly, at_vector(b), T_INF)
+    report = evaluate(m_poly, at_vector(b))
     assert report.value.is_inf and report.vanishes
 
     _, f = exp_equation(3, 12)
     s = exp_tropical_closed_form(3, 12)
     b = (psi_trop_inverse(s),)
     trop_f2 = f_lr(f, 2).map(FieldElem.valuation)
-    report = evaluate(trop_f2, at_vector(b), T_INF)
+    report = evaluate(trop_f2, at_vector(b))
     assert report.value == TropNum.of(Fraction(3, 2))
     assert report.vanishes and len(report.attainment) == 2
 
     empty = Poly.make(1, {})
-    assert evaluate(empty, at_vector(b), T_INF).vanishes
+    assert evaluate(empty, at_vector(b)).vanishes
 
     with pytest.raises(MissingVariable):
-        evaluate(trop_f2, at_vector(((TropNum.of(0),),)), T_INF)
+        evaluate(trop_f2, at_vector(((TropNum.of(0),),)))
 
 
 def test_f_lr_examples():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from tropdiff import parser
 from tropdiff.diffpoly import DiffPoly, ExponentMatrix, Poly, tropicalize_poly
 from tropdiff.errors import PolySyntaxError, UnknownVariable, ZetaUnavailable
 from tropdiff.fields import ResidueElem
@@ -86,6 +87,16 @@ def test_parse_errors():
     except PolySyntaxError as exc:
         err = exc
     assert err is not None and err.position == 4
+
+
+def test_number_token_digit_limit(monkeypatch):
+    """A number token longer than MAX_DIGITS is a syntax error at its position."""
+    monkeypatch.setattr(parser, "MAX_DIGITS", 50)
+    f = parse_poly("1" * 50 + "/" + "2" * 50, PADIC3, 1, 4)
+    assert f.terms[0][1].coeffs[0].coeffs[0] == Fraction(int("1" * 50), int("2" * 50))
+    with pytest.raises(PolySyntaxError, match="a number of 51 digits exceeds the limit "
+                                              r"of 50 digits \(at position 4\)"):
+        parse_poly("x + " + "1" * 51, PADIC3, 1, 4)
 
 
 def test_print_examples():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,10 +7,10 @@ from tropdiff.errors import ZeroInput
 from tropdiff.semiring import (
     NatValuation,
     T_INF,
-    T2_INF,
     TropNum,
     Trop2,
     digit_sum,
+    is_prime,
     tropically_vanishes,
     trop_sum,
     v_p,
@@ -36,7 +37,7 @@ def T2(a, b):
 
 def test_trop_add_examples():
     assert T2(2, Fraction(3, 2)) + T2(1, Fraction(3, 2)) == T2(1, Fraction(3, 2))
-    assert T2_INF + T2(4, 7) == T2(4, 7)
+    assert T_INF + T2(4, 7) == T2(4, 7)
     assert T_INF + T(5) == T(5)
     assert T2(0, 5) + T2(0, 2) == T2(0, 2)
 
@@ -44,7 +45,7 @@ def test_trop_add_examples():
 def test_trop_mul_examples():
     assert T2(1, 0) * T2(0, 2) == T2(1, 2)
     assert T_INF * T(2) == T_INF
-    assert T2_INF * T2(0, 2) == T2_INF
+    assert T_INF * T2(0, 2) == T_INF
     assert T(0) * T(7) == T(7)
     assert T2(0, 0) * T2(5, -1) == T2(5, -1)
 
@@ -53,7 +54,16 @@ def test_trop_pow():
     assert T(3) ** 2 == T(6)
     assert T2(1, 2) ** 3 == T2(3, 6)
     assert T_INF ** 0 == T(0)
-    assert T2_INF ** 2 == T2_INF
+    assert T_INF ** 2 == T_INF
+    assert T2(1, 2) ** 0 == T2(0, 0)
+
+
+def test_ranks_never_mix():
+    for a, b in ((T(1), T2(0, 1)), (T2(0, 1), T(1))):
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            a * b
 
 
 def test_vanishing_examples():
@@ -65,15 +75,30 @@ def test_vanishing_examples():
     rep = tropically_vanishes([T2(2, Fraction(3, 2))])
     assert not rep.vanishes and rep.attainment == (0,)
 
-    rep = tropically_vanishes([T2_INF, T2_INF])
-    assert rep.vanishes and rep.total == T2_INF
+    rep = tropically_vanishes([T_INF, T_INF])
+    assert rep.vanishes and rep.total == T_INF
 
     rep = tropically_vanishes([T2(0, 1), T2(0, 1), T2(1, 5)])
     assert rep.vanishes and rep.attainment == (0, 1)
 
     assert tropically_vanishes([]).vanishes
-    assert trop_sum([]) == T2_INF
-    assert tropically_vanishes([T_INF], inf=T_INF).vanishes
+    assert trop_sum([]) == T_INF
+    assert tropically_vanishes([T_INF]).vanishes
+
+
+def is_prime_by_trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime():
+    """Miller-Rabin agrees with trial division, rejects Carmichael numbers
+    (56052361 = 211 * 421 * 631 has no factor among the bases) and a strong
+    pseudoprime to bases 2, 3, 5 and 7, and decides 2^61 - 1."""
+    assert all(is_prime(n) == is_prime_by_trial_division(n) for n in range(-2, 10**5))
+    assert not any(is_prime(n) for n in (561, 41041, 56052361, 3215031751))
+    assert is_prime(2**61 - 1)
+    with pytest.raises(ValueError):
+        is_prime(2**89 - 1)
 
 
 def test_v_p_examples():
@@ -127,7 +152,7 @@ def test_is_boolean():
 def check_semiring_axioms(count=1000):
     rng = rng_for("semiring-axioms")
     zero1, one1 = T_INF, T(0)
-    zero2, one2 = T2_INF, T2(0, 0)
+    zero2, one2 = T_INF, T2(0, 0)
     for _ in range(count):
         for rand, zero, one in ((rand_trop_num, zero1, one1), (rand_trop2, zero2, one2)):
             a, b, c = rand(rng), rand(rng), rand(rng)
@@ -150,7 +175,7 @@ def check_partial_order(count=1000):
         assert a.precedes(b) == (a + b == b)
         if not a.is_inf and not b.is_inf:
             assert a.precedes(b) == (b.value <= a.value)
-        assert T2_INF.precedes(a)
+        assert T_INF.precedes(a)
 
 
 def check_vanishing_definitions_agree(count=1000):
@@ -160,15 +185,13 @@ def check_vanishing_definitions_agree(count=1000):
         kind = rng.random()
         if kind < 0.45:
             addends = [rand_trop_num(rng, inf_prob=0.35) for _ in range(n)]
-            inf = T_INF
         else:
             addends = [rand_trop2(rng, inf_prob=0.35) for _ in range(n)]
-            inf = T2_INF
         # force ties in a third of the cases so both outcomes are exercised
         if n >= 2 and kind > 0.66:
             addends[rng.randrange(n)] = addends[rng.randrange(n)]
-        rep = tropically_vanishes(addends, inf=inf)
-        assert rep.vanishes == vanishes_by_removal(addends, inf=inf)
+        rep = tropically_vanishes(addends)
+        assert rep.vanishes == vanishes_by_removal(addends)
 
 
 def test_semiring_axioms():

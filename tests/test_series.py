@@ -6,7 +6,6 @@ from tropdiff.errors import TruncationExhausted
 from tropdiff.semiring import (
     NatValuation,
     T_INF,
-    T2_INF,
     TRIVIAL_NAT_VAL,
     TropNum,
     Trop2,
@@ -310,9 +309,9 @@ def test_leading_table_stops_at_last_finite_index(monkeypatch):
     assert s.diff_leading(2) == LeadingTerm(Trop2((3, 0)))
     assert sorted(calls) == list(range(6))
     assert s.diff_leading(5) == LeadingTerm(Trop2((0, 1)))  # v_3(5!) = 1
-    assert s.diff_leading(6) == LeadingTerm(T2_INF, True, 100000 - 6 + 1)
-    assert s.diff_leading(100001) == LeadingTerm(T2_INF, True, 0)
-    assert s.diff_leading(200000) == LeadingTerm(T2_INF, True, 0)
+    assert s.diff_leading(6) == LeadingTerm(T_INF, True, 100000 - 6 + 1)
+    assert s.diff_leading(100001) == LeadingTerm(T_INF, True, 0)
+    assert s.diff_leading(200000) == LeadingTerm(T_INF, True, 0)
     assert len(calls) == 6
 
 

@@ -259,6 +259,14 @@ def test_reproduce_exponential_example_parameterizations():
     assert reproduce_exponential_example(5, 30, 10).passed
 
 
+def test_exponential_example_above_p_100():
+    """The radius window grows to 2p, so for p > 100 it still holds the
+    support indices p and 2p."""
+    report = reproduce_exponential_example(211, 211, 1)
+    assert report.passed
+    assert "at N=422, start 211" in report.steps[-2].detail
+
+
 def test_report_serialization():
     report = reproduce_exponential_example(2, 12, 6)
     data = report.to_dict()
