@@ -17,6 +17,7 @@ table, initial forms), so no polynomial is evaluated twice at one candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import MissingVariable, TruncationExhausted
@@ -92,25 +93,27 @@ class ExponentMatrix:
         (i, j+1) sorts right after (i, j), so the entries are edited where
         (i, j) stands, in one pass.
         """
-        entries = self.entries
         ij = (i, j)
-        for k, (key, e) in enumerate(entries):
+        for k, (key, _) in enumerate(self.entries):
             if key == ij:
-                break
-        else:
-            raise ValueError(f"no factor x_{i + 1}^({j}) to differentiate")
-        up = (i, j + 1)
-        rest = k + 1
-        if rest < len(entries) and entries[rest][0] == up:
-            tail = ((up, entries[rest][1] + 1),) + entries[rest + 1:]
-        else:
-            tail = ((up, 1),) + entries[rest:]
-        head = entries[:k] if e == 1 else entries[:k] + ((ij, e - 1),)
-        return ExponentMatrix(head + tail)
+                return ExponentMatrix(_bump_at(self.entries, k))
+        raise ValueError(f"no factor x_{i + 1}^({j}) to differentiate")
 
     def sort_key(self):
         """Graded ordering key, then entrywise lexicographic for determinism."""
         return self._key
+
+
+def _bump_at(entries, k: int):
+    """The entries with one factor of entry k, x_i^(j), made x_i^(j+1)."""
+    (i, j), e = entries[k]
+    up = (i, j + 1)
+    rest = k + 1
+    if rest < len(entries) and entries[rest][0] == up:
+        tail = ((up, entries[rest][1] + 1),) + entries[rest + 1:]
+    else:
+        tail = ((up, 1),) + entries[rest:]
+    return (entries[:k] if e == 1 else entries[:k] + (((i, j), e - 1),)) + tail
 
 
 CONSTANT_MONOMIAL = ExponentMatrix(())
@@ -287,9 +290,10 @@ def tropicalize_poly(f: DiffPoly) -> Poly:
     """Apply the rank-2 valuation coefficientwise.
 
     Every coefficient of a DiffPoly is nonzero inside its window (`make`
-    drops the others), so no rank-2 value here is truncation-limited.
+    drops the others), so no rank-2 value here is truncation-limited, and
+    its terms are in graded order already, so they are kept as they stand.
     """
-    return Poly.make(f.nvars, {lam: rank2_val(a).value for lam, a in f.terms})
+    return Poly(f.nvars, tuple((lam, rank2_val(a).value) for lam, a in f.terms))
 
 
 def eval_classical(f: DiffPoly, a: Sequence[PowerSeries]) -> PowerSeries:
@@ -389,11 +393,71 @@ def f_lr(f: DiffPoly, r: int) -> Poly:
     return derived_system(f, r)[r].constant_terms()
 
 
+def _leibniz_tables(lam: ExponentMatrix, top: int) -> list[dict[ExponentMatrix, int]]:
+    """D_b = d^b(x^lam) for b = 0 .. top, each as {monomial: count}.
+
+    Every count is a positive int: D_(b+1) applies the Leibniz step to each
+    factor of each monomial of D_b, on the raw entries, and each distinct
+    monomial becomes an ExponentMatrix once.  The list stops early at the
+    first empty table (x^lam constant).
+    """
+    tables = [{lam: 1}]
+    last = {lam.entries: 1}
+    for _ in range(top):
+        step: dict[tuple, int] = {}
+        for mu, count in last.items():
+            for k, (_, e) in enumerate(mu):
+                nu = _bump_at(mu, k)
+                step[nu] = step.get(nu, 0) + count * e
+        if not step:
+            break
+        tables.append({ExponentMatrix(nu): count for nu, count in step.items()})
+        last = step
+    return tables
+
+
 def derived_system(f: DiffPoly, m: int) -> list[DiffPoly]:
-    """The finite derived family f, df, ..., d^m f."""
+    """The finite derived family f, df, ..., d^m f, by the general Leibniz rule.
+
+    d^k(c x^lam) = sum_a C(k, a) c^(a) D_(k-a)(lam), with D_b the integer
+    tables of `_leibniz_tables`.  Each coefficient's chain c, c', c'', ...
+    is built once and stops at its first zero; D_b is built only for
+    b <= min(m, N - ord(c)), since c^(a) has no term inside window N - k
+    otherwise; c^(a), cut to that window, is scaled once per distinct
+    factor C(k, a) * count.  d^k f has window N - k, as k steps of
+    `DiffPoly.diff` give, and equals their result.
+    """
+    n = f.truncation
+    if m > n:
+        raise TruncationExhausted("coefficient truncation exhausted by d")
+    parts = []
+    for lam, c in f.terms:
+        chain = [c]
+        while len(chain) <= m:
+            d = chain[-1].derivative()
+            if d.is_zero:
+                break
+            chain.append(d)
+        parts.append((chain, _leibniz_tables(lam, min(m, n - c.order()))))
     out = [f]
-    for _ in range(m):
-        out.append(out[-1].diff())
+    for k in range(1, m + 1):
+        window = n - k
+        terms: list[tuple[ExponentMatrix, PowerSeries]] = []
+        for chain, tables in parts:
+            # c^(a) runs over the chain, D_(k-a) over the tables built
+            for a in range(max(k - len(tables) + 1, 0), min(k, len(chain) - 1) + 1):
+                s = chain[a].truncate(window)
+                if s.is_zero:
+                    continue
+                binom = comb(k, a)
+                scaled = {1: s}
+                for mu, count in tables[k - a].items():
+                    factor = binom * count
+                    t = scaled.get(factor)
+                    if t is None:
+                        t = scaled[factor] = s.scale(factor)
+                    terms.append((mu, t))
+        out.append(DiffPoly.make(f.backend, f.nvars, window, terms))
     return out
 
 

@@ -14,7 +14,8 @@ There is no implicit multiplication.  The parser additionally accepts a
 leading "-" before the first term of an expr for hand-written input; the
 printer never emits it (a leading negative term prints as "0 - ...").
 Derivatives print as primes up to order 3 and as "^(j)" beyond.  Rationals
-are read in full up to MAX_DIGITS digits; parentheses nest at most
+are read in full up to MAX_DIGITS digits; exponents and derivative orders
+have at most MAX_EXPONENT_DIGITS digits; parentheses nest at most
 MAX_NESTING deep.
 """
 
@@ -32,6 +33,7 @@ from .series import PowerSeries
 
 _SYMBOLS = "+-*^()'"
 MAX_NESTING = 200  # parenthesis depth, well inside the interpreter's recursion limit
+MAX_EXPONENT_DIGITS = 1000  # inside the interpreter's int/str digit limit
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,7 +123,7 @@ class _Parser:
             if tok.kind != "num":
                 raise PolySyntaxError("expected a nonnegative integer exponent",
                                       tok.pos if tok.kind != "end" else caret.pos)
-            result = result ** int(tok.text)
+            result = result ** _exponent(tok)
         return result
 
     def atom(self) -> DiffPoly:
@@ -175,10 +177,12 @@ class _Parser:
         index_text = tok.text[1:]
         if index_text and not index_text.isdigit():
             raise PolySyntaxError(f"unknown name {tok.text!r}", tok.pos)
-        index = int(index_text) if index_text else 1
-        if not 1 <= index <= self.nvars:
+        digits = (index_text.lstrip("0") or "0") if index_text else "1"
+        # an index with more digits than nvars is out of range and never converted
+        if len(digits) > len(str(self.nvars)) or not 1 <= int(digits) <= self.nvars:
             raise UnknownVariable(
-                f"variable x{index} out of range for {self.nvars} variable(s)")
+                f"variable x{digits} out of range for {self.nvars} variable(s)")
+        index = int(digits)
         order = 0
         if self.peek().kind == "'":
             while self.peek().kind == "'":
@@ -187,9 +191,17 @@ class _Parser:
         elif self.peek().kind == "^" and self.peek(1).kind == "(":
             self.take()
             self.take()
-            order = int(self.expect("num").text)
+            order = _exponent(self.expect("num"))
             self.expect(")")
         return DiffPoly.var(self.backend, self.nvars, self.truncation, index - 1, order)
+
+
+def _exponent(tok: _Token) -> int:
+    """The integer of a power exponent or derivative order token."""
+    if len(tok.text) > MAX_EXPONENT_DIGITS:
+        raise PolySyntaxError(f"an exponent of {len(tok.text)} digits exceeds the limit of "
+                              f"{MAX_EXPONENT_DIGITS} digits", tok.pos)
+    return int(tok.text)
 
 
 def parse_poly(src: str, backend: FieldBackend, nvars: int, truncation: int) -> DiffPoly:

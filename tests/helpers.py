@@ -124,6 +124,15 @@ def rand_nonzero_diffpoly(rng, backend, nvars, truncation, **kw) -> DiffPoly:
             return f
 
 
+def iterated_derived_system(f: DiffPoly, m: int) -> list:
+    """The derived family f, df, ..., d^m f by m one-step derivatives
+    (`DiffPoly.diff`), the oracle of the Leibniz-rule `derived_system`."""
+    out = [f]
+    for _ in range(m):
+        out.append(out[-1].diff())
+    return out
+
+
 def count_evaluations(monkeypatch) -> list:
     """Patch `diffpoly.evaluate`, also where `verify` imported it; the returned
     list gets one entry per call."""

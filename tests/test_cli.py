@@ -234,6 +234,33 @@ def test_parenthesis_nesting_limit(capsys, tmp_path):
         "tropdiff: parentheses nested deeper than 200 (at position 200)\n")
 
 
+@pytest.mark.parametrize("poly, message", [
+    ("x^" + "1" * 5001,
+     "an exponent of 5001 digits exceeds the limit of 1000 digits (at position 2)"),
+    ("x^(" + "1" * 5001 + ")",
+     "an exponent of 5001 digits exceeds the limit of 1000 digits (at position 3)"),
+    ("x" + "1" * 5001, f"variable x{'1' * 5001} out of range for 2 variable(s)"),
+], ids=["power-exponent", "derivative-order", "variable-index"])
+def test_long_exponent_order_and_index_exit_2(capsys, tmp_path, poly, message):
+    """A power exponent, derivative order or variable index past the
+    interpreter's 4300-digit int/str limit exits 2 with a tropdiff message."""
+    system = _write(tmp_path, "sys.json", {"field": {"kind": "padic", "p": 3}, "vars": 2,
+                                           "truncation": 4, "polynomials": [poly]})
+    start = time.perf_counter()
+    assert main(["tropicalize", "--system", system]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("", f"tropdiff: {message}\n")
+
+
+def test_padded_variable_index_is_read(capsys, tmp_path):
+    """Leading zeros do not count against the index length: x0...01 is x1."""
+    system = _write(tmp_path, "sys.json", {"field": {"kind": "padic", "p": 3}, "vars": 2,
+                                           "truncation": 4,
+                                           "polynomials": ["x" + "0" * 5000 + "1 + x02"]})
+    assert main(["tropicalize", "--system", system]) == 0
+    assert "f       = x2 + x1\n" in capsys.readouterr().out
+
+
 def test_radius_tropical_input(capsys, tmp_path):
     s = exp_tropical_closed_form(3, 60)
     record = {"p": 3, **files.trop_series_to_dict(s)}

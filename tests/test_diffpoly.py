@@ -20,7 +20,7 @@ from tropdiff.diffpoly import (
     tropicalize_poly,
 )
 from tropdiff.errors import MissingVariable, TruncationExhausted
-from tropdiff.fields import FieldElem
+from tropdiff.fields import FieldBackend, FieldElem
 from tropdiff.parser import parse_poly
 from tropdiff.semiring import T_INF, TropNum, Trop2, v_p
 from tropdiff.series import (
@@ -35,8 +35,11 @@ from tropdiff.verify import exp_equation, exp_tropical_closed_form, solve_linear
 
 from helpers import (
     EISEN3,
+    EISEN5,
     PADIC3,
+    TRIVIAL,
     bump_by_dict,
+    iterated_derived_system,
     kpoly_evaluate,
     rand_elem,
     rand_diffpoly,
@@ -108,6 +111,18 @@ def test_tropicalize_poly_examples():
     })
 
     assert tropicalize_poly(DiffPoly.zero(PADIC3, 1, 5)).is_zero
+
+
+def test_tropicalize_poly_matches_make():
+    """Terms kept as they stand equal the re-sorted and filtered Poly.make."""
+    rng = rng_for("tropicalize-make")
+    for backend in (TRIVIAL, PADIC3, EISEN5):
+        for _ in range(30):
+            f = rand_diffpoly(rng, backend, 2, rng.randint(0, 6), max_terms=5,
+                              max_order=3, max_degree=3, zero_prob=0.5)
+            for g in (f, *derived_system(f, min(f.truncation, 2))):
+                assert tropicalize_poly(g) == Poly.make(
+                    g.nvars, {lam: rank2_val(a).value for lam, a in g.terms})
 
 
 def test_make_sums_repeated_and_cancelling_monomials():
@@ -414,6 +429,48 @@ def test_derived_system_matches_closed_forms():
 
     _, f = exp_equation(3, 10)
     assert derived_system(f, 0) == [f]
+
+
+def rand_leibniz_poly(rng, backend, nvars, n) -> DiffPoly:
+    """Up to four terms of degree <= 3 and order <= 3, each coefficient dense,
+    linear in t (its derivative chain ends at once), of high t-order, or
+    zero inside window n."""
+    terms = []
+    for _ in range(rng.randint(0, 4)):
+        lam = rand_exponent_matrix(rng, nvars, 3, 3)
+        kind = rng.choice(("dense", "linear", "high", "outside"))
+        if kind == "dense":
+            c = rand_power_series(rng, backend, n)
+        elif kind == "linear":
+            c = PowerSeries.from_coeffs(backend, n, (rand_elem(rng, backend) for _ in range(2)))
+        else:
+            low = max(n - 1, 0) if kind == "high" else n + 1
+            c = PowerSeries.from_coeffs(backend, n + 2, [backend.zero()] * low + [
+                rand_elem(rng, backend) for _ in range(n + 3 - low)])
+        terms.append((lam, c))
+    return DiffPoly.make(backend, nvars, n, terms)
+
+
+def test_derived_system_matches_iterated_derivatives():
+    """The Leibniz-rule family equals m one-step derivatives, windows included,
+    for every m <= N; m = N + 1 raises as the N + 1-th step does."""
+    rng = rng_for("leibniz-family")
+    backends = (TRIVIAL, FieldBackend("padic", 2), PADIC3, EISEN3, EISEN5)
+    for backend in backends:
+        for n in range(9):
+            polys = [rand_leibniz_poly(rng, backend, rng.randint(1, 2), n) for _ in range(3)]
+            polys.append(DiffPoly.zero(backend, 2, n))
+            for f in polys:
+                oracle = iterated_derived_system(f, n)
+                for m in range(n + 1):
+                    assert derived_system(f, m) == oracle[:m + 1], (backend, n, m, f)
+                with pytest.raises(TruncationExhausted) as want:
+                    oracle[-1].diff()
+                with pytest.raises(TruncationExhausted) as got:
+                    derived_system(f, n + 1)
+                assert str(got.value) == str(want.value)
+    f = parse_poly("x^3000000 - x", PADIC3, 1, 6)
+    assert derived_system(f, 2) == iterated_derived_system(f, 2)
 
 
 def test_is_tropical_solution_and_perturbation():

@@ -99,6 +99,20 @@ def test_number_token_digit_limit(monkeypatch):
         parse_poly("x + " + "1" * 51, PADIC3, 1, 4)
 
 
+def test_exponent_digit_limit():
+    """Exponents and derivative orders of MAX_EXPONENT_DIGITS digits are read;
+    one digit more is a syntax error at the token."""
+    top = "9" * parser.MAX_EXPONENT_DIGITS
+    big = ExponentMatrix.make({(0, 0): int(top)})
+    assert parse_poly(f"x^{top}", PADIC3, 1, 4).terms[0][0] == big
+    assert parse_poly(f"x^({top})", PADIC3, 1, 4).terms[0][0] == ExponentMatrix.var(0, int(top))
+    for src, pos in ((f"x + x^{top}9", 6), (f"x^({top}9)", 3)):
+        with pytest.raises(PolySyntaxError, match=f"an exponent of {len(top) + 1} digits "
+                                                  r"exceeds the limit of 1000 digits "
+                                                  rf"\(at position {pos}\)"):
+            parse_poly(src, PADIC3, 1, 4)
+
+
 def test_print_examples():
     _, f = exp_equation(3, 12)
     assert print_poly(tropicalize_poly(f)) == "x' + (2, 3/2)*x"
