@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -24,6 +23,7 @@ from .parser import print_poly
 from .radius import (
     RadiusRule,
     base_change,
+    check_rule,
     describe_radius,
     fit_rule,
     radius_from_rule,
@@ -163,7 +163,7 @@ def _parse_rule_spec(spec: str, p: Optional[int], series) -> RadiusRule:
     corr = {"corr": True, "nocorr": False, "1": True, "0": False}.get(parts[3])
     if corr is None:
         raise ValueError("the correction flag must be corr/nocorr")
-    return RadiusRule(stride, slope, offset, corr, p)
+    return check_rule(RadiusRule(stride, slope, offset, corr, p), series)
 
 
 def cmd_radius(args) -> int:
@@ -229,15 +229,12 @@ def cmd_solve_linear(args) -> int:
 
 
 def cmd_verify_ft(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("TROPDIFF_SEED") or DEFAULT_SEED)
     n, m = _window(args.p, args.truncation, args.order)
     if args.count < 1:
         raise ValueError("count must be >= 1")
-    report = verify_ft(args.p, args.count, n, m, seed)
+    report = verify_ft(args.p, args.count, n, m, args.seed)
     print(report.format_text())
-    _write_json(args.json, {"command": "verify-ft", "seed": seed, **report.to_dict()})
+    _write_json(args.json, {"command": "verify-ft", "seed": args.seed, **report.to_dict()})
     return 0 if report.passed else 1
 
 
@@ -254,8 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.
 
     argparse trees are reference cycles, so a parser per call would leave
-    its objects to the cyclic collector.  Defaults that read the
-    environment are therefore resolved by the commands, not here.
+    its objects to the cyclic collector.
     """
     top = argparse.ArgumentParser(
         prog="tropdiff",
@@ -301,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ft.add_argument("--count", type=int, default=50)
     p_ft.add_argument("--truncation", type=int)
     p_ft.add_argument("--order", type=int)
-    p_ft.add_argument("--seed", type=int)  # default: TROPDIFF_SEED, read per call
+    p_ft.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_ft.add_argument("--json")
     p_ft.set_defaults(func=cmd_verify_ft)
 

@@ -64,22 +64,9 @@ class ExponentMatrix:
     def var(i: int, j: int) -> "ExponentMatrix":
         return ExponentMatrix((((i, j), 1),))
 
-    def degree(self) -> int:
-        return self._key[0]
-
-    def order(self) -> int:
-        """Largest derivative order appearing; -1 for the constant monomial."""
-        return max((j for (_, j), _ in self.entries), default=-1)
-
     @property
     def is_constant(self) -> bool:
         return not self.entries
-
-    def exponent(self, i: int, j: int) -> int:
-        for ij, e in self.entries:
-            if ij == (i, j):
-                return e
-        return 0
 
     def __mul__(self, other: "ExponentMatrix") -> "ExponentMatrix":
         merged = dict(self.entries)
@@ -205,12 +192,6 @@ class DiffPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def order(self) -> int:
-        return max((lam.order() for lam, _ in self.terms), default=-1)
-
-    def degree(self) -> int:
-        return max((lam.degree() for lam, _ in self.terms), default=0)
 
     def coefficient(self, lam: ExponentMatrix) -> PowerSeries:
         for mu, c in self.terms:
@@ -459,10 +440,6 @@ def derived_system(f: DiffPoly, m: int) -> list[DiffPoly]:
                     terms.append((mu, t))
         out.append(DiffPoly.make(f.backend, f.nvars, window, terms))
     return out
-
-
-def derived_tropical_system(f: DiffPoly, m: int) -> list[Poly]:
-    return [tropicalize_poly(g) for g in derived_system(f, m)]
 
 
 @dataclass(frozen=True, slots=True)

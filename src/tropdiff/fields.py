@@ -86,11 +86,6 @@ class FieldBackend:
         return self.p - 1 if self.kind == "eisenstein" else 1
 
     @property
-    def residue_char(self) -> int:
-        """Characteristic of the residue field (0 means the residue field is Q)."""
-        return 0 if self.kind == "trivial" else self.p
-
-    @property
     def nat_val(self) -> NatValuation:
         """The valuation on N matching this field's tropical differential."""
         return NatValuation(None if self.kind == "trivial" else self.p)
@@ -419,9 +414,7 @@ class ResidueElem:
     value: Union[int, Fraction]
 
     @staticmethod
-    def of(p: Optional[int], x: Rat) -> "ResidueElem":
-        if p is None:
-            return ResidueElem(None, Fraction(x))
+    def of(p: int, x: Rat) -> "ResidueElem":
         q = Fraction(x)
         if q.denominator % p == 0:
             raise NegativeValuation(f"{x} has no residue mod {p}")
@@ -433,23 +426,9 @@ class ResidueElem:
     def is_zero(self) -> bool:
         return self.value == 0
 
-    def _check(self, other: "ResidueElem"):
+    def __mul__(self, other: "ResidueElem") -> "ResidueElem":
         if self.p != other.p:
             raise ValueError("mixed residue fields")
-
-    def __add__(self, other: "ResidueElem") -> "ResidueElem":
-        self._check(other)
-        v = self.value + other.value
-        return ResidueElem(self.p, v % self.p if self.p else v)
-
-    def __neg__(self) -> "ResidueElem":
-        return ResidueElem(self.p, (-self.value) % self.p if self.p else -self.value)
-
-    def __sub__(self, other: "ResidueElem") -> "ResidueElem":
-        return self + (-other)
-
-    def __mul__(self, other: "ResidueElem") -> "ResidueElem":
-        self._check(other)
         v = self.value * other.value
         return ResidueElem(self.p, v % self.p if self.p else v)
 

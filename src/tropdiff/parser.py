@@ -16,13 +16,16 @@ printer never emits it (a leading negative term prints as "0 - ...").
 Derivatives print as primes up to order 3 and as "^(j)" beyond.  Rationals
 are read in full up to MAX_DIGITS digits; exponents and derivative orders
 have at most MAX_EXPONENT_DIGITS digits; parentheses nest at most
-MAX_NESTING deep.
+MAX_NESTING deep; a power n of a sum of k >= 2 terms, which has up to
+C(n + k - 1, k - 1) monomials, is refused when that bound exceeds
+MAX_POWER_TERMS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Union
 
 from .diffpoly import DiffPoly, ExponentMatrix, Poly
@@ -34,6 +37,10 @@ from .series import PowerSeries
 _SYMBOLS = "+-*^()'"
 MAX_NESTING = 200  # parenthesis depth, well inside the interpreter's recursion limit
 MAX_EXPONENT_DIGITS = 1000  # inside the interpreter's int/str digit limit
+# Monomials in a power of a sum.  Repeated squaring multiplies every pair of
+# terms, so the cost grows with the square of the count: (x + 1)^499, with
+# 500 monomials, parses in about 2 s, (x + 1)^999 in about 10 s.
+MAX_POWER_TERMS = 500
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,7 +130,12 @@ class _Parser:
             if tok.kind != "num":
                 raise PolySyntaxError("expected a nonnegative integer exponent",
                                       tok.pos if tok.kind != "end" else caret.pos)
-            result = result ** _exponent(tok)
+            n, k = _exponent(tok), len(result.terms)
+            # C(n + k - 1, k - 1) > n: a large n is refused before comb runs
+            if k >= 2 and (n > MAX_POWER_TERMS or comb(n + k - 1, k - 1) > MAX_POWER_TERMS):
+                raise PolySyntaxError(f"a power of a sum of {k} terms may have more than "
+                                      f"{MAX_POWER_TERMS} monomials", caret.pos)
+            result = result ** n
         return result
 
     def atom(self) -> DiffPoly:
@@ -239,11 +251,13 @@ def _field_scalar_str(c: FieldElem) -> tuple[int, list[str]]:
     Eisenstein elements come back as a single parenthesized factor."""
     nonzero = [(i, q) for i, q in enumerate(c.coeffs) if q != 0]
     if len(nonzero) > 1:
-        terms = (_field_scalar_str(c.backend.from_coeffs(
-                     tuple(q if k == i else Fraction(0) for k in range(len(c.coeffs)))))
-                 for i, q in nonzero)
-        return 1, ["(" + _signed_sum((sign, "*".join(f) or "1") for sign, f in terms) + ")"]
-    i, q = nonzero[0]
+        terms = (_component_str(i, q) for i, q in nonzero)
+        return 1, ["(" + _signed_sum((sign, "*".join(f)) for sign, f in terms) + ")"]
+    return _component_str(*nonzero[0])
+
+
+def _component_str(i: int, q: Fraction) -> tuple[int, list[str]]:
+    """Render the nonzero component q*zeta^i as (sign, product factors)."""
     sign = 1 if q > 0 else -1
     factors = []
     if abs(q) != 1 or i == 0:

@@ -15,6 +15,8 @@ A finite truncation cannot certify a liminf, so estimates come in two kinds:
 whose liminf is (slope - [corr]/(p-1)) / stride exactly (the digit-sum part
 of Legendre's formula contributes 0 along m = p^k), and
 ``window-lower-bound`` for the finite-sample proxy min a_i / i over a window.
+Every rule, given or fitted, is checked against its window first
+(`check_rule`); a window that both laws fit cannot tell them apart.
 """
 
 from __future__ import annotations
@@ -36,18 +38,13 @@ LOG_INF = float("inf")
 
 @dataclass(frozen=True, slots=True)
 class RadiusRule:
-    """Coefficient law supported on an arithmetic progression of exponents.
-
-    `finite_support` marks a polynomial (all-infinite tail), whose radius is
-    infinite regardless of the other fields.
-    """
+    """Coefficient law supported on an arithmetic progression of exponents."""
 
     stride: int
     slope: Fraction
     offset: Fraction = Fraction(0)
     factorial_correction: bool = False
     p: Optional[int] = None
-    finite_support: bool = False
 
     def __post_init__(self):
         if self.stride < 1:
@@ -57,7 +54,7 @@ class RadiusRule:
 
     def coefficient(self, n: int) -> TropNum:
         """The coefficient of t^n prescribed by the rule."""
-        if self.finite_support or n % self.stride:
+        if n % self.stride:
             return T_INF
         m = n // self.stride
         a = self.slope * m + self.offset
@@ -87,8 +84,6 @@ class RadiusEstimate:
 
 def radius_from_rule(rule: RadiusRule) -> RadiusEstimate:
     """Exact log-radius of a rule-described series."""
-    if rule.finite_support:
-        return RadiusEstimate(LOG_INF, "exact-from-rule")
     log = rule.slope
     if rule.factorial_correction:
         log -= Fraction(1, rule.p - 1)
@@ -181,50 +176,53 @@ def base_change(est: RadiusEstimate, c: Rat, cprime: Rat) -> BaseChange:
     return BaseChange(c, log, cprime, float(log) * _log(c) / _log(cprime), False)
 
 
-def classical_radius(a: PowerSeries, window_start: Optional[int] = None,
-                     rule: Optional[RadiusRule] = None) -> RadiusEstimate:
-    """Radius of a classical series, computed on its tropicalization.
-
-    Uses the rule path when a rule is supplied, the window path otherwise.
-    """
+def classical_radius(a: PowerSeries, window_start: Optional[int] = None) -> RadiusEstimate:
+    """Window estimate of a classical series' radius, computed on its tropicalization."""
     if a.backend.kind == "trivial":
         raise TrivialBackend("radius of convergence needs a nontrivial valuation")
-    if rule is not None:
-        return radius_from_rule(rule)
     return radius_window_estimate(tropicalize_series(a), window_start)
+
+
+def _check_support(a: TropSeries, stride: int):
+    """The finite terms of `a` must sit at exactly the multiples of `stride`."""
+    if any(n % stride for n, _ in a.terms):
+        raise InvalidRule(f"support is not contained in {stride}*N")
+    if len(a.terms) != a.truncation // stride + 1:
+        raise InvalidRule("some multiples of the stride have infinite "
+                          "coefficients; not a rule-described series")
+
+
+def check_rule(rule: RadiusRule, a: TropSeries) -> RadiusRule:
+    """`rule`, when every coefficient in the window of `a` is the rule's; else InvalidRule."""
+    _check_support(a, rule.stride)
+    for n, c in a.terms:
+        if c != rule.coefficient(n):
+            raise InvalidRule(f"the coefficient of t^{n} is {c}, the rule gives "
+                              f"{rule.coefficient(n)}")
+    return rule
 
 
 def fit_rule(a: TropSeries, stride: int, p: Optional[int]) -> RadiusRule:
     """Recover a coefficient rule from a truncated series, or fail.
 
-    Tries the factorial-corrected law first (when p is available), then the
-    uncorrected one; every coefficient in the window must match exactly.
+    v_p(0!) = v_p(1!) = 0, so both laws, factorial-corrected (when p is
+    available) and plain, pass through a_0 and a_stride; each is then checked
+    against the window as `check_rule` checks a given rule, up to its first
+    mismatch.  Both fit only when the window has no m >= p, where
+    v_p(m!) > 0; their radii differ, so such a window is refused.
     """
-    if stride < 1:
-        raise InvalidRule("stride must be a positive natural")
-    finite = [(n, c.value) for n, c in a.terms]
-    if not finite:
-        raise InvalidRule("all coefficients are infinite; no rule to fit")
-    if any(n % stride for n, _ in finite):
-        raise InvalidRule(f"support is not contained in {stride}*N")
-    multiples = list(range(0, a.truncation + 1, stride))
-    if len(finite) < len(multiples):
-        raise InvalidRule("some multiples of the stride have infinite "
-                          "coefficients; not a rule-described series")
-    corrections = [True, False] if p is not None else [False]
-    for corr in corrections:
-        g = {n // stride: (v + (v_p_factorial(n // stride, p) if corr else 0))
-             for n, v in finite}
-        ms = sorted(g)
-        if len(ms) == 1:
-            slope, offset = Fraction(0), g[ms[0]]
-        else:
-            m0, m1 = ms[0], ms[1]
-            slope = Fraction(g[m1] - g[m0], m1 - m0)
-            offset = g[m0] - slope * m0
-        if all(g[m] == slope * m + offset for m in ms):
-            return RadiusRule(stride, slope, offset, corr, p)
-    raise InvalidRule("coefficients do not follow an affine law in m")
+    values = [Fraction(c.value) for _, c in a.terms[:2]] or [Fraction(0)]
+    laws = [RadiusRule(stride, values[-1] - values[0], values[0], corr, p)
+            for corr in ((True, False) if p is not None else (False,))]
+    _check_support(a, stride)
+    fits = [rule for rule in laws if all(c == rule.coefficient(n) for n, c in a.terms)]
+    if not fits:
+        raise InvalidRule("coefficients do not follow an affine law in m")
+    if len(fits) == 2:
+        corrected, plain = (radius_from_rule(rule).log_str() for rule in fits)
+        raise InvalidRule(f"the factorial-corrected law (log_r = {corrected}) and the plain "
+                          f"law (log_r = {plain}) both fit the window; a longer window decides")
+    return fits[0]
 
 
 def _power_prints(x: int, k: int) -> bool:

@@ -360,16 +360,8 @@ def psi_one(a: Sequence[FieldElem], backend: FieldBackend) -> PowerSeries:
     return PowerSeries.from_coeffs(backend, len(a) - 1, cs)
 
 
-def psi(a: Sequence[Sequence[FieldElem]], backend: FieldBackend) -> tuple[PowerSeries, ...]:
-    return tuple(psi_one(ai, backend) for ai in a)
-
-
 def psi_one_inverse(s: PowerSeries) -> tuple[FieldElem, ...]:
     return tuple(c * math.factorial(j) for j, c in enumerate(s.coeffs))
-
-
-def psi_inverse(series: Sequence[PowerSeries]) -> tuple[tuple[FieldElem, ...], ...]:
-    return tuple(psi_one_inverse(s) for s in series)
 
 
 def psi_trop(b: Sequence[TropNum], nat_val: NatValuation) -> TropSeries:

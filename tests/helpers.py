@@ -288,7 +288,7 @@ class Laurent:
     def residue_class(self) -> ResidueElem:
         """Image in R/m for an element of valuation >= (0, 0)."""
         v = self.rank2_valuation()
-        p = self.backend.residue_char or None
+        p = self.backend.p
         if v is None:
             return ResidueElem(p, 0 if p else Fraction(0))
         assert v >= (0, 0), "literal h_S coefficient left the valuation ring"

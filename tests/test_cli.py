@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -252,6 +253,20 @@ def test_long_exponent_order_and_index_exit_2(capsys, tmp_path, poly, message):
     assert capsys.readouterr() == ("", f"tropdiff: {message}\n")
 
 
+def test_power_of_a_sum_is_bounded(capsys, tmp_path):
+    """(x+x'+x''+x''')^60 may have C(63, 3) = 39,711 monomials: it exits 2 at
+    once, with the position of its ^, while a power of one term is not
+    bounded."""
+    system = _write(tmp_path, "sys.json", {"field": {"kind": "padic", "p": 3}, "vars": 1,
+                                           "truncation": 4,
+                                           "polynomials": ["(x+x'+x''+x''')^60"]})
+    start = time.perf_counter()
+    assert main(["tropicalize", "--system", system]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("", "tropdiff: a power of a sum of 4 terms may have "
+                                       "more than 500 monomials (at position 15)\n")
+
+
 def test_padded_variable_index_is_read(capsys, tmp_path):
     """Leading zeros do not count against the index length: x0...01 is x1."""
     system = _write(tmp_path, "sys.json", {"field": {"kind": "padic", "p": 3}, "vars": 2,
@@ -276,7 +291,7 @@ def test_radius_of_a_huge_integral_log_prints_a_power(capsys, tmp_path, val):
     form, without computing 3^L."""
     path = tmp_path / "trop.json"
     path.write_text(json.dumps({"p": 3, "truncation": 2, "coeffs": [
-        {"n": 1, "val": val}, {"n": 2, "val": str(2 * int(val))}]}))
+        {"n": 0, "val": "0"}, {"n": 1, "val": val}, {"n": 2, "val": str(2 * int(val))}]}))
     for extra in ([], ["--rule", f"1,{val},0,nocorr"]):
         start = time.perf_counter()
         assert main(["radius", "--series", str(path), *extra]) == 0
@@ -292,11 +307,73 @@ def test_radius_of_a_huge_integral_log_prints_a_power(capsys, tmp_path, val):
 ])
 def test_radius_parenthesises_a_fractional_base(capsys, tmp_path, rule, base, r):
     """A power of a fractional base reads (7/2)^(1/2), not 7/2^(1/2), also
-    when r has too many digits; integral bases and printed r are unchanged."""
+    when r has too many digits; integral bases and printed r are unchanged.
+    Each series follows its rule a_(d*m) = q*m."""
+    d, q = (int(x) for x in rule.split(",")[:2])
     path = tmp_path / "trop.json"
-    path.write_text(json.dumps({"p": 2, "truncation": 4, "coeffs": [{"n": 0, "val": "0"}]}))
+    path.write_text(json.dumps({"p": 2, "truncation": 4, "coeffs": [
+        {"n": d * m, "val": str(q * m)} for m in range(4 // d + 1)]}))
     assert main(["radius", "--series", str(path), "--rule", rule, "--base", base]) == 0
     assert f", r = {r} (base {base})\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("record, rule, message", [
+    ({"truncation": 2, "coeffs": [{"n": 0, "val": "0"}]}, "p,auto",
+     "--rule p,... needs a field with a prime"),
+    ({"p": 3, "truncation": 2, "coeffs": [{"n": 0, "val": "0"}]}, "1,2",
+     "--rule takes 'd,auto' or 'd,q,offset,corr'"),
+    ({"p": 3, "truncation": 2, "coeffs": [{"n": 0, "val": "0"}]}, "1,0,0,maybe",
+     "the correction flag must be corr/nocorr"),
+], ids=["stride-p-without-prime", "two-fields", "correction-flag"])
+def test_malformed_rule_exits_2(capsys, tmp_path, record, rule, message):
+    path = _write(tmp_path, "trop.json", record)
+    assert main(["radius", "--series", path, "--rule", rule, "--base", "2"]) == 2
+    assert capsys.readouterr() == ("", f"tropdiff: {message}\n")
+
+
+def test_inexact_base_change_is_marked_approximate(capsys, tmp_path):
+    """log_r = 1 in base 3 is log_2(3) in base 2, which is irrational: the
+    text says "(approximate)" and the report says "exact": false."""
+    path = _write(tmp_path, "trop.json", {"p": 3, "truncation": 4, "coeffs": [
+        {"n": n, "val": str(n)} for n in range(5)]})
+    json_path = tmp_path / "radius.json"
+    assert main(["radius", "--series", path, "--base2", "2", "--json", str(json_path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("log_r = 1, r = 3 (base 3)")
+    assert f"in base 2: log_r = {math.log(3) / math.log(2)!r} (approximate)\n" in out
+    change = json.loads(json_path.read_text())["base_change"]
+    assert change["base"] == "2" and change["exact"] is False
+    assert float(change["log_radius"]) == pytest.approx(math.log2(3))
+
+
+@pytest.mark.parametrize("rule, message", [
+    ("3,1/2,0,corr", "support is not contained in 3*N"),
+    ("1,-12,5,nocorr", "some multiples of the stride have infinite coefficients; "
+                       "not a rule-described series"),
+    ("3,auto", "support is not contained in 3*N"),
+])
+def test_radius_refuses_a_rule_its_window_contradicts(capsys, tmp_path, rule, message):
+    """A given rule is checked against every coefficient like a fitted one:
+    a contradicted rule is a mathematical failure, exit 1, with no report."""
+    path = _write(tmp_path, "trop.json", {"p": 3, "truncation": 6, "coeffs": [
+        {"n": 0, "val": "5"}, {"n": 1, "val": "-7"}, {"n": 4, "val": "2"}]})
+    json_path = tmp_path / "radius.json"
+    assert main(["radius", "--series", path, "--rule", rule, "--json", str(json_path)]) == 1
+    assert capsys.readouterr() == ("", f"tropdiff: {message}\n")
+    assert not json_path.exists()
+
+
+def test_radius_refuses_a_window_that_two_laws_fit(capsys, tmp_path):
+    """a_n = n at p = 3 follows the plain law with log_r = 1; up to t^2,
+    where v_3(m!) = 0, the factorial-corrected law with log_r = 1/2 fits too."""
+    for n, code in ((2, 1), (8, 0)):
+        path = _write(tmp_path, "trop.json", {"p": 3, "truncation": n, "coeffs": [
+            {"n": k, "val": str(k)} for k in range(n + 1)]})
+        assert main(["radius", "--series", path, "--rule", "1,auto"]) == code
+    assert capsys.readouterr() == (
+        "log_r = 1, r = 3 (base 3)\n",
+        "tropdiff: the factorial-corrected law (log_r = 1/2) and the plain law "
+        "(log_r = 1) both fit the window; a longer window decides\n")
 
 
 def test_verify_ft(capsys, tmp_path):
@@ -309,33 +386,17 @@ def test_verify_ft(capsys, tmp_path):
     assert data["passed"] and len(data["steps"]) == 10
 
 
-def test_seed_env_override(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("TROPDIFF_SEED", "424242")
-    out_path = tmp_path / "ft.json"
-    assert main(["verify-ft", "--p", "3", "--count", "2",
-                 "--truncation", "12", "--order", "4",
-                 "--json", str(out_path)]) == 0
-    capsys.readouterr()
-    assert json.loads(out_path.read_text())["seed"] == 424242
-
-
-def test_seed_env_read_after_first_main(capsys, monkeypatch, tmp_path):
-    """The parser is built once per process; TROPDIFF_SEED is still read per call."""
+def test_seed_default_and_flag_after_first_main(capsys, tmp_path):
+    """The parser is built once per process; --seed defaults to DEFAULT_SEED
+    and is read on every call."""
     argv = ["verify-ft", "--p", "3", "--count", "1", "--truncation", "8", "--order", "2",
             "--json", str(tmp_path / "ft.json")]
-    monkeypatch.delenv("TROPDIFF_SEED", raising=False)
     seeds = []
-    for value in (None, "424242", "7", None):
-        if value is not None:
-            monkeypatch.setenv("TROPDIFF_SEED", value)
-        else:
-            monkeypatch.delenv("TROPDIFF_SEED", raising=False)
-        assert main(argv) == 0
+    for extra in ([], ["--seed", "5"], []):
+        assert main(argv + extra) == 0
         seeds.append(json.loads((tmp_path / "ft.json").read_text())["seed"])
-    assert main(argv[:-2] + ["--seed", "5", "--json", argv[-1]]) == 0
-    seeds.append(json.loads((tmp_path / "ft.json").read_text())["seed"])
     capsys.readouterr()
-    assert seeds == [DEFAULT_SEED, 424242, 7, DEFAULT_SEED, 5]
+    assert seeds == [DEFAULT_SEED, 5, DEFAULT_SEED]
 
 
 def test_check_leaves_no_cyclic_garbage(capsys):

@@ -11,7 +11,6 @@ from tropdiff.diffpoly import (
     Poly,
     at_vector,
     derived_system,
-    derived_tropical_system,
     eval_classical,
     eval_tropical,
     evaluate,
@@ -26,7 +25,7 @@ from tropdiff.semiring import T_INF, TropNum, Trop2, v_p
 from tropdiff.series import (
     PowerSeries,
     TropSeries,
-    psi,
+    psi_one,
     psi_trop_inverse,
     rank2_val,
     sigma0,
@@ -66,11 +65,11 @@ def mono(backend, n, c, k):
 
 def test_exponent_matrix():
     m = ExponentMatrix.make({(0, 0): 1, (0, 3): 1})
-    assert m.degree() == 2 and m.order() == 3
-    assert (X * X1).exponent(0, 0) == 1
+    assert m.sort_key()[0] == 2 and max(j for (_, j), _ in m.entries) == 3
+    assert dict((X * X1).entries).get((0, 0), 0) == 1
     assert X.bump(0, 0) == X1
     assert ExponentMatrix.make({(0, 0): 2}).bump(0, 0) == X * X1
-    assert CONSTANT_MONOMIAL.order() == -1
+    assert CONSTANT_MONOMIAL.is_constant and CONSTANT_MONOMIAL.sort_key() == (0, ())
 
 
 def test_diff_examples():
@@ -149,9 +148,9 @@ def test_bump_matches_dict_oracle():
             want = bump_by_dict(lam, i, j)
             assert got == want and got.entries == want.entries
             assert hash(got) == hash(want) and got.sort_key() == want.sort_key()
-            assert got.degree() == lam.degree()
+            assert got.sort_key()[0] == lam.sort_key()[0]
         i, j = rng.randrange(3), rng.randint(0, 4)
-        if lam.exponent(i, j) == 0:
+        if dict(lam.entries).get((i, j), 0) == 0:
             with pytest.raises(ValueError):
                 bump_by_dict(lam, i, j)
             with pytest.raises(ValueError):
@@ -423,7 +422,7 @@ def test_derived_system_matches_closed_forms():
     for p in (2, 3, 5):
         n_max = 2 * p + 2
         _, f = exp_equation(p, 3 * p + 4)
-        system = derived_tropical_system(f, n_max)
+        system = [tropicalize_poly(g) for g in derived_system(f, n_max)]
         for n, g in enumerate(system):
             assert g == closed_form_derived_trop(p, n), (p, n)
 
@@ -476,7 +475,7 @@ def test_derived_system_matches_iterated_derivatives():
 def test_is_tropical_solution_and_perturbation():
     p = 3
     _, f = exp_equation(p, 18)
-    system = derived_tropical_system(f, 9)
+    system = [tropicalize_poly(g) for g in derived_system(f, 9)]
     s = exp_tropical_closed_form(p, 18)
     report = is_tropical_solution(system, (s,))
     assert report.all_vanish and not report.truncation_limited
@@ -504,7 +503,7 @@ def check_taylor_identity(count=100):
                           max_degree=2)
         vecs = tuple(tuple(rand_elem(rng, backend) for _ in range(9))
                      for _ in range(nvars))
-        lhs = eval_classical(f, psi(vecs, backend))
+        lhs = eval_classical(f, tuple(psi_one(v, backend) for v in vecs))
         for r in range(lhs.truncation + 1):
             fr = f_lr(f, r)
             expected = kpoly_evaluate(fr, vecs) * backend.elem(

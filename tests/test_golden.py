@@ -59,8 +59,7 @@ FAILING = {"check-shift.json", "initial-shift.json", "check-ambiguous.json"}  # 
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
-def test_report_matches_golden(name, argv, tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("TROPDIFF_SEED", raising=False)
+def test_report_matches_golden(name, argv, tmp_path, capsys):
     out = tmp_path / name
     assert main(argv + ["--json", str(out)]) == (1 if name in FAILING else 0)
     capsys.readouterr()

@@ -10,6 +10,7 @@ from tropdiff.radius import (
     RadiusRule,
     _exact_log_ratio,
     base_change,
+    check_rule,
     classical_radius,
     describe_radius,
     fit_rule,
@@ -39,9 +40,6 @@ def test_rule_examples():
     for p in (2, 3, 5):
         est = radius_from_rule(exp_rule(p))
         assert est.log_radius == 0 and est.kind == "exact-from-rule"
-
-    poly = RadiusRule(1, Fraction(0), finite_support=True)
-    assert radius_from_rule(poly).log_radius == LOG_INF
 
     flat = RadiusRule(1, Fraction(0))
     assert radius_from_rule(flat).log_radius == 0
@@ -121,7 +119,7 @@ def test_base_change():
     inexact = base_change(est, 2, 3)
     assert not inexact.exact
 
-    infinite = radius_from_rule(RadiusRule(1, Fraction(0), finite_support=True))
+    infinite = radius_window_estimate(TropSeries(NatValuation(3), 10, ()))
     assert base_change(infinite, 2, 3).new_log_radius == LOG_INF
 
     with pytest.raises(BadBase):
@@ -214,15 +212,12 @@ def test_classical_radius():
     classical_est = classical_radius(sol, window_start=100)
     assert classical_est == trop_est
 
-    assert classical_radius(sol, rule=exp_rule(p)).log_radius == 0
-
     # geometric series sum p^m t^m: |p^m| r^m -> 0 iff r < p, so log_p r = 1
     geo = PowerSeries.from_coeffs(PADIC3, 30, [PADIC3.elem(3 ** m) for m in range(31)])
     trop = tropicalize_series(geo)
     assert all(c.value == k for k, c in enumerate(trop.coeffs))
     est = classical_radius(geo, window_start=10)
     assert est.log_radius == 1
-    assert classical_radius(geo, rule=RadiusRule(1, Fraction(1))).log_radius == 1
 
     zero = PowerSeries.zero(PADIC3, 20)
     assert classical_radius(zero, window_start=5).log_radius == LOG_INF
@@ -250,6 +245,44 @@ def test_fit_rule():
         fit_rule(bad, 1, 3)
 
 
+def test_fit_rule_refuses_a_window_that_both_laws_fit():
+    """exp's closed form follows the factorial-corrected law; the plain law
+    through a_0 and a_p also fits exactly the windows with no m >= p, where
+    v_p(m!) = 0, and gives another radius, so those windows are refused."""
+    for p in (2, 3, 5):
+        nv = NatValuation(p)
+        plain = RadiusRule(p, Fraction(1, p - 1), Fraction(0), False, p)
+        refused = []
+        for n in range(p, 4 * p + 1):
+            s = exp_tropical_closed_form(p, n)
+            assert exp_rule(p).series(nv, n) == s
+            if plain.series(nv, n) == s:
+                refused.append(n)
+                with pytest.raises(InvalidRule, match="both fit the window"):
+                    fit_rule(s, p, p)
+            else:
+                assert fit_rule(s, p, p) == exp_rule(p)
+        assert refused == list(range(p, min(p * p, 4 * p + 1)))
+
+
+def test_check_rule():
+    """A rule is returned when its window follows it, refused otherwise."""
+    nv = NatValuation(3)
+    geo = TropSeries.from_coeffs(nv, 10, tuple(TropNum.of(k) for k in range(11)))
+    rule = RadiusRule(1, Fraction(1))
+    assert check_rule(rule, geo) is rule
+    for wrong in (RadiusRule(1, Fraction(1), Fraction(1)), RadiusRule(1, Fraction(2)),
+                  RadiusRule(2, Fraction(2)), RadiusRule(1, Fraction(1), Fraction(0), True, 3)):
+        with pytest.raises(InvalidRule):
+            check_rule(wrong, geo)
+    with pytest.raises(InvalidRule, match=r"coefficient of t\^1 is 1, the rule gives 2$"):
+        check_rule(RadiusRule(1, Fraction(2)), geo)
+    closed = exp_tropical_closed_form(3, 30)
+    assert check_rule(exp_rule(3), closed) == exp_rule(3)
+    with pytest.raises(InvalidRule, match="infinite coefficients"):
+        check_rule(exp_rule(3), TropSeries(closed.nat_val, 30, closed.terms[:-1]))
+
+
 def test_describe_radius():
     assert describe_radius(radius_from_rule(exp_rule(3)), 3) == \
         "log_r = 0, r = 1 (base 3)"
@@ -257,7 +290,7 @@ def test_describe_radius():
     assert "3^(1/2)" in describe_radius(
         radius_from_rule(RadiusRule(2, Fraction(1))), 3)
     assert "r = inf" in describe_radius(
-        radius_from_rule(RadiusRule(1, Fraction(0), finite_support=True)), 3)
+        radius_window_estimate(TropSeries(NatValuation(3), 10, ())), 3)
 
 
 def test_describe_radius_prints_r_within_the_digit_limit():

@@ -15,8 +15,6 @@ from tropdiff.series import (
     LeadingTerm,
     PowerSeries,
     TropSeries,
-    psi,
-    psi_inverse,
     psi_one,
     psi_one_inverse,
     psi_trop,
@@ -249,7 +247,7 @@ def check_psi_roundtrips(count=1000):
         vecs = tuple(tuple(rand_elem(rng, backend) for _ in range(rng.randint(1, 7)))
                      for _ in range(rng.randint(1, 2)))
         if len({len(v) for v in vecs}) == 1:
-            assert psi_inverse(psi(vecs, backend)) == vecs
+            assert tuple(psi_one_inverse(psi_one(v, backend)) for v in vecs) == vecs
         nv = backend.nat_val
         s = rand_trop_series(rng, nv, rng.randint(0, 8))
         assert psi_trop(psi_trop_inverse(s), nv) == s
