@@ -20,6 +20,15 @@ coefficient at n = 3 raised from 1/2 to 3/2, so `check` fails and
 truncation 2) at order 4 gives `check` rows flagged truncation-limited,
 and `initial` raises TruncationAmbiguous: no report, the message of
 initial-ambiguous.stderr on stderr.
+
+sys-p5.json is a two-variable system over Q(zeta), p = 5 (value group
+(1/4)Z), in the shape of the benchmark's system-check systems: one
+nonlinear generator and x1' - G1*x1, x2' - G2*x2.  cand-p5.json is the
+tropicalized solution with the x1 coefficient at n = 2 set to 1/3, a value
+outside (1/4)Z, and the x2 coefficients past n = 3 dropped, so `check`
+fails and has truncation-limited rows that do not make `initial` ambiguous.
+
+Every run's stdout is pinned too, in <name>.stdout beside its report.
 """
 
 from pathlib import Path
@@ -54,16 +63,22 @@ CASES = [
                             "--candidate", golden("cand-shift.json"), "--order", "9"]),
     ("check-ambiguous.json", ["check", "--system", golden("sys-ambiguous.json"),
                               "--candidate", golden("cand-ambiguous.json"), "--order", "4"]),
+    ("tropicalize-sys-p5.json", ["tropicalize", "--system", golden("sys-p5.json")]),
+    *((f"{command}-p5.json", [command, "--system", golden("sys-p5.json"),
+                              "--candidate", golden("cand-p5.json"), "--order", "4"])
+      for command in ("check", "initial")),
 ]
-FAILING = {"check-shift.json", "initial-shift.json", "check-ambiguous.json"}  # exit 1
+FAILING = {"check-shift.json", "initial-shift.json", "check-ambiguous.json",
+           "check-p5.json", "initial-p5.json"}  # exit 1
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
 def test_report_matches_golden(name, argv, tmp_path, capsys):
     out = tmp_path / name
     assert main(argv + ["--json", str(out)]) == (1 if name in FAILING else 0)
-    capsys.readouterr()
+    stdout = capsys.readouterr().out
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+    assert stdout == (GOLDEN / name.replace(".json", ".stdout")).read_text()
 
 
 def test_ambiguous_initial_matches_golden(tmp_path, capsys):
