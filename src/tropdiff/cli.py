@@ -63,10 +63,10 @@ def _write_json(path: Optional[str], payload: dict):
         files.dump_json({"schema": files.SCHEMA_VERSION, **payload}, path)
 
 
-def _report_line(rep, label: str) -> str:
+def _report_line(rep, value: str, label: str) -> str:
     extra = " (truncation-limited)" if rep.truncation_limited else ""
     verdict = "OK  " if rep.vanishes else "FAIL"
-    return (f"  [{verdict}] {label}: value {rep.value}, "
+    return (f"  [{verdict}] {label}: value {value}, "
             f"min attained {len(rep.attainment)}x{extra}")
 
 
@@ -76,11 +76,11 @@ def cmd_tropicalize(args) -> int:
     for f in polys:
         trop = tropicalize_poly(f)
         grig = trop.map(sigma0)
-        records.append({"input": print_poly(f), "rank2": print_poly(trop),
+        records.append({"input": print_poly(f), "rank2": print_poly(trop, backend.nat_val),
                         "grigoriev": print_poly(grig)})
-        print(f"f       = {print_poly(f)}")
-        print(f"trop_v  = {print_poly(trop)}")
-        print(f"trop_w  = {print_poly(grig)}")
+        print(f"f       = {records[-1]['input']}")
+        print(f"trop_v  = {records[-1]['rank2']}")
+        print(f"trop_w  = {records[-1]['grigoriev']}")
     _write_json(args.json, {"command": "tropicalize", "field": files.field_to_dict(backend),
                             "vars": nvars, "truncation": truncation, "polynomials": records})
     return 0
@@ -90,7 +90,8 @@ def _derive_and_evaluate(args):
     """Load system and candidate, derive to order m, evaluate each equation once.
 
     Returns the report header, the derived families and their solution
-    table, which `check` and `initial` both read their verdicts off.
+    table, which `check` and `initial` both read their verdicts off, and the
+    field's valuation unit.
     """
     backend, nvars, truncation, polys = files.system_from_dict(files.load_json(args.system))
     candidate = files.candidate_from_dict(files.load_json(args.candidate), backend.nat_val)
@@ -102,20 +103,21 @@ def _derive_and_evaluate(args):
         [tropicalize_poly(g) for family in families for g in family], candidate)
     header = {"field": files.field_to_dict(backend), "vars": nvars,
               "truncation": truncation, "order": m}
-    return header, families, solution
+    return header, families, solution, backend.nat_val
 
 
 def cmd_check(args) -> int:
-    header, families, report = _derive_and_evaluate(args)
+    header, families, report, nat_val = _derive_and_evaluate(args)
     labels = [(l, k) for l, family in enumerate(families) for k in range(len(family))]
     print(f"check: {len(families)} generator(s), derived to order m = {header['order']}, "
           f"truncation N = {header['truncation']}")
-    for (l, k), rep in zip(labels, report.reports):
-        print(_report_line(rep, f"generator {l}, d^{k}"))
+    values = [nat_val.to_text(rep.value) for rep in report.reports]
+    for (l, k), rep, value in zip(labels, report.reports, values):
+        print(_report_line(rep, value, f"generator {l}, d^{k}"))
     records = [{"generator": l, "order": k, "vanishes": rep.vanishes,
-                "value": str(rep.value), "attained": len(rep.attainment),
+                "value": value, "attained": len(rep.attainment),
                 "truncation_limited": rep.truncation_limited}
-               for (l, k), rep in zip(labels, report.reports)]
+               for (l, k), rep, value in zip(labels, report.reports, values)]
     _write_json(args.json, {"command": "check", **header,
                             "all_vanish": report.all_vanish,
                             "truncation_limited": report.truncation_limited,
@@ -131,7 +133,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_initial(args) -> int:
-    header, families, solution = _derive_and_evaluate(args)
+    header, families, solution, _ = _derive_and_evaluate(args)
     check = initial_system_monomial_check(families, solution)
     records = []
     for (l, k), form in check.initials:
@@ -150,19 +152,34 @@ def cmd_initial(args) -> int:
 
 
 def _parse_rule_spec(spec: str, p: Optional[int], series) -> RadiusRule:
+    """The rule of `--rule`, fitted or checked against `series`.
+
+    A malformed spec is a usage error (ValueError); only a rule the window
+    contradicts raises InvalidRule.
+    """
     parts = [s.strip() for s in spec.split(",")]
-    stride = p if parts[0] == "p" else int(parts[0])
+    try:
+        stride = p if parts[0] == "p" else int(parts[0])
+    except ValueError:
+        stride = 0
     if stride is None:
         raise ValueError("--rule p,... needs a field with a prime")
+    if stride < 1:
+        raise ValueError(f"the --rule stride must be p or a positive integer, not {parts[0]!r}")
     if len(parts) == 2 and parts[1] == "auto":
         return fit_rule(series, stride, p)
     if len(parts) != 4:
         raise ValueError("--rule takes 'd,auto' or 'd,q,offset,corr'")
-    slope = parse_rational(parts[1])
-    offset = parse_rational(parts[2])
+    try:
+        slope, offset = parse_rational(parts[1]), parse_rational(parts[2])
+    except ValueError:
+        raise ValueError(f"the --rule slope and offset must be rationals, not "
+                         f"{parts[1]!r} and {parts[2]!r}") from None
     corr = {"corr": True, "nocorr": False, "1": True, "0": False}.get(parts[3])
     if corr is None:
         raise ValueError("the correction flag must be corr/nocorr")
+    if corr and p is None:
+        raise ValueError("a factorial correction in --rule needs a field with a prime")
     return check_rule(RadiusRule(stride, slope, offset, corr, p), series)
 
 

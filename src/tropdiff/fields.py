@@ -34,9 +34,11 @@ divides out gcd(den, k) alone, which canonical form makes the whole common
 factor; `x / k` divides out gcd(k, *num) and moves the sign of k to the
 numerators, so den stays positive; `x / 0` raises ZeroDivisionError.
 
-Valuations are exact: `valuation()` gives an `int` when the value is
-integral, always so on the trivial and p-adic backends, and a `Fraction`
-in (1/e)Z otherwise; never a float.
+Valuations are exact ints in units of 1/e, the generator of the value
+group (1/e)Z: `valuation()` of sum c_i zeta^i is min(e*v_p(c_i) + i), read
+off the integer numerators, with no rational arithmetic.  The backend's
+`nat_val` carries e; its `to_units` and `to_text` convert at the program's
+edges (see `semiring`).
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .errors import NegativeValuation, NonIntegralExponent, ZeroInput
 from .semiring import (
     NatValuation,
     Rat,
+    TRIVIAL_NAT_VAL,
     T_INF,
     T_ZERO,
     TropNum,
@@ -87,8 +90,11 @@ class FieldBackend:
 
     @property
     def nat_val(self) -> NatValuation:
-        """The valuation on N matching this field's tropical differential."""
-        return NatValuation(None if self.kind == "trivial" else self.p)
+        """The valuation on N matching this field's tropical differential, in
+        units of 1/e."""
+        if self.kind == "trivial":
+            return TRIVIAL_NAT_VAL
+        return NatValuation(self.p, self.ramification)
 
     def elem(self, x: Rat) -> "FieldElem":
         c = Fraction(x)
@@ -250,16 +256,29 @@ class FieldElem:
         return power(self, n, self.backend.one())
 
     def valuation(self) -> TropNum:
-        """Exact valuation, an int when integral; zero maps to infinity."""
+        """Exact valuation, an int in units of 1/e; zero maps to infinity."""
         if self.is_zero:
             return T_INF
         b = self.backend
         if b.kind == "trivial":
             return T_ZERO
-        # v(num[i] / den) + i/e, compared as the integers e*v_p(num[i]) + i
+        # min over the terms c_i zeta^i of e * v_p(num[i]) + i, less e * v_p(den);
+        # v_p is inlined, as each tropicalized coefficient takes one valuation
         e, p = b.ramification, b.p
-        best = min(e * v_p(a, p) + i for i, a in enumerate(self.num) if a) - e * v_p(self.den, p)
-        return TropNum(best // e if best % e == 0 else Fraction(best, e))
+        best = None
+        for i, a in enumerate(self.num):
+            if a:
+                w = i
+                while a % p == 0:
+                    a //= p
+                    w += e
+                if best is None or w < best:
+                    best = w
+        den = self.den
+        while den % p == 0:
+            den //= p
+            best -= e
+        return TropNum(best)
 
     def __str__(self) -> str:
         coeffs = self.coeffs
@@ -440,7 +459,8 @@ class ResidueElem:
 
 
 def section_phi(w: TropNum, backend: FieldBackend) -> tuple[int, FieldElem]:
-    """Multiplicative section of the rank-2 valuation: (alpha, beta) -> pi^(beta*e) t^alpha.
+    """Multiplicative section of the rank-2 valuation: (alpha, beta) -> pi^beta t^alpha,
+    with beta in units of 1/e.
 
     Returns the pair (t-exponent, scalar); t is kept symbolic.  Raises
     NonIntegralExponent when (alpha, beta) is outside the value group.
@@ -450,12 +470,12 @@ def section_phi(w: TropNum, backend: FieldBackend) -> tuple[int, FieldElem]:
     alpha, beta = w.value
     if alpha.denominator != 1:
         raise NonIntegralExponent(f"t-exponent {alpha} is not an integer")
-    scaled = beta * backend.ramification
-    if scaled.denominator != 1:
-        raise NonIntegralExponent(f"{beta} is outside the value group of {backend.kind}")
+    if beta.denominator != 1:
+        raise NonIntegralExponent(f"{backend.nat_val.to_text(TropNum(beta))} is outside "
+                                  f"the value group of {backend.kind}")
     if backend.kind == "trivial" and beta != 0:
         raise NonIntegralExponent("the trivial backend has value group {0}")
-    return int(alpha), backend.uniformizer_pow(int(scaled))
+    return int(alpha), backend.uniformizer_pow(int(beta))
 
 
 def residue(x: FieldElem) -> ResidueElem:

@@ -16,7 +16,10 @@ or JSON integer, is refused.  Series records list only the nonzero
 A system file is {"field": {...}, "vars": n, "truncation": N,
 "polynomials": [expr, ...]} with expressions in the polynomial grammar; a
 candidate file is {"series": [series-record, ...]} over the system's field.
-Both series types share one record reader and writer.  Every reader
+Both series types share one record reader and writer.  Tropical values are
+written and read as the rationals they stand for; in memory they count the
+unit 1/e of the series' `nat_val`, and `to_units` / `to_text` convert at
+the record.  Every reader
 refuses a truncation above MAX_TRUNCATION before allocating anything.
 `dump_json` encodes a whole file before it opens it and writes it with one
 call.
@@ -124,11 +127,12 @@ def series_from_dict(data: dict, backend: FieldBackend) -> PowerSeries:
 
 
 def trop_series_to_dict(s: TropSeries) -> dict:
-    return _series_to_record(s, str)
+    return _series_to_record(s, s.nat_val.to_text)
 
 
 def trop_series_from_dict(data: dict, nat_val: NatValuation) -> TropSeries:
-    n, terms = _series_from_record(data, lambda v: TropNum.parse(_number_text(v)))
+    n, terms = _series_from_record(
+        data, lambda v: nat_val.to_units(TropNum.parse(_number_text(v))))
     return TropSeries(nat_val, n, tuple((k, c) for k, c in terms if not c.is_inf))
 
 

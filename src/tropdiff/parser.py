@@ -31,7 +31,16 @@ from typing import Iterable, Union
 from .diffpoly import DiffPoly, ExponentMatrix, Poly
 from .errors import PolySyntaxError, UnknownVariable, ZetaUnavailable
 from .fields import FieldBackend, FieldElem, ResidueElem
-from .semiring import MAX_DIGITS, T_ZERO, T2_ZERO, TropNum, format_rational, parse_rational
+from .semiring import (
+    MAX_DIGITS,
+    T_ZERO,
+    T2_ZERO,
+    TRIVIAL_NAT_VAL,
+    NatValuation,
+    TropNum,
+    format_rational,
+    parse_rational,
+)
 from .series import PowerSeries
 
 _SYMBOLS = "+-*^()'"
@@ -289,11 +298,11 @@ def _monomial_series_factors(c: FieldElem, k: int) -> tuple[int, list[str]]:
     return sign, factors
 
 
-def _coefficient_str(c) -> tuple[int, list[str], bool]:
+def _coefficient_str(c, nat_val: NatValuation) -> tuple[int, list[str], bool]:
     """Render a coefficient as (sign, product factors, unit); a unit factor
     is left out before a monomial."""
     if isinstance(c, TropNum):
-        return 1, [str(c)], c in (T_ZERO, T2_ZERO)
+        return 1, [nat_val.to_text(c)], c in (T_ZERO, T2_ZERO)
     if isinstance(c, ResidueElem):
         sign = -1 if (c.p is None and c.value < 0) else 1
         factors = [format_rational(abs(c.value)) if c.p is None else str(c)]
@@ -304,16 +313,18 @@ def _coefficient_str(c) -> tuple[int, list[str], bool]:
     return sign, factors, factors == ["1"]
 
 
-def print_poly(f: Union[DiffPoly, Poly]) -> str:
+def print_poly(f: Union[DiffPoly, Poly], nat_val: NatValuation = TRIVIAL_NAT_VAL) -> str:
     """Deterministic rendering, graded then lexicographic, highest first.
 
     The coefficient type picks the rendering: series and field elements
     print signed, residues as integers mod p (signed rationals over Q),
     tropical values as "(a, b)" or "a" with the tropical one left out.
+    Tropical values are valuations in the unit of `nat_val` (t-exponents,
+    as the Grigoriev image has, are printed with the default unit 1).
     """
     rendered = []
     for lam, c in sorted(f.terms, key=lambda kv: kv[0].sort_key(), reverse=True):
-        sign, factors, unit = _coefficient_str(c)
+        sign, factors, unit = _coefficient_str(c, nat_val)
         mono = _monomial_str(lam, f.nvars)
         if mono:
             factors = ([] if unit else factors) + [mono]

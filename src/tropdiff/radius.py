@@ -17,6 +17,11 @@ of Legendre's formula contributes 0 along m = p^k), and
 ``window-lower-bound`` for the finite-sample proxy min a_i / i over a window.
 Every rule, given or fitted, is checked against its window first
 (`check_rule`); a window that both laws fit cannot tell them apart.
+
+Series coefficients are valuations in units of 1/e, the unit of the
+series' `nat_val`; rules, slopes, offsets and log-radii are rationals.  The
+estimates divide by e, and a rule's coefficients are compared with the
+series in its unit.
 """
 
 from __future__ import annotations
@@ -63,8 +68,9 @@ class RadiusRule:
         return TropNum(a)
 
     def series(self, nat_val: NatValuation, truncation: int) -> TropSeries:
-        return TropSeries.from_coeffs(nat_val, truncation,
-                                      map(self.coefficient, range(truncation + 1)))
+        """The rule's series in window `truncation`, in the unit of `nat_val`."""
+        return TropSeries.from_coeffs(nat_val, truncation, (
+            nat_val.to_units(self.coefficient(n)) for n in range(truncation + 1)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,8 +108,8 @@ def radius_window_estimate(a: TropSeries, window_start: Optional[int] = None) ->
     if not 0 <= window_start < a.truncation:
         raise ValueError("window must start inside the truncation window")
     window = (window_start, a.truncation)
-    start = max(window_start, 1)
-    best = min((Fraction(c.value, i) for i, c in a.terms if i >= start), default=None)
+    start, e = max(window_start, 1), a.nat_val.e
+    best = min((Fraction(c.value, i * e) for i, c in a.terms if i >= start), default=None)
     if best is None:
         return RadiusEstimate(LOG_INF, "window-lower-bound", window,
                               caveat="all coefficients infinite in the window; "
@@ -195,10 +201,11 @@ def _check_support(a: TropSeries, stride: int):
 def check_rule(rule: RadiusRule, a: TropSeries) -> RadiusRule:
     """`rule`, when every coefficient in the window of `a` is the rule's; else InvalidRule."""
     _check_support(a, rule.stride)
+    to_units = a.nat_val.to_units
     for n, c in a.terms:
-        if c != rule.coefficient(n):
-            raise InvalidRule(f"the coefficient of t^{n} is {c}, the rule gives "
-                              f"{rule.coefficient(n)}")
+        if c != to_units(rule.coefficient(n)):
+            raise InvalidRule(f"the coefficient of t^{n} is {a.nat_val.to_text(c)}, the rule "
+                              f"gives {rule.coefficient(n)}")
     return rule
 
 
@@ -211,11 +218,13 @@ def fit_rule(a: TropSeries, stride: int, p: Optional[int]) -> RadiusRule:
     mismatch.  Both fit only when the window has no m >= p, where
     v_p(m!) > 0; their radii differ, so such a window is refused.
     """
-    values = [Fraction(c.value) for _, c in a.terms[:2]] or [Fraction(0)]
+    e, to_units = a.nat_val.e, a.nat_val.to_units
+    values = [Fraction(c.value, e) for _, c in a.terms[:2]] or [Fraction(0)]
     laws = [RadiusRule(stride, values[-1] - values[0], values[0], corr, p)
             for corr in ((True, False) if p is not None else (False,))]
     _check_support(a, stride)
-    fits = [rule for rule in laws if all(c == rule.coefficient(n) for n, c in a.terms)]
+    fits = [rule for rule in laws
+            if all(c == to_units(rule.coefficient(n)) for n, c in a.terms)]
     if not fits:
         raise InvalidRule("coefficients do not follow an affine law in m")
     if len(fits) == 2:

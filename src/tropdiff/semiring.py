@@ -1,4 +1,4 @@
-"""Min-plus semirings over exact rationals.
+"""Min-plus semirings over exact rationals, and the valuation unit 1/e.
 
 One carrier type, TropNum, holds both semirings: T (rank 1, Q u {inf},
 plus = min, times = +), whose values are rationals, and T_2 (rank 2,
@@ -7,10 +7,19 @@ values are pairs.  Infinity, the value None, is the one zero of both: it is
 absorbing for times and neutral for plus.  `Trop2` is the rank-2 name of the
 same class.  The Boolean sub-semiring {0, inf} is TropNum restricted by
 `is_boolean`.  A finite rational is exact: an `int` where the program builds
-or parses an integral value (t-exponents, valuations on Z, factorial
-corrections, integers in candidate files), a `Fraction` otherwise, never a
-float.  The two compare and hash equal, so a value's type never changes an
-answer.
+or parses an integral value, a `Fraction` otherwise, never a float.  The two
+compare and hash equal, so a value's type never changes an answer.
+
+TropNum itself has no unit.  Every valuation the program computes is held
+as a count of the field's unit 1/e, where (1/e)Z is the value group: e = 1
+on Q (trivial or p-adic), e = p - 1 on Q(zeta).  Valuations of field
+elements, tropical series coefficients and the second coordinate of rank-2
+values are therefore plain ints; a value outside (1/e)Z, which only an
+input file can give, stays a `Fraction` in the same unit.  t-exponents
+(the first coordinate of rank-2 values) are not scaled.  The unit rides on
+`NatValuation`, and its two methods are the one boundary: `to_units` takes
+a value read as rationals into units, `to_text` writes a value in units as
+the rational it stands for.
 """
 
 from __future__ import annotations
@@ -75,7 +84,6 @@ def format_ratio(num: int, den: int) -> str:
 
 
 def format_rational(q: Rat) -> str:
-    q = Fraction(q)
     return format_ratio(q.numerator, q.denominator)
 
 
@@ -295,30 +303,66 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class NatValuation:
-    """Valuation on the naturals selecting a tropical differential d_v.
+    """Valuation on the naturals selecting a tropical differential d_v, in units of 1/e.
 
     p = None is the trivial mode (every positive natural maps to 0); a prime
-    p gives the p-adic mode n -> v_p(n). Zero maps to infinity.
+    p gives the p-adic mode n -> e*v_p(n), the valuation of n in a field
+    with value group (1/e)Z, counted in units of 1/e.  Zero maps to infinity.
     """
 
     p: Optional[int] = None
+    e: int = 1
 
     def __post_init__(self):
         if self.p is not None and not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
+        if self.e < 1 or (self.p is None and self.e != 1):
+            raise ValueError(f"no valuation in units of 1/{self.e} for p = {self.p}")
 
     def __call__(self, n: int) -> TropNum:
         if n == 0:
             return T_INF
         if self.p is None:
             return T_ZERO
-        return TropNum(v_p(n, self.p))
+        return TropNum(self.e * v_p(n, self.p))
 
     def factorial(self, m: int) -> TropNum:
         """Valuation of m! (zero in trivial mode)."""
         if self.p is None:
             return T_ZERO
-        return TropNum(v_p_factorial(m, self.p))
+        return TropNum(self.e * v_p_factorial(m, self.p))
+
+    def to_units(self, w: TropNum) -> TropNum:
+        """A value read as rationals, in units of 1/e: a rank-1 value and the
+        second coordinate of a rank-2 value are multiplied by e, an int
+        where the product is integral."""
+        v = w.value
+        if v is None or self.e == 1:
+            return w
+        if v.__class__ is tuple:
+            return TropNum((v[0], _times(v[1], self.e)))
+        return TropNum(_times(v, self.e))
+
+    def to_text(self, w: TropNum) -> str:
+        """The text of a value in units of 1/e, as `str` writes the rational
+        value it stands for: "inf", "q" or "(a, q)"."""
+        v = w.value
+        if v is None:
+            return "inf"
+        if v.__class__ is tuple:
+            return f"({format_rational(v[0])}, {self._ratio_text(v[1])})"
+        return self._ratio_text(v)
+
+    def _ratio_text(self, u: Rat) -> str:
+        return format_ratio(u.numerator, u.denominator * self.e)
+
+
+def _times(q: Rat, e: int) -> Rat:
+    """q * e, an int when integral, computed on the integers."""
+    if q.__class__ is int:
+        return q * e
+    num, den = q.numerator * e, q.denominator
+    return num // den if num % den == 0 else Fraction(num, den)
 
 
 TRIVIAL_NAT_VAL = NatValuation(None)

@@ -8,6 +8,12 @@ loses one degree.  A window that is all zero (classical) or all infinite
 (tropical) cannot determine the leading term of the underlying infinite
 series, so leading-term extraction returns an infinity flagged
 `truncation_limited` instead of failing.
+
+A tropical series counts its coefficients in the unit 1/e of its
+`nat_val` (see `semiring`): the valuations of a classical series over a
+field with value group (1/e)Z are ints, and so are the second coordinates
+of the rank-2 leading terms read off either kind of series.  Exponents of
+t, and so `LeadingTerm.beyond`, are not scaled.
 """
 
 from __future__ import annotations
@@ -319,10 +325,10 @@ class TropSeries:
         Coefficient i of d_v^j S is S_{i+j} + v((i+j)!) - v(i!), so the first
         finite index k >= j gives the leading term (k - j, S_k + v(k!) - v((k-j)!)).
         """
-        terms, p = self.terms, self.nat_val.p
+        terms, p, e = self.terms, self.nat_val.p, self.nat_val.e
         last = terms[-1][0] if terms else -1
-        vfact = ([0] * (last + 1) if p is None  # vfact[m] = v(m!)
-                 else [v_p_factorial(m, p) for m in range(last + 1)])
+        vfact = ([0] * (last + 1) if p is None  # vfact[m] = v(m!), in units of 1/e
+                 else [e * v_p_factorial(m, p) for m in range(last + 1)])
         table = []
         t = len(terms)  # terms[t] is the first term of index >= j
         for j in range(last, -1, -1):
@@ -347,7 +353,7 @@ def tropicalize_series(a: PowerSeries) -> TropSeries:
 
 
 def rank2_val(a: PowerSeries) -> LeadingTerm:
-    """Rank-2 valuation (t-order, valuation of the leading coefficient)."""
+    """Rank-2 valuation (t-order, valuation of the leading coefficient in units of 1/e)."""
     if a.is_zero:
         return LeadingTerm(T_INF, True, a.truncation + 1)
     k, c = a.terms[0]

@@ -113,9 +113,10 @@ def exp_equation(p: int, truncation: int) -> tuple[LinearODE, DiffPoly]:
 
 
 def exp_tropical_closed_form(p: int, truncation: int) -> TropSeries:
-    """Tropicalization of exp(zeta t^p): m/(p-1) - v_p(m!) at index m*p, else infinity."""
-    return TropSeries(NatValuation(p), truncation, tuple(
-        (m * p, TropNum(Fraction(m, p - 1) - v_p_factorial(m, p)))
+    """Tropicalization of exp(zeta t^p): m/(p-1) - v_p(m!) at index m*p, else
+    infinity; in units of 1/(p-1), m - (p-1)*v_p(m!)."""
+    return TropSeries(FieldBackend("eisenstein", p).nat_val, truncation, tuple(
+        (m * p, TropNum(m - (p - 1) * v_p_factorial(m, p)))
         for m in range(truncation // p + 1)))
 
 
@@ -168,13 +169,13 @@ class FTReport:
         return "\n".join(lines)
 
 
-def _vanishing_table(report: SolutionReport) -> tuple[str, ...]:
+def _vanishing_table(report: SolutionReport, nat_val: NatValuation) -> tuple[str, ...]:
     """Per-order rows: minimum value, attainment count, truncation flag."""
     rows = []
     for k, rep in enumerate(report.reports):
         flag = ", truncation-limited" if rep.truncation_limited else ""
         verdict = "vanishes" if rep.vanishes else "FAILS"
-        rows.append(f"d^{k}: value {rep.value}, attained {len(rep.attainment)}x"
+        rows.append(f"d^{k}: value {nat_val.to_text(rep.value)}, attained {len(rep.attainment)}x"
                     f" ({verdict}{flag})")
     return tuple(rows)
 
@@ -303,7 +304,7 @@ def reproduce_exponential_example(p: int, truncation: Optional[int] = None,
     system = [tropicalize_poly(g) for g in family]
     solution = is_tropical_solution(system, (s,))
     steps.append(FTStep("derived-system-solution", solution.all_vanish,
-                        _solution_detail(solution, m), _vanishing_table(solution)))
+                        _solution_detail(solution, m), _vanishing_table(solution, backend.nat_val)))
     if not solution.all_vanish:
         return report()
 

@@ -178,7 +178,7 @@ def diff_n(s: TropSeries, j: int) -> TropSeries:
     (independent of `TropSeries.diff`)."""
     ref = ref_from_trop_terms(s)
     for _ in range(j):
-        ref = ref_trop_diff(ref, s.nat_val.p)
+        ref = ref_trop_diff(ref, s.nat_val.p, s.nat_val.e)
     return trop_from_ref(s.nat_val, ref)
 
 
@@ -592,10 +592,57 @@ def ref_trop_scale(a: tuple, c) -> tuple:
     return tuple(ref_trop_times(c, x) for x in a)
 
 
-def ref_trop_diff(a: tuple, p) -> tuple:
-    """d_v: coefficient k-1 becomes v(k) + a_k, with v(k) = v_p(k), or 0 when p is None."""
-    return tuple(ref_trop_times(0 if p is None else ref_vp(k, p), a[k])
+def ref_trop_diff(a: tuple, p, e: int = 1) -> tuple:
+    """d_v: coefficient k-1 becomes v(k) + a_k, with v(k) = v_p(k) in units of
+    1/e, e * v_p(k), or 0 when p is None."""
+    return tuple(ref_trop_times(0 if p is None else e * ref_vp(k, p), a[k])
                  for k in range(1, len(a)))
+
+
+# ---------------------------------------------------------------------------
+# rational oracle of the valuation unit: the program holds valuations as
+# counts of 1/e; these compute the same quantities on the rationals they
+# stand for, with d_v adding the unscaled v_p(k)
+
+def rational_leading(ref: tuple, p, j: int):
+    """((t-exponent, rational value), 0) of the first finite coefficient of
+    d_v^j of the dense rational reference `ref`, or (None, first exponent past
+    the window) when that window holds none."""
+    for _ in range(j):
+        ref = ref_trop_diff(ref, p)
+    for k, a in enumerate(ref):
+        if a is not None:
+            return (k, a), 0
+    return None, len(ref)
+
+
+def rational_evaluate(f: DiffPoly, refs, p) -> dict:
+    """The evaluation report of trop(f) at dense rational references, on the
+    rationals: value (a pair, or None for infinity), attainment, vanishes,
+    ambiguous and truncation_limited, by the definitions in `diffpoly.evaluate`.
+    A weight with a factor from an exhausted window reads as infinite (None),
+    so an infinite value is attained by every monomial."""
+    weights, bounds = {}, []
+    for lam, coeff in f.terms:
+        k, c = coeff.terms[0]
+        first, second = Fraction(k), ref_valuation(c.coeffs, f.backend)
+        beyond, flagged = 0, False
+        for (i, j), e in lam.entries:
+            lt, past = rational_leading(refs[i], p, j)
+            if lt is None:
+                beyond, flagged = beyond + e * past, True
+            else:
+                first, second = first + e * lt[0], second + e * lt[1]
+        if flagged:
+            bounds.append(first + beyond)
+        weights[lam] = None if flagged else (first, second)
+    value = min((w for w in weights.values() if w is not None), default=None)
+    attainment = tuple(sorted((lam for lam, w in weights.items() if w == value),
+                              key=ExponentMatrix.sort_key))
+    return {"value": value, "attainment": attainment,
+            "vanishes": value is None or len(attainment) >= 2,
+            "ambiguous": value is not None and any(b <= value[0] for b in bounds),
+            "truncation_limited": bool(bounds)}
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ def good_candidate(tmp_path):
 def bad_candidate(tmp_path):
     s = exp_tropical_closed_form(3, 18)
     cs = list(s.coeffs)
-    cs[3] = TropNum(cs[3].value + 1)
+    cs[3] = cs[3] * s.nat_val.to_units(TropNum.of(1))
     path = tmp_path / "bad.json"
     perturbed = TropSeries.from_coeffs(s.nat_val, 18, cs)
     files.dump_json(files.candidate_to_dict((perturbed,)), str(path))
@@ -324,8 +324,20 @@ def test_radius_parenthesises_a_fractional_base(capsys, tmp_path, rule, base, r)
      "--rule takes 'd,auto' or 'd,q,offset,corr'"),
     ({"p": 3, "truncation": 2, "coeffs": [{"n": 0, "val": "0"}]}, "1,0,0,maybe",
      "the correction flag must be corr/nocorr"),
-], ids=["stride-p-without-prime", "two-fields", "correction-flag"])
+    ({"p": 3, "truncation": 2, "coeffs": [{"n": 0, "val": "0"}]}, "0,auto",
+     "the --rule stride must be p or a positive integer, not '0'"),
+    ({"p": 3, "truncation": 2, "coeffs": [{"n": 0, "val": "0"}]}, "abc,auto",
+     "the --rule stride must be p or a positive integer, not 'abc'"),
+    ({"p": 3, "truncation": 2, "coeffs": [{"n": 0, "val": "0"}]}, "1,x,0,nocorr",
+     "the --rule slope and offset must be rationals, not 'x' and '0'"),
+    ({"truncation": 2, "coeffs": [{"n": 0, "val": "0"}]}, "1,1,0,corr",
+     "a factorial correction in --rule needs a field with a prime"),
+], ids=["stride-p-without-prime", "two-fields", "correction-flag", "stride-zero",
+        "stride-not-a-number", "slope-not-a-number",
+        "correction-without-prime"])
 def test_malformed_rule_exits_2(capsys, tmp_path, record, rule, message):
+    """A malformed rule is a usage error, exit 2 with a tropdiff message;
+    only a rule its window contradicts exits 1."""
     path = _write(tmp_path, "trop.json", record)
     assert main(["radius", "--series", path, "--rule", rule, "--base", "2"]) == 2
     assert capsys.readouterr() == ("", f"tropdiff: {message}\n")

@@ -155,7 +155,7 @@ def test_monomial_check_perturbed_witness():
     _, f = exp_equation(p, 18)
     s = exp_tropical_closed_form(p, 18)
     cs = list(s.coeffs)
-    cs[3] = TropNum(cs[3].value + 1)
+    cs[3] = cs[3] * s.nat_val.to_units(TropNum.of(1))
     perturbed = TropSeries.from_coeffs(s.nat_val, 18, tuple(cs))
     family = derived_system(f, 9)
     _, report = checked_monomial_check([family], (perturbed,))
@@ -226,7 +226,8 @@ def check_initial_literal_oracle(count=50):
         f = rand_nonzero_diffpoly(rng, backend, 1, 8, max_terms=3, max_order=2,
                                   max_degree=2)
         # coefficients inside the value group (1/e)Z so the section applies
-        coeffs = tuple(TropNum.of(Fraction(rng.randint(-6, 6), e)) for _ in range(9))
+        coeffs = tuple(nv.to_units(TropNum.of(Fraction(rng.randint(-6, 6), e)))
+                       for _ in range(9))
         s = TropSeries.from_coeffs(nv, 8, coeffs)
         assert initial_at(f, (s,)) == initial_form_literal(f, (s,))
 

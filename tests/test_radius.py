@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tropdiff.errors import BadBase, InvalidRule, TrivialBackend
+from tropdiff.fields import FieldBackend
 from tropdiff.radius import (
     LOG_INF,
     RadiusRule,
@@ -56,7 +57,8 @@ def test_rule_examples():
 def test_rule_series_matches_closed_form():
     for p in (2, 3, 5):
         rule = exp_rule(p)
-        assert rule.series(NatValuation(p), 6 * p) == exp_tropical_closed_form(p, 6 * p)
+        nv = FieldBackend("eisenstein", p).nat_val
+        assert rule.series(nv, 6 * p) == exp_tropical_closed_form(p, 6 * p)
 
 
 def test_window_estimate_against_digit_sum_oracle():
@@ -250,7 +252,7 @@ def test_fit_rule_refuses_a_window_that_both_laws_fit():
     through a_0 and a_p also fits exactly the windows with no m >= p, where
     v_p(m!) = 0, and gives another radius, so those windows are refused."""
     for p in (2, 3, 5):
-        nv = NatValuation(p)
+        nv = FieldBackend("eisenstein", p).nat_val
         plain = RadiusRule(p, Fraction(1, p - 1), Fraction(0), False, p)
         refused = []
         for n in range(p, 4 * p + 1):

@@ -1,7 +1,8 @@
 """Tropical values keep their exact type: `int` when integral, `Fraction` otherwise.
 
-Valuations on Z, t-exponents and factorial corrections are built as `int`;
-fractional valuations over Q(zeta) as `Fraction`; no float ever appears.
+Valuations count the field's unit 1/e, so every valuation the program
+computes, t-exponents and factorial corrections are `int`s; only a value
+read from a file outside (1/e)Z is a `Fraction`; no float ever appears.
 The two types compare and hash equal, so a series holds the same value
 whichever type its coefficients have.
 """
@@ -43,15 +44,15 @@ def test_valuation_is_int_exactly_when_integral():
             if x.is_zero:
                 assert v.is_inf
                 continue
-            assert v.value == ref_valuation(x.coeffs, backend)
-            assert_exact(v.value)
+            assert v == backend.nat_val.to_units(TropNum(ref_valuation(x.coeffs, backend)))
+            assert type(v.value) is int
         if backend.kind == "trivial":
             continue
         e = backend.ramification
         for k in range(-2 * e - 1, 2 * e + 2):
-            v = backend.uniformizer_pow(k).valuation().value
-            assert v == Fraction(k, e)
-            assert type(v) is (int if k % e == 0 else Fraction)
+            v = backend.uniformizer_pow(k).valuation()
+            assert v == backend.nat_val.to_units(TropNum(Fraction(k, e)))
+            assert type(v.value) is int
 
 
 def test_leading_exponents_are_int():
@@ -80,8 +81,8 @@ def test_int_and_fraction_values_give_equal_series():
         as_fractions = TropSeries(s.nat_val, s.truncation, tuple(
             (k, TropNum(Fraction(c.value))) for k, c in s.terms))
         assert s == as_fractions and hash(s) == hash(as_fractions)
-    # the closed form builds Fractions; the tropicalized oracle solution has
-    # ints at the integral indices
+    # the closed form and the tropicalized oracle solution are both in units
+    # of 1/(p-1)
     for p in (3, 5):
         s = tropicalize_series(solve_linear(exp_equation(p, 6 * p)[0]))
         expected = exp_tropical_closed_form(p, 6 * p)
@@ -101,3 +102,14 @@ def test_parsed_values_are_int_exactly_when_integral():
                                           enumerate(("2", "inf", "5/3", "-6/3", 7))]}
     s = files.trop_series_from_dict(record, FieldBackend("padic", 3).nat_val)
     assert [type(c.value) for _, c in s.terms] == [int, Fraction, int, int]
+
+
+def test_file_values_count_units_of_one_over_e():
+    """A value read from a file is held in units of 1/e: an int inside (1/e)Z,
+    a Fraction in the same unit outside it, and written back as read."""
+    record = {"truncation": 3, "coeffs": [{"n": k, "val": v} for k, v in
+                                          enumerate(("3/4", "1/3", "-2", "inf"))]}
+    s = files.trop_series_from_dict(record, EISEN5.nat_val)
+    assert [c.value for _, c in s.terms] == [3, Fraction(4, 3), -8]
+    assert [type(c.value) for _, c in s.terms] == [int, Fraction, int]
+    assert files.trop_series_to_dict(s)["coeffs"] == record["coeffs"][:3]

@@ -22,7 +22,8 @@ from helpers import (
     trop_from_ref,
 )
 
-NAT_VALS = tuple(NatValuation(p) for p in (None, 2, 3, 5))
+# p-adic 5 twice: on Q (unit 1) and on Q(zeta) (unit 1/4)
+NAT_VALS = (*(NatValuation(p) for p in (None, 2, 3, 5)), NatValuation(5, 4))
 DENSITIES = ("inf", "sparse", "full")
 WINDOWS = ((-1, 3), (0, 0), (5, 5), (6, 3), (2, 7))
 
@@ -66,7 +67,7 @@ def test_diff_and_truncate_match_reference():
     for _, nv, a, ra, _, _ in trop_cases("trop-unary", per_window=1):
         s, ref = a, ra
         while s.truncation >= 0:  # differentiate the window away, then once more
-            s, ref = s.diff(), ref_trop_diff(ref, nv.p)
+            s, ref = s.diff(), ref_trop_diff(ref, nv.p, nv.e)
             assert_trop(s, ref)
         assert_trop(s.diff(), ())
         n = a.truncation
