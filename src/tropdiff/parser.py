@@ -31,16 +31,8 @@ from typing import Iterable, Union
 from .diffpoly import DiffPoly, ExponentMatrix, Poly
 from .errors import PolySyntaxError, UnknownVariable, ZetaUnavailable
 from .fields import FieldBackend, FieldElem, ResidueElem
-from .semiring import (
-    MAX_DIGITS,
-    T_ZERO,
-    T2_ZERO,
-    TRIVIAL_NAT_VAL,
-    NatValuation,
-    TropNum,
-    format_rational,
-    parse_rational,
-)
+from .semiring import (MAX_DIGITS, T_ZERO, T2_ZERO, TRIVIAL_NAT_VAL, NatValuation, TropNum,
+                       format_rational, parse_rational)
 from .series import PowerSeries
 
 _SYMBOLS = "+-*^()'"

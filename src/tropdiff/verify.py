@@ -304,7 +304,8 @@ def reproduce_exponential_example(p: int, truncation: Optional[int] = None,
     system = [tropicalize_poly(g) for g in family]
     solution = is_tropical_solution(system, (s,))
     steps.append(FTStep("derived-system-solution", solution.all_vanish,
-                        _solution_detail(solution, m), _vanishing_table(solution, backend.nat_val)))
+                        _solution_detail(solution, m),
+                        _vanishing_table(solution, backend.nat_val)))
     if not solution.all_vanish:
         return report()
 

@@ -333,8 +333,7 @@ def test_radius_parenthesises_a_fractional_base(capsys, tmp_path, rule, base, r)
     ({"truncation": 2, "coeffs": [{"n": 0, "val": "0"}]}, "1,1,0,corr",
      "a factorial correction in --rule needs a field with a prime"),
 ], ids=["stride-p-without-prime", "two-fields", "correction-flag", "stride-zero",
-        "stride-not-a-number", "slope-not-a-number",
-        "correction-without-prime"])
+        "stride-not-a-number", "slope-not-a-number", "correction-without-prime"])
 def test_malformed_rule_exits_2(capsys, tmp_path, record, rule, message):
     """A malformed rule is a usage error, exit 2 with a tropdiff message;
     only a rule its window contradicts exits 1."""
