@@ -23,7 +23,6 @@ from helpers import (
     EISEN3,
     EISEN5,
     PADIC3,
-    ambiguous_by_bounds,
     checked_monomial_check,
     count_evaluations,
     initial_at,
@@ -32,6 +31,8 @@ from helpers import (
     rand_full_trop_series,
     rand_nonzero_diffpoly,
     rand_trop_series,
+    rational_evaluate,
+    ref_from_trop_terms,
     rng_for,
 )
 
@@ -116,7 +117,7 @@ def test_ambiguity_matches_per_term_bounds(terms, windows):
         for lam, (k, v) in terms])
     s = tuple(TropSeries(PADIC3.nat_val, n, tuple(
         (k, TropNum(v)) for k, v in sorted(values.items()))) for n, values in windows)
-    expected = ambiguous_by_bounds(tropicalize_poly(f), s)
+    expected = rational_evaluate(f, [ref_from_trop_terms(si) for si in s], 3)["ambiguous"]
     assert eval_tropical(tropicalize_poly(f), s).ambiguous == expected
     try:
         initial_at(f, s)
