@@ -121,9 +121,9 @@ class Poly:
     """Sparse polynomial in the x_i^(j) with coefficients of one type.
 
     The coefficients carry their own ring: tropical values (TropNum),
-    field elements (FieldElem) or residues (ResidueElem).  Terms are sorted
-    graded-lexicographically; additive-identity coefficients (inf, 0) are
-    dropped on construction.
+    field elements (FieldElem) or residues (ResidueElem).  Terms are in
+    graded-lexicographic order, without additive-identity coefficients (inf,
+    0); only `make` sorts, other constructors keep the order they are given.
     """
 
     nvars: int
@@ -138,8 +138,9 @@ class Poly:
         return not self.terms
 
     def map(self, fn: Callable[[object], object]) -> "Poly":
-        """The coefficientwise image c -> fn(c)."""
-        return Poly.make(self.nvars, {lam: fn(c) for lam, c in self.terms})
+        """The coefficientwise image c -> fn(c), in the same order."""
+        return Poly(self.nvars, tuple((lam, d) for lam, c in self.terms
+                                      if not _is_additive_identity(d := fn(c))))
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,8 +162,8 @@ class DiffPoly:
         """The sum of the (monomial, coefficient) pairs in window `truncation`.
 
         Each monomial's coefficients are collected first and summed once,
-        degree by degree, in the window; zero sums are dropped.  Every
-        DiffPoly operation builds its result here.
+        degree by degree, in the window; zero sums are dropped.  Sums, products
+        and derivatives build their results here, the one place that sorts terms.
         """
         collected: dict[ExponentMatrix, list[PowerSeries]] = {}
         for lam, coeff in terms:
@@ -182,12 +183,13 @@ class DiffPoly:
 
     @staticmethod
     def var(backend: FieldBackend, nvars: int, truncation: int, i: int, j: int) -> "DiffPoly":
-        one = PowerSeries.one(backend, truncation)
-        return DiffPoly.make(backend, nvars, truncation, [(ExponentMatrix.var(i, j), one)])
+        return DiffPoly(backend, nvars, truncation,
+                        ((ExponentMatrix.var(i, j), PowerSeries.one(backend, truncation)),))
 
     @staticmethod
     def constant(backend: FieldBackend, nvars: int, series: PowerSeries) -> "DiffPoly":
-        return DiffPoly.make(backend, nvars, series.truncation, [(CONSTANT_MONOMIAL, series)])
+        terms = () if series.is_zero else ((CONSTANT_MONOMIAL, series),)
+        return DiffPoly(backend, nvars, series.truncation, terms)
 
     @property
     def is_zero(self) -> bool:
@@ -229,8 +231,9 @@ class DiffPoly:
         return power(self, n, one)
 
     def scale(self, c: FieldElem) -> "DiffPoly":
-        return DiffPoly.make(self.backend, self.nvars, self.truncation,
-                             [(lam, s.scale(c)) for lam, s in self.terms])
+        """c * self; a field has no zero divisors, so only c = 0 drops terms."""
+        terms = () if c.is_zero else tuple((lam, s.scale(c)) for lam, s in self.terms)
+        return DiffPoly(self.backend, self.nvars, self.truncation, terms)
 
     def diff(self) -> "DiffPoly":
         """Total derivative: Leibniz across coefficients and monomials."""
@@ -247,7 +250,7 @@ class DiffPoly:
 
     def constant_terms(self) -> Poly:
         """This polynomial at t = 0, with coefficients in K."""
-        return Poly.make(self.nvars, {lam: c.constant_term() for lam, c in self.terms})
+        return Poly(self.nvars, self.terms).map(PowerSeries.constant_term)
 
 
 @dataclass(frozen=True, slots=True)
@@ -347,8 +350,7 @@ def evaluate(g: Poly, leading: LeadingProvider) -> EvalReport:
             bounds.append(_first(w) + beyond)
         weights.append(T_INF if flagged else w)
     vr = tropically_vanishes(weights)
-    attainment = tuple(sorted((g.terms[k][0] for k in vr.attainment),
-                              key=ExponentMatrix.sort_key))
+    attainment = tuple(g.terms[k][0] for k in vr.attainment)
     ambiguous = not vr.total.is_inf and any(b <= _first(vr.total) for b in bounds)
     return EvalReport(vr.total, attainment, vr.vanishes, bool(bounds), ambiguous)
 

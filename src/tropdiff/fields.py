@@ -57,6 +57,7 @@ from .semiring import (
     T_INF,
     T_ZERO,
     TropNum,
+    format_ratio,
     format_rational,
     is_prime,
     v_p,
@@ -96,9 +97,9 @@ class FieldBackend:
             return TRIVIAL_NAT_VAL
         return NatValuation(self.p, self.ramification)
 
-    def elem(self, x: Rat) -> "FieldElem":
-        c = Fraction(x)
-        return _normal(self, (c.numerator,) + (0,) * (self.degree - 1), c.denominator)
+    def elem(self, x: Rat, den: int = 1) -> "FieldElem":
+        """The rational x / den (den > 0), normalized once on the integers."""
+        return _normal(self, (x.numerator,) + (0,) * (self.degree - 1), x.denominator * den)
 
     def zero(self) -> "FieldElem":
         return self.elem(0)
@@ -120,13 +121,12 @@ class FieldBackend:
                 raise NonIntegralExponent("the trivial backend has no uniformizer")
             return self.one()
         if self.kind == "padic":
-            return self.elem(Fraction(self.p) ** k)
+            return self.elem(self.p ** k) if k >= 0 else self.elem(1, self.p ** -k)
         # zeta^k = (-p)^q * zeta^r with k = q*(p-1) + r, 0 <= r < p-1
         q, r = divmod(k, self.p - 1)
-        scale = Fraction(-self.p) ** q
         num = [0] * self.degree
-        num[r] = scale.numerator
-        return _normal(self, tuple(num), scale.denominator)
+        num[r] = (-self.p) ** q if q >= 0 else (-1) ** -q
+        return _normal(self, tuple(num), 1 if q >= 0 else self.p ** -q)
 
     def from_coeffs(self, coeffs) -> "FieldElem":
         return self.from_ratios((c.numerator, c.denominator) for c in map(Fraction, coeffs))
@@ -281,39 +281,37 @@ class FieldElem:
         return TropNum(best)
 
     def __str__(self) -> str:
-        coeffs = self.coeffs
-        if self.backend.degree == 1:
-            return format_rational(coeffs[0])
+        den = self.den
         parts = []
-        for i, c in enumerate(coeffs):
-            if c == 0:
+        for i, a in enumerate(self.num):
+            if not a:
                 continue
             if i == 0:
-                parts.append(format_rational(c))
+                parts.append(format_ratio(a, den))
             else:
                 power = "zeta" if i == 1 else f"zeta^{i}"
-                if c == 1:
+                if a == den:
                     parts.append(power)
-                elif c == -1:
+                elif a == -den:
                     parts.append(f"-{power}")
                 else:
-                    parts.append(f"{format_rational(c)}*{power}")
+                    parts.append(f"{format_ratio(a, den)}*{power}")
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self) -> str:
         return f"FieldElem({self})"
 
 
-def power(x, n: int, one):
-    """x^n for n >= 0 by repeated squaring, in any ring with `*`: at most
-    2 log2(n) products; x^1 is x itself and x^0 is `one`."""
+def power(x, n: int, one, mul=operator.mul):
+    """x^n for n >= 0 by repeated squaring, in any ring with `*` or the product
+    `mul`: at most 2 log2(n) products; x^1 is x itself and x^0 is `one`."""
     result = None
     while n:
         if n & 1:
-            result = x if result is None else result * x
+            result = x if result is None else mul(result, x)
         n >>= 1
         if n:
-            x = x * x
+            x = mul(x, x)
     return one if result is None else result
 
 

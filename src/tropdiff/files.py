@@ -18,9 +18,9 @@ A system file is {"field": {...}, "vars": n, "truncation": N,
 candidate file is {"series": [series-record, ...]} over the system's field.
 Both series types share one record reader and writer.  Tropical values are
 written and read as the rationals they stand for; in memory they count the
-unit 1/e of the series' `nat_val`, and `to_units` / `to_text` convert at
-the record.  Every reader
-refuses a truncation above MAX_TRUNCATION before allocating anything.
+unit 1/e of the series' `nat_val`, and its `from_text` / `to_text` convert
+at the record, on the integers.  Every reader refuses a truncation above
+MAX_TRUNCATION before allocating anything.
 `dump_json` encodes a whole file before it opens it and writes it with one
 call.
 """
@@ -33,7 +33,7 @@ from typing import Sequence
 from .diffpoly import CONSTANT_MONOMIAL, DiffPoly
 from .fields import FieldBackend, FieldElem
 from .parser import parse_poly, print_poly
-from .semiring import MAX_DIGITS, NatValuation, TropNum, format_ratio, parse_ratio
+from .semiring import MAX_DIGITS, NatValuation, format_ratio, parse_ratio
 from .series import PowerSeries, TropSeries
 from .verify import LinearODE
 
@@ -78,7 +78,7 @@ def elem_from_json(value, backend: FieldBackend) -> FieldElem:
         if backend.kind != "eisenstein":
             raise ValueError("coefficient arrays are for Eisenstein backends only")
         return backend.from_ratios(map(_ratio, value))
-    return backend.from_ratios((_ratio(value),) + ((0, 1),) * (backend.degree - 1))
+    return backend.elem(*_ratio(value))
 
 
 def _ratio(value) -> tuple[int, int]:
@@ -131,8 +131,7 @@ def trop_series_to_dict(s: TropSeries) -> dict:
 
 
 def trop_series_from_dict(data: dict, nat_val: NatValuation) -> TropSeries:
-    n, terms = _series_from_record(
-        data, lambda v: nat_val.to_units(TropNum.parse(_number_text(v))))
+    n, terms = _series_from_record(data, lambda v: nat_val.from_text(_number_text(v)))
     return TropSeries(nat_val, n, tuple((k, c) for k, c in terms if not c.is_inf))
 
 

@@ -40,8 +40,9 @@ def initial_form(f: DiffPoly, report: EvalReport) -> Poly:
     if report.ambiguous:
         raise TruncationAmbiguous(
             "an exhausted window could still reach the computed minimum")
-    return Poly.make(f.nvars, {lam: angular_component(f.coefficient(lam).terms[0][1])
-                               for lam in report.attainment})
+    # the attainment is in graded order, and an angular component is never zero
+    return Poly(f.nvars, tuple((lam, angular_component(f.coefficient(lam).terms[0][1]))
+                               for lam in report.attainment))
 
 
 @dataclass(frozen=True, slots=True)

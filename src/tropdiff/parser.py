@@ -18,29 +18,31 @@ are read in full up to MAX_DIGITS digits; exponents and derivative orders
 have at most MAX_EXPONENT_DIGITS digits; parentheses nest at most
 MAX_NESTING deep; a power n of a sum of k >= 2 terms, which has up to
 C(n + k - 1, k - 1) monomials, is refused when that bound exceeds
-MAX_POWER_TERMS.
+MAX_POWER_TERMS.  A product, written with "*" or taken inside a power, of
+operands with a and b (monomial, t-degree) terms takes up to a * b products
+of field elements, and is refused when a * b exceeds MAX_POWER_TERMS^2.
+Numbers are read, and field elements printed, on the integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Iterable, Union
 
 from .diffpoly import DiffPoly, ExponentMatrix, Poly
 from .errors import PolySyntaxError, UnknownVariable, ZetaUnavailable
-from .fields import FieldBackend, FieldElem, ResidueElem
+from .fields import FieldBackend, FieldElem, ResidueElem, power
 from .semiring import (MAX_DIGITS, T_ZERO, T2_ZERO, TRIVIAL_NAT_VAL, NatValuation, TropNum,
-                       format_rational, parse_rational)
+                       format_ratio, format_rational, parse_ratio)
 from .series import PowerSeries
 
 _SYMBOLS = "+-*^()'"
 MAX_NESTING = 200  # parenthesis depth, well inside the interpreter's recursion limit
 MAX_EXPONENT_DIGITS = 1000  # inside the interpreter's int/str digit limit
-# Monomials in a power of a sum.  Repeated squaring multiplies every pair of
-# terms, so the cost grows with the square of the count: (x + 1)^499, with
-# 500 monomials, parses in about 2 s, (x + 1)^999 in about 10 s.
+# Monomials in a power of a sum, and the square root of the term pairs one
+# product may multiply.  Repeated squaring multiplies every pair of terms, so
+# (x + 1)^499, with 500 monomials, parses in about 2 s, (x + 1)^999 in 10 s.
 MAX_POWER_TERMS = 500
 
 
@@ -106,10 +108,19 @@ class _Parser:
                                   tok.pos)
         return tok
 
-    def constant(self, value: Union[Fraction, FieldElem]) -> DiffPoly:
-        elem = value if isinstance(value, FieldElem) else self.backend.elem(value)
-        series = PowerSeries.monomial(self.backend, self.truncation, elem, 0)
+    def constant(self, elem: FieldElem, degree: int = 0) -> DiffPoly:
+        """The polynomial elem * t^degree."""
+        series = PowerSeries.monomial(self.backend, self.truncation, elem, degree)
         return DiffPoly.constant(self.backend, self.nvars, series)
+
+    def product(self, a: DiffPoly, b: DiffPoly, op: _Token) -> DiffPoly:
+        """a * b, refused at the operator `op` when it would multiply more
+        than MAX_POWER_TERMS^2 pairs of (monomial, t-degree) terms."""
+        m, n = (sum(len(c.terms) for _, c in f.terms) for f in (a, b))
+        if m * n > MAX_POWER_TERMS ** 2:
+            raise PolySyntaxError(f"a product of {m} by {n} terms exceeds the limit of "
+                                  f"{MAX_POWER_TERMS ** 2} term products", op.pos)
+        return a * b
 
     def parse(self) -> DiffPoly:
         result = self.expr_inner()
@@ -119,8 +130,8 @@ class _Parser:
     def term(self) -> DiffPoly:
         result = self.factor()
         while self.peek().kind == "*":
-            self.take()
-            result = result * self.factor()
+            op = self.take()
+            result = self.product(result, self.factor(), op)
         return result
 
     def factor(self) -> DiffPoly:
@@ -136,21 +147,21 @@ class _Parser:
             if k >= 2 and (n > MAX_POWER_TERMS or comb(n + k - 1, k - 1) > MAX_POWER_TERMS):
                 raise PolySyntaxError(f"a power of a sum of {k} terms may have more than "
                                       f"{MAX_POWER_TERMS} monomials", caret.pos)
-            result = result ** n
+            result = power(result, n, self.constant(self.backend.one()),
+                           lambda a, b: self.product(a, b, caret))
         return result
 
     def atom(self) -> DiffPoly:
         tok = self.take()
         if tok.kind == "num":
-            value = parse_rational(tok.text)
+            num, den = parse_ratio(tok.text)
             if self.peek().kind == "/":
                 self.take()
                 den_tok = self.expect("num")
-                den = parse_rational(den_tok.text)
+                den, _ = parse_ratio(den_tok.text)
                 if den == 0:
                     raise PolySyntaxError("zero denominator", den_tok.pos)
-                value /= den
-            return self.constant(value)
+            return self.constant(self.backend.elem(num, den))
         if tok.kind == "(":
             if self.depth == MAX_NESTING:
                 raise PolySyntaxError(f"parentheses nested deeper than {MAX_NESTING}", tok.pos)
@@ -166,9 +177,7 @@ class _Parser:
                         f"zeta is not defined over the {self.backend.kind} backend")
                 return self.constant(self.backend.zeta())
             if tok.text == "t":
-                series = PowerSeries.monomial(self.backend, self.truncation,
-                                              self.backend.one(), 1)
-                return DiffPoly.constant(self.backend, self.nvars, series)
+                return self.constant(self.backend.one(), 1)
             if tok.text.startswith("x"):
                 return self.variable(tok)
             raise PolySyntaxError(f"unknown name {tok.text!r}", tok.pos)
@@ -247,22 +256,25 @@ def _signed_sum(terms: Iterable[tuple[int, str]]) -> str:
     return "".join(pieces)
 
 
+def _sum_factors(parts: list[tuple[int, list[str]]]) -> tuple[int, list[str]]:
+    """A single (sign, product factors) part as it is; several as one
+    parenthesized signed sum."""
+    if len(parts) == 1:
+        return parts[0]
+    return 1, ["(" + _signed_sum((sign, "*".join(f)) for sign, f in parts) + ")"]
+
+
 def _field_scalar_str(c: FieldElem) -> tuple[int, list[str]]:
-    """Render a field element as (sign, product factors); multi-component
-    Eisenstein elements come back as a single parenthesized factor."""
-    nonzero = [(i, q) for i, q in enumerate(c.coeffs) if q != 0]
-    if len(nonzero) > 1:
-        terms = (_component_str(i, q) for i, q in nonzero)
-        return 1, ["(" + _signed_sum((sign, "*".join(f)) for sign, f in terms) + ")"]
-    return _component_str(*nonzero[0])
+    """Render a field element as (sign, product factors)."""
+    return _sum_factors([_component_str(i, a, c.den) for i, a in enumerate(c.num) if a])
 
 
-def _component_str(i: int, q: Fraction) -> tuple[int, list[str]]:
-    """Render the nonzero component q*zeta^i as (sign, product factors)."""
-    sign = 1 if q > 0 else -1
+def _component_str(i: int, a: int, den: int) -> tuple[int, list[str]]:
+    """Render the nonzero component (a/den)*zeta^i as (sign, product factors)."""
+    sign = 1 if a > 0 else -1
     factors = []
-    if abs(q) != 1 or i == 0:
-        factors.append(format_rational(abs(q)))
+    if abs(a) != den or i == 0:
+        factors.append(format_ratio(abs(a), den))
     if i == 1:
         factors.append("zeta")
     elif i >= 2:
@@ -272,21 +284,13 @@ def _component_str(i: int, q: Fraction) -> tuple[int, list[str]]:
 
 def _series_str(s: PowerSeries) -> tuple[int, list[str]]:
     """Render a series coefficient as (sign, product factors)."""
-    if len(s.terms) > 1:
-        terms = (_monomial_series_factors(c, k) for k, c in s.terms)
-        return 1, ["(" + _signed_sum((sign, "*".join(f)) for sign, f in terms) + ")"]
-    k, c = s.terms[0]
-    return _monomial_series_factors(c, k)
+    return _sum_factors([_monomial_series_factors(c, k) for k, c in s.terms])
 
 
 def _monomial_series_factors(c: FieldElem, k: int) -> tuple[int, list[str]]:
     sign, factors = _field_scalar_str(c)
     if k >= 1:
-        if factors == ["1"]:
-            factors = []
-        factors.append("t" if k == 1 else f"t^{k}")
-    if not factors:
-        factors = ["1"]
+        factors = ([] if factors == ["1"] else factors) + ["t" if k == 1 else f"t^{k}"]
     return sign, factors
 
 
@@ -315,7 +319,7 @@ def print_poly(f: Union[DiffPoly, Poly], nat_val: NatValuation = TRIVIAL_NAT_VAL
     as the Grigoriev image has, are printed with the default unit 1).
     """
     rendered = []
-    for lam, c in sorted(f.terms, key=lambda kv: kv[0].sort_key(), reverse=True):
+    for lam, c in reversed(f.terms):
         sign, factors, unit = _coefficient_str(c, nat_val)
         mono = _monomial_str(lam, f.nvars)
         if mono:

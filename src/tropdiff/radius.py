@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import BadBase, InvalidRule, TrivialBackend
-from .semiring import NatValuation, Rat, T_INF, TropNum, format_rational, is_prime, v_p_factorial
+from .semiring import NatValuation, Rat, TropNum, format_rational, is_prime, v_p_factorial
 from .series import PowerSeries, TropSeries, tropicalize_series
 
 LogValue = Union[Fraction, float]  # float: the infinity marker, or an inexact base change
@@ -57,20 +57,15 @@ class RadiusRule:
         if self.factorial_correction and (self.p is None or not is_prime(self.p)):
             raise InvalidRule("factorial correction needs a prime p")
 
-    def coefficient(self, n: int) -> TropNum:
-        """The coefficient of t^n prescribed by the rule."""
-        if n % self.stride:
-            return T_INF
-        m = n // self.stride
-        a = self.slope * m + self.offset
-        if self.factorial_correction:
-            a -= v_p_factorial(m, self.p)
-        return TropNum(a)
-
     def series(self, nat_val: NatValuation, truncation: int) -> TropSeries:
-        """The rule's series in window `truncation`, in the unit of `nat_val`."""
-        return TropSeries.from_coeffs(nat_val, truncation, (
-            nat_val.to_units(self.coefficient(n)) for n in range(truncation + 1)))
+        """The rule's series in window `truncation`, in the unit 1/e of `nat_val`,
+        on the integers where e * slope and e * offset are integral."""
+        slope, offset = (nat_val.to_units(TropNum(q)).value for q in (self.slope, self.offset))
+        corr = nat_val.e if self.factorial_correction else 0
+        return TropSeries(nat_val, truncation, tuple(
+            (self.stride * m,
+             TropNum(slope * m + offset - (corr and corr * v_p_factorial(m, self.p))))
+            for m in range(truncation // self.stride + 1)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,11 +196,11 @@ def _check_support(a: TropSeries, stride: int):
 def check_rule(rule: RadiusRule, a: TropSeries) -> RadiusRule:
     """`rule`, when every coefficient in the window of `a` is the rule's; else InvalidRule."""
     _check_support(a, rule.stride)
-    to_units = a.nat_val.to_units
-    for n, c in a.terms:
-        if c != to_units(rule.coefficient(n)):
-            raise InvalidRule(f"the coefficient of t^{n} is {a.nat_val.to_text(c)}, the rule "
-                              f"gives {rule.coefficient(n)}")
+    to_text = a.nat_val.to_text
+    for (n, c), (_, want) in zip(a.terms, rule.series(a.nat_val, a.truncation).terms):
+        if c != want:
+            raise InvalidRule(f"the coefficient of t^{n} is {to_text(c)}, the rule "
+                              f"gives {to_text(want)}")
     return rule
 
 
@@ -213,18 +208,17 @@ def fit_rule(a: TropSeries, stride: int, p: Optional[int]) -> RadiusRule:
     """Recover a coefficient rule from a truncated series, or fail.
 
     v_p(0!) = v_p(1!) = 0, so both laws, factorial-corrected (when p is
-    available) and plain, pass through a_0 and a_stride; each is then checked
-    against the window as `check_rule` checks a given rule, up to its first
-    mismatch.  Both fit only when the window has no m >= p, where
-    v_p(m!) > 0; their radii differ, so such a window is refused.
+    available) and plain, pass through a_0 and a_stride; each law's series
+    is then compared with the window.  Both fit only when the window has no
+    m >= p, where v_p(m!) > 0; their radii differ, so such a window is
+    refused.
     """
-    e, to_units = a.nat_val.e, a.nat_val.to_units
+    e = a.nat_val.e
     values = [Fraction(c.value, e) for _, c in a.terms[:2]] or [Fraction(0)]
     laws = [RadiusRule(stride, values[-1] - values[0], values[0], corr, p)
             for corr in ((True, False) if p is not None else (False,))]
     _check_support(a, stride)
-    fits = [rule for rule in laws
-            if all(c == to_units(rule.coefficient(n)) for n, c in a.terms)]
+    fits = [rule for rule in laws if rule.series(a.nat_val, a.truncation) == a]
     if not fits:
         raise InvalidRule("coefficients do not follow an affine law in m")
     if len(fits) == 2:

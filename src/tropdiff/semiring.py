@@ -17,9 +17,10 @@ elements, tropical series coefficients and the second coordinate of rank-2
 values are therefore plain ints; a value outside (1/e)Z, which only an
 input file can give, stays a `Fraction` in the same unit.  t-exponents
 (the first coordinate of rank-2 values) are not scaled.  The unit rides on
-`NatValuation`, and its two methods are the one boundary: `to_units` takes
-a value read as rationals into units, `to_text` writes a value in units as
-the rational it stands for.
+`NatValuation`, and its methods are the one boundary: `from_text` reads
+the text of a rational straight into units, `to_text` writes a value in
+units as that text, and `to_units` scales a value held as rationals (a
+radius rule's).  `TropNum.parse` and `str` are the unit-1 reader and writer.
 """
 
 from __future__ import annotations
@@ -148,11 +149,8 @@ class TropNum:
 
     @staticmethod
     def parse(text: str) -> "TropNum":
-        text = text.strip()
-        if text in ("inf", "+inf", "infinity"):
-            return T_INF
-        q = parse_rational(text)
-        return TropNum(q.numerator if q.denominator == 1 else q)
+        """The value `text` spells: `NatValuation.from_text` at unit 1."""
+        return TRIVIAL_NAT_VAL.from_text(text)
 
     @property
     def is_inf(self) -> bool:
@@ -193,12 +191,8 @@ class TropNum:
         return self + other == other
 
     def __str__(self) -> str:
-        v = self.value
-        if v is None:
-            return "inf"
-        if v.__class__ is tuple:
-            return f"({format_rational(v[0])}, {format_rational(v[1])})"
-        return format_rational(v)
+        """`NatValuation.to_text` at unit 1."""
+        return TRIVIAL_NAT_VAL.to_text(self)
 
     def __repr__(self) -> str:
         return f"TropNum({self})"
@@ -340,8 +334,16 @@ class NatValuation:
         if v is None or self.e == 1:
             return w
         if v.__class__ is tuple:
-            return TropNum((v[0], _times(v[1], self.e)))
-        return TropNum(_times(v, self.e))
+            return TropNum((v[0], _times(v[1].numerator, v[1].denominator, self.e)))
+        return TropNum(_times(v.numerator, v.denominator, self.e))
+
+    def from_text(self, text: str) -> TropNum:
+        """The value spelled by `text`, "inf" or a rational read by `parse_ratio`,
+        in units of 1/e: an int where integral, computed on the integers."""
+        text = text.strip()
+        if text in ("inf", "+inf", "infinity"):
+            return T_INF
+        return TropNum(_times(*parse_ratio(text), self.e))
 
     def to_text(self, w: TropNum) -> str:
         """The text of a value in units of 1/e, as `str` writes the rational
@@ -350,18 +352,13 @@ class NatValuation:
         if v is None:
             return "inf"
         if v.__class__ is tuple:
-            return f"({format_rational(v[0])}, {self._ratio_text(v[1])})"
-        return self._ratio_text(v)
-
-    def _ratio_text(self, u: Rat) -> str:
-        return format_ratio(u.numerator, u.denominator * self.e)
+            return f"({format_rational(v[0])}, {self.to_text(TropNum(v[1]))})"
+        return format_ratio(v.numerator, v.denominator * self.e)
 
 
-def _times(q: Rat, e: int) -> Rat:
-    """q * e, an int when integral, computed on the integers."""
-    if q.__class__ is int:
-        return q * e
-    num, den = q.numerator * e, q.denominator
+def _times(num: int, den: int, e: int) -> Rat:
+    """(num / den) * e for den > 0, an int when integral, computed on the integers."""
+    num *= e
     return num // den if num % den == 0 else Fraction(num, den)
 
 

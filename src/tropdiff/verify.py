@@ -32,7 +32,7 @@ from .errors import NotAClassicalSolution, TruncationExhausted
 from .fields import FieldBackend, FieldElem, ResidueElem, dot
 from .initial import initial_form, initial_system_monomial_check
 from .radius import RadiusRule, radius_from_rule, radius_window_estimate
-from .semiring import NatValuation, TropNum, v_p_factorial
+from .semiring import NatValuation
 from .series import (
     LeadingTerm,
     PowerSeries,
@@ -112,12 +112,15 @@ def exp_equation(p: int, truncation: int) -> tuple[LinearODE, DiffPoly]:
     return ode, ode.as_diffpoly()
 
 
+def exp_rule(p: int) -> RadiusRule:
+    """The tropical law of exp(zeta t^p) over Q(zeta): m/(p-1) - v_p(m!) at
+    t^(m*p), infinity elsewhere."""
+    return RadiusRule(p, Fraction(1, p - 1), Fraction(0), True, p)
+
+
 def exp_tropical_closed_form(p: int, truncation: int) -> TropSeries:
-    """Tropicalization of exp(zeta t^p): m/(p-1) - v_p(m!) at index m*p, else
-    infinity; in units of 1/(p-1), m - (p-1)*v_p(m!)."""
-    return TropSeries(FieldBackend("eisenstein", p).nat_val, truncation, tuple(
-        (m * p, TropNum(m - (p - 1) * v_p_factorial(m, p)))
-        for m in range(truncation // p + 1)))
+    """Tropicalization of exp(zeta t^p) in window `truncation`: `exp_rule(p)`'s series."""
+    return exp_rule(p).series(FieldBackend("eisenstein", p).nat_val, truncation)
 
 
 @dataclass(frozen=True, slots=True)
@@ -294,7 +297,8 @@ def reproduce_exponential_example(p: int, truncation: Optional[int] = None,
     s = long_s.truncate(n)
     step("tropicalize-solution", True, "coefficientwise valuation over Q(zeta)")
 
-    expected = exp_tropical_closed_form(p, n)
+    rule = exp_rule(p)
+    expected = rule.series(backend.nat_val, n)
     if not step("closed-form-coefficients", s == expected,
                 f"tropical coefficients equal m/{p - 1} - v_{p}(m!) at indices m*{p}, "
                 "infinity elsewhere (exact)"):
@@ -324,8 +328,7 @@ def reproduce_exponential_example(p: int, truncation: Optional[int] = None,
                 "verdict matches the solution check"):
         return report()
 
-    rule = RadiusRule(p, Fraction(1, p - 1), Fraction(0), True, p)
-    exact = radius_from_rule(rule)
+    exact = radius_from_rule(rule)  # the law the closed-form step checked
     window = radius_window_estimate(long_s.truncate(radius_n))
     rule_ok = exact.log_radius == 0
     window_ok = abs(window.log_radius) <= Fraction(15, 100)

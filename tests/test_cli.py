@@ -267,6 +267,20 @@ def test_power_of_a_sum_is_bounded(capsys, tmp_path):
                                        "more than 500 monomials (at position 15)\n")
 
 
+def test_power_of_a_sum_is_bounded_by_its_terms(capsys, tmp_path):
+    """(x + 1 + t)^200 has only 201 monomials, but at truncation 200 its
+    coefficients hold about 20,000 (monomial, t-degree) terms: the squaring
+    of (x + 1 + t)^32, 561 by 561 terms, is refused at the ^ within 1 s."""
+    system = _write(tmp_path, "sys.json", {"field": {"kind": "padic", "p": 3}, "vars": 1,
+                                           "truncation": 200,
+                                           "polynomials": ["(x + 1 + t)^200"]})
+    start = time.perf_counter()
+    assert main(["tropicalize", "--system", system]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("", "tropdiff: a product of 561 by 561 terms exceeds the "
+                                       "limit of 250000 term products (at position 11)\n")
+
+
 def test_padded_variable_index_is_read(capsys, tmp_path):
     """Leading zeros do not count against the index length: x0...01 is x1."""
     system = _write(tmp_path, "sys.json", {"field": {"kind": "padic", "p": 3}, "vars": 2,

@@ -1,9 +1,11 @@
 import gc
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from tropdiff import files
 from tropdiff.diffpoly import (
     CONSTANT_MONOMIAL,
     DiffPoly,
@@ -204,6 +206,23 @@ def test_huge_exponent_parses_by_repeated_squaring(monkeypatch):
     assert len(calls) <= 44
     one = PowerSeries.one(PADIC3, 6)
     assert f.terms == ((X, -one), (ExponentMatrix.make({(0, 0): 3000000}), one))
+
+
+def test_parse_makes_one_polynomial_per_operation(monkeypatch):
+    """Parsing tests/golden/sys-p5.json runs `DiffPoly.make` once per binary
+    +, - or * (29) and once per product inside a power (10: zeta^2 takes one,
+    each zeta^3 two); a literal, t, zeta or a variable takes none."""
+    calls = []
+    make = DiffPoly.make
+
+    def counted(*args):
+        calls.append(1)
+        return make(*args)
+
+    monkeypatch.setattr(DiffPoly, "make", staticmethod(counted))
+    golden = Path(__file__).parent / "golden" / "sys-p5.json"
+    files.system_from_dict(files.load_json(str(golden)))
+    assert len(calls) == 39
 
 
 def test_diffpoly_coefficients_nonzero_in_window():

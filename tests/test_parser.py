@@ -99,6 +99,17 @@ def test_number_token_digit_limit(monkeypatch):
         parse_poly("x + " + "1" * 51, PADIC3, 1, 4)
 
 
+def test_written_product_is_bounded_by_its_terms():
+    """A product written with "*" is refused at its operator when its operands
+    have more than MAX_POWER_TERMS^2 pairs of (monomial, t-degree) terms:
+    561 * 435 pairs are multiplied, 561 * 465 are not."""
+    big = "(x + 1 + t)^32*(x + 1 + t)^"  # (n + 1)(n + 2)/2 terms at truncation 200
+    with pytest.raises(PolySyntaxError, match=r"a product of 561 by 465 terms exceeds the "
+                                              r"limit of 250000 term products \(at position 14\)"):
+        parse_poly(big + "29", PADIC3, 1, 200)
+    assert len(parse_poly(big + "28", PADIC3, 1, 200).terms) == 61
+
+
 def test_exponent_digit_limit():
     """Exponents and derivative orders of MAX_EXPONENT_DIGITS digits are read;
     one digit more is a syntax error at the token."""

@@ -18,9 +18,9 @@ from tropdiff.radius import (
     radius_from_rule,
     radius_window_estimate,
 )
-from tropdiff.semiring import NatValuation, TropNum, digit_sum
+from tropdiff.semiring import T_INF, NatValuation, TropNum, digit_sum
 from tropdiff.series import PowerSeries, TropSeries, tropicalize_series
-from tropdiff.verify import exp_equation, exp_tropical_closed_form, solve_linear
+from tropdiff.verify import exp_equation, exp_rule, exp_tropical_closed_form, solve_linear
 
 from helpers import (
     PADIC3,
@@ -31,10 +31,6 @@ from helpers import (
     rng_for,
     vp_factorial_bruteforce,
 )
-
-
-def exp_rule(p):
-    return RadiusRule(p, Fraction(1, p - 1), Fraction(0), True, p)
 
 
 def test_rule_examples():
@@ -55,10 +51,14 @@ def test_rule_examples():
 
 
 def test_rule_series_matches_closed_form():
+    """The exponential law's series is m/(p-1) - v_p(m!) at t^(m*p), in units
+    of 1/(p-1), and infinity elsewhere; v_p(m!) counted by brute force."""
     for p in (2, 3, 5):
-        rule = exp_rule(p)
         nv = FieldBackend("eisenstein", p).nat_val
-        assert rule.series(nv, 6 * p) == exp_tropical_closed_form(p, 6 * p)
+        want = TropSeries.from_coeffs(nv, 6 * p, [
+            TropNum(k // p - (p - 1) * vp_factorial_bruteforce(k // p, p)) if k % p == 0
+            else T_INF for k in range(6 * p + 1)])
+        assert exp_rule(p).series(nv, 6 * p) == want
 
 
 def test_window_estimate_against_digit_sum_oracle():

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from tropdiff import files
+from tropdiff import cli, files
 from tropdiff.diffpoly import derived_system, eval_tropical, is_tropical_solution, tropicalize_poly
 from tropdiff.fields import FieldBackend
 from tropdiff.semiring import T_INF, TropNum, format_rational
@@ -134,5 +134,35 @@ def test_kernel_enters_no_fraction_code():
     solution = is_tropical_solution(system, candidate)
     profile.disable()
     assert len(solution.reports) == 15
+    entered = {path for path, _, _ in pstats.Stats(profile).stats}
+    assert not [path for path in entered if Path(path).name == "fractions.py"]
+
+
+def test_cli_edges_enter_no_fraction_code(tmp_path, capsys):
+    """From the files to the reports, `check` and `initial` on the Eisenstein
+    goldens (the p = 5 candidate inside (1/4)Z) and `tropicalize` on the
+    p-adic golden read and write every number on the integers: cProfile
+    sees no frame of the fractions module."""
+    data = json.loads((GOLDEN / "cand-p5.json").read_text())
+    for rec in data["series"][0]["coeffs"]:
+        if rec["val"] == "1/3":  # the golden's one value outside (1/4)Z
+            rec["val"] = "3/4"
+    cand_p5 = tmp_path / "cand-p5.json"
+    cand_p5.write_text(json.dumps(data))
+    runs = [[command, "--system", str(GOLDEN / system), "--candidate", str(candidate),
+             "--order", order]
+            for system, candidate, order in (("sys.json", GOLDEN / "cand.json", "9"),
+                                             ("sys-p5.json", cand_p5, "4"))
+            for command in ("check", "initial")]
+    runs.append(["tropicalize", "--system", str(GOLDEN / "sys2-padic.json")])
+    profile = cProfile.Profile()
+    codes = []
+    for k, argv in enumerate(runs):
+        profile.enable()
+        codes.append(cli.main(argv + ["--json", str(tmp_path / f"report-{k}.json")]))
+        profile.disable()
+    # the changed value makes the p = 5 candidate fail both checks
+    assert codes == [0, 0, 1, 1, 0]
+    assert "trop_v  = x1''*x2 + (1, 1)*x1^2 + (0, -1)" in capsys.readouterr().out
     entered = {path for path, _, _ in pstats.Stats(profile).stats}
     assert not [path for path in entered if Path(path).name == "fractions.py"]
