@@ -4,7 +4,8 @@ A differential polynomial is a finite sum of terms A_lam * x^lam where lam is
 a sparse exponent matrix over pairs (variable i, derivative order j) and
 A_lam is a truncated series.  Tropicalization replaces each A_lam by its
 rank-2 valuation, giving a `Poly`, the one sparse container for
-polynomials with tropical, field or residue coefficients.  One evaluator
+polynomials with tropical, field, residue or jet coefficients (a derived
+family holds d^k f, k >= 1, as jets: `derived_system`).  One evaluator
 (`evaluate`) computes such a polynomial's value: a leading-term provider
 gives the value of x_i^(j), e.g. the leading term of the j-th tropical
 derivative of a series, and the report gives the minimum, the monomials
@@ -16,13 +17,14 @@ table, initial forms), so no polynomial is evaluated twice at one candidate.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from math import comb
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from math import comb, perm
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import MissingVariable, TruncationExhausted
 from .fields import FieldBackend, FieldElem, power
-from .semiring import T_INF, Rat, TropNum, tropically_vanishes
+from .semiring import T_INF, Rat, TropNum, tropically_vanishes, v_p, v_p_factorial
 from .series import LeadingTerm, PowerSeries, TropSeries, rank2_val
 
 
@@ -121,9 +123,10 @@ class Poly:
     """Sparse polynomial in the x_i^(j) with coefficients of one type.
 
     The coefficients carry their own ring: tropical values (TropNum),
-    field elements (FieldElem) or residues (ResidueElem).  Terms are in
-    graded-lexicographic order, without additive-identity coefficients (inf,
-    0); only `make` sorts, other constructors keep the order they are given.
+    field elements (FieldElem), residues (ResidueElem) or jets (Jet).
+    Terms are in graded-lexicographic order, without additive-identity
+    coefficients (inf, 0); only `make` sorts, other constructors keep the
+    order they are given.
     """
 
     nvars: int
@@ -195,12 +198,6 @@ class DiffPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, lam: ExponentMatrix) -> PowerSeries:
-        for mu, c in self.terms:
-            if mu == lam:
-                return c
-        return PowerSeries.zero(self.backend, self.truncation)
-
     def _common(self, other: "DiffPoly") -> int:
         if self.backend != other.backend or self.nvars != other.nvars:
             raise ValueError("mixed polynomial rings")
@@ -230,11 +227,6 @@ class DiffPoly:
                                 PowerSeries.one(self.backend, self.truncation))
         return power(self, n, one)
 
-    def scale(self, c: FieldElem) -> "DiffPoly":
-        """c * self; a field has no zero divisors, so only c = 0 drops terms."""
-        terms = () if c.is_zero else tuple((lam, s.scale(c)) for lam, s in self.terms)
-        return DiffPoly(self.backend, self.nvars, self.truncation, terms)
-
     def diff(self) -> "DiffPoly":
         """Total derivative: Leibniz across coefficients and monomials."""
         if self.truncation < 1:
@@ -247,10 +239,6 @@ class DiffPoly:
             out.extend((lam.bump(i, j), a_low if e == 1 else a_low.scale(e))
                        for (i, j), e in lam.entries)
         return DiffPoly.make(self.backend, self.nvars, n, out)
-
-    def constant_terms(self) -> Poly:
-        """This polynomial at t = 0, with coefficients in K."""
-        return Poly(self.nvars, self.terms).map(PowerSeries.constant_term)
 
 
 @dataclass(frozen=True, slots=True)
@@ -270,14 +258,20 @@ class EvalReport:
     ambiguous: bool
 
 
-def tropicalize_poly(f: DiffPoly) -> Poly:
-    """Apply the rank-2 valuation coefficientwise.
+def tropicalize_poly(f: Union[DiffPoly, Poly]) -> Poly:
+    """Apply the rank-2 valuation coefficientwise; a jet holds its value.
 
-    Every coefficient of a DiffPoly is nonzero inside its window (`make`
-    drops the others), so no rank-2 value here is truncation-limited, and
-    its terms are in graded order already, so they are kept as they stand.
+    Every coefficient of a DiffPoly or jet is nonzero inside its window, so
+    no rank-2 value here is truncation-limited, and the terms are in graded
+    order already, so they are kept as they stand.
     """
-    return Poly(f.nvars, tuple((lam, rank2_val(a).value) for lam, a in f.terms))
+    return Poly(f.nvars, tuple((lam, a.value if a.__class__ is Jet else rank2_val(a).value)
+                               for lam, a in f.terms))
+
+
+def constant_terms(f: Union[DiffPoly, Poly]) -> Poly:
+    """f (a DiffPoly or a Poly of jets) at t = 0, with coefficients in K."""
+    return Poly(f.nvars, f.terms).map(lambda c: c.constant_term())
 
 
 def eval_classical(f: DiffPoly, a: Sequence[PowerSeries]) -> PowerSeries:
@@ -373,7 +367,7 @@ def eval_tropical(g: Poly, s: Sequence[TropSeries]) -> EvalReport:
 
 def f_lr(f: DiffPoly, r: int) -> Poly:
     """The polynomial (d^r f) evaluated at t = 0, with coefficients in K."""
-    return derived_system(f, r)[r].constant_terms()
+    return constant_terms(derived_system(f, r)[r])
 
 
 def _leibniz_tables(lam: ExponentMatrix, top: int) -> list[dict[ExponentMatrix, int]]:
@@ -399,48 +393,95 @@ def _leibniz_tables(lam: ExponentMatrix, top: int) -> list[dict[ExponentMatrix, 
     return tables
 
 
-def derived_system(f: DiffPoly, m: int) -> list[DiffPoly]:
+class Jet(NamedTuple):
+    """A coefficient of d^k f (k >= 1), held as its sources, not as a series.
+
+    The coefficient is the sum of C(k, a) * count * c^(a) over its sources
+    (c, a, count), c a coefficient of f by degree (see `derived_system`).
+    `value` is its rank-2 value; its t^j coefficients are summed on demand.
+    A NamedTuple: one is made per term of every d^k f, twice as fast as a
+    frozen dataclass.
+    """
+
+    value: TropNum
+    k: int
+    sources: tuple[tuple[dict[int, FieldElem], int, int], ...]
+    zero: FieldElem
+
+    def coefficient(self, j: int) -> FieldElem:
+        """The sum of C(k, a) * count * (j+a)!/j! * c_(j+a) over the sources."""
+        total = self.zero
+        for c, a, count in self.sources:
+            if (x := c.get(j + a)) is not None:
+                total = total + x * (comb(self.k, a) * count * perm(j + a, a))
+        return total
+
+    def leading_coefficient(self) -> FieldElem:
+        return self.coefficient(self.value.value[0])
+
+    def constant_term(self) -> FieldElem:
+        return self.coefficient(0)
+
+
+def _jet(k: int, entries: list, window: int, zero: FieldElem) -> Optional[Jet]:
+    """The jet of the sources in `entries`, each (j0, v, source) with v the
+    valuation of its t^j0 term; None when they cancel through the window."""
+    j = min(j0 for j0, _, _ in entries)
+    first = [v for j0, v, _ in entries if j0 == j]
+    jet = Jet(TropNum((j, first[0])), k, tuple(source for _, _, source in entries), zero)
+    if len(first) == 1:
+        return jet
+    for j in range(j, window + 1):  # a collision: sum at j, one degree up while it cancels
+        if not (x := jet.coefficient(j)).is_zero:
+            return jet._replace(value=TropNum((j, x.valuation().value)))
+    return None
+
+
+def derived_system(f: DiffPoly, m: int) -> list:
     """The finite derived family f, df, ..., d^m f, by the general Leibniz rule.
 
     d^k(c x^lam) = sum_a C(k, a) c^(a) D_(k-a)(lam), with D_b the integer
-    tables of `_leibniz_tables`.  Each coefficient's chain c, c', c'', ...
-    is built once and stops at its first zero; D_b is built only for
-    b <= min(m, N - ord(c)), since c^(a) has no term inside window N - k
-    otherwise; c^(a), cut to that window, is scaled once per distinct
-    factor C(k, a) * count.  d^k f has window N - k, as k steps of
-    `DiffPoly.diff` give, and equals their result.
+    tables of `_leibniz_tables`, built for b <= min(m, N - ord(c)).  For
+    k >= 1, d^k f is a `Poly` of `Jet`s in window N - k, and no series is
+    built.  A source (c, a, count) of a monomial starts at degree
+    j0 = (first degree of c that is >= a) - a, if j0 <= N - k.  A least j0
+    that one source alone attains gives the value on the integers:
+    v(c_(j0+a)) + v((j0+a)!) - v(j0!) + v(C(k, a) * count).  Where several
+    do, their terms are summed at j0, and one degree up while they cancel;
+    a sum that cancels through the window drops the monomial, as `make` does.
     """
     n = f.truncation
     if m > n:
         raise TruncationExhausted("coefficient truncation exhausted by d")
-    parts = []
-    for lam, c in f.terms:
-        chain = [c]
-        while len(chain) <= m:
-            d = chain[-1].derivative()
-            if d.is_zero:
-                break
-            chain.append(d)
-        parts.append((chain, _leibniz_tables(lam, min(m, n - c.order()))))
+    p, e = f.backend.nat_val.p, f.backend.nat_val.e
+    vf = [e * v_p_factorial(i, p) for i in range(n + 1)] if p else [0] * (n + 1)  # v(i!)
+    parts = [(dict(c.terms), [d for d, _ in c.terms], [x.valuation().value for _, x in c.terms],
+              _leibniz_tables(lam, min(m, n - c.terms[0][0]))) for lam, c in f.terms]
+    zero = f.backend.zero()
     out = [f]
     for k in range(1, m + 1):
         window = n - k
-        terms: list[tuple[ExponentMatrix, PowerSeries]] = []
-        for chain, tables in parts:
-            # c^(a) runs over the chain, D_(k-a) over the tables built
-            for a in range(max(k - len(tables) + 1, 0), min(k, len(chain) - 1) + 1):
-                s = chain[a].truncate(window)
-                if s.is_zero:
+        found: dict[ExponentMatrix, list] = {}
+        for c, degrees, vals, tables in parts:
+            # c^(a) runs while c has a term of degree >= a, D_(k-a) over the tables built
+            for a in range(max(k - len(tables) + 1, 0), min(k, degrees[-1]) + 1):
+                i = bisect_left(degrees, a)
+                j0 = degrees[i] - a
+                if j0 > window:
                     continue
-                binom = comb(k, a)
-                scaled = {1: s}
+                v = vals[i] + vf[j0 + a] - vf[j0] + vf[k] - vf[a] - vf[k - a]
                 for mu, count in tables[k - a].items():
-                    factor = binom * count
-                    t = scaled.get(factor)
-                    if t is None:
-                        t = scaled[factor] = s.scale(factor)
-                    terms.append((mu, t))
-        out.append(DiffPoly.make(f.backend, f.nvars, window, terms))
+                    w = v if not p or count % p else v + e * v_p(count, p)
+                    found.setdefault(mu, []).append((j0, w, (c, a, count)))
+        terms = []
+        for mu, entries in found.items():
+            if len(entries) == 1:
+                (j, w, source), = entries
+                terms.append((mu, Jet(TropNum((j, w)), k, (source,), zero)))
+            elif (jet := _jet(k, entries, window, zero)) is not None:
+                terms.append((mu, jet))
+        terms.sort(key=lambda term: term[0].sort_key())
+        out.append(Poly(f.nvars, tuple(terms)))
     return out
 
 

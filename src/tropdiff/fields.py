@@ -58,7 +58,6 @@ from .semiring import (
     T_ZERO,
     TropNum,
     format_ratio,
-    format_rational,
     is_prime,
     v_p,
 )
@@ -425,19 +424,25 @@ def _normal(backend: FieldBackend, num: tuple[int, ...], den: int) -> FieldElem:
 
 @dataclass(frozen=True, slots=True)
 class ResidueElem:
-    """Element of the residue field: F_p (p a prime) or Q (p = None)."""
+    """Element of the residue field, on the integers: F_p (p a prime), the
+    value in 0 .. p-1 over den 1, or Q (p = None), the rational value / den
+    in lowest terms with den > 0."""
 
     p: Optional[int]
-    value: Union[int, Fraction]
+    value: int
+    den: int = 1
 
     @staticmethod
-    def of(p: int, x: Rat) -> "ResidueElem":
-        q = Fraction(x)
-        if q.denominator % p == 0:
-            raise NegativeValuation(f"{x} has no residue mod {p}")
-        num = q.numerator % p
-        inv = pow(q.denominator % p, -1, p)
-        return ResidueElem(p, (num * inv) % p)
+    def of(p: Optional[int], num: int, den: int = 1) -> "ResidueElem":
+        """The residue of num / den (den > 0): the rational itself over Q, its
+        class mod p otherwise."""
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        if p is None:
+            return ResidueElem(None, num, den)
+        if den % p == 0:
+            raise NegativeValuation(f"{format_ratio(num, den)} has no residue mod {p}")
+        return ResidueElem(p, num * pow(den, -1, p) % p)
 
     @property
     def is_zero(self) -> bool:
@@ -446,11 +451,10 @@ class ResidueElem:
     def __mul__(self, other: "ResidueElem") -> "ResidueElem":
         if self.p != other.p:
             raise ValueError("mixed residue fields")
-        v = self.value * other.value
-        return ResidueElem(self.p, v % self.p if self.p else v)
+        return ResidueElem.of(self.p, self.value * other.value, self.den * other.den)
 
     def __str__(self) -> str:
-        return str(self.value) if self.p else format_rational(self.value)
+        return format_ratio(self.value, self.den)
 
     def __repr__(self) -> str:
         return f"ResidueElem({self} mod {self.p})" if self.p else f"ResidueElem({self})"
@@ -479,14 +483,13 @@ def section_phi(w: TropNum, backend: FieldBackend) -> tuple[int, FieldElem]:
 def residue(x: FieldElem) -> ResidueElem:
     """Residue-field image of an element of nonnegative valuation."""
     b = x.backend
-    c0 = Fraction(x.num[0], x.den)
     if b.kind == "trivial":
-        return ResidueElem(None, c0)
+        return ResidueElem(None, x.num[0], x.den)
     v = x.valuation()
     if not v.is_inf and v.value < 0:
         raise NegativeValuation(f"valuation {v} < 0 has no residue")
     # Eisenstein: terms c_i zeta^i with i >= 1 have positive valuation.
-    return ResidueElem.of(b.p, c0) if c0 else ResidueElem(b.p, 0)
+    return ResidueElem.of(b.p, x.num[0], x.den)
 
 
 def angular_component(x: FieldElem) -> ResidueElem:
@@ -502,7 +505,7 @@ def angular_component(x: FieldElem) -> ResidueElem:
         raise ZeroInput("the angular component of zero is undefined")
     b = x.backend
     if b.kind == "trivial":
-        return ResidueElem(None, Fraction(x.num[0], x.den))
+        return ResidueElem(None, x.num[0], x.den)
     p, e = b.p, b.ramification
     w, i = min((e * v_p(a, p) + i, i) for i, a in enumerate(x.num) if a)
     k, kb = (w - i) // e, v_p(x.den, p)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 from typing import Sequence
 
-from .diffpoly import CONSTANT_MONOMIAL, DiffPoly
+from .diffpoly import DiffPoly
 from .fields import FieldBackend, FieldElem
 from .parser import parse_poly, print_poly
 from .semiring import MAX_DIGITS, NatValuation, format_ratio, parse_ratio
@@ -188,7 +188,7 @@ def ode_from_dict(data: dict) -> LinearODE:
         g_poly = parse_poly(g_data, backend, 1, max(truncation - 1, 0))
         if any(not lam.is_constant for lam, _ in g_poly.terms):
             raise ValueError("the right-hand side g must not involve x")
-        g = g_poly.coefficient(CONSTANT_MONOMIAL)
+        g = g_poly.terms[0][1] if g_poly.terms else PowerSeries.zero(backend, g_poly.truncation)
     else:
         g = series_from_dict(g_data, backend)
     c0 = elem_from_json(data["c0"], backend)

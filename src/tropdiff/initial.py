@@ -12,7 +12,7 @@ solution check, so both verdicts on S rest on the same evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 from .diffpoly import DiffPoly, EvalReport, Poly, SolutionReport
 from .errors import TruncationAmbiguous
@@ -24,13 +24,14 @@ def is_monomial(g: Poly) -> bool:
     return len(g.terms) == 1
 
 
-def initial_form(f: DiffPoly, report: EvalReport) -> Poly:
+def initial_form(f: Union[DiffPoly, Poly], report: EvalReport) -> Poly:
     """Initial form via the angular-component closed form.
 
-    `report` is the tropical evaluation of trop(f) at S (`eval_tropical`).
-    The monomials attaining it survive with coefficient ac(leading
-    coefficient of A_lam), a residue.  Raises TruncationAmbiguous when an
-    exhausted window could still change the attainment set.
+    `f` is a DiffPoly or a Poly of jets, and `report` the tropical
+    evaluation of trop(f) at S (`eval_tropical`).  The monomials attaining
+    it survive with coefficient ac(leading coefficient of A_lam), a
+    residue.  Raises TruncationAmbiguous when an exhausted window could
+    still change the attainment set.
     """
     if report.value.is_inf:
         # All terms are infinite as far as the windows can tell: the zero
@@ -41,7 +42,8 @@ def initial_form(f: DiffPoly, report: EvalReport) -> Poly:
         raise TruncationAmbiguous(
             "an exhausted window could still reach the computed minimum")
     # the attainment is in graded order, and an angular component is never zero
-    return Poly(f.nvars, tuple((lam, angular_component(f.coefficient(lam).terms[0][1]))
+    coeffs = dict(f.terms)
+    return Poly(f.nvars, tuple((lam, angular_component(coeffs[lam].leading_coefficient()))
                                for lam in report.attainment))
 
 
@@ -60,7 +62,7 @@ class MonomialCheckReport:
                 else "MONOMIAL_FOUND")
 
 
-def initial_system_monomial_check(families: Sequence[Sequence[DiffPoly]],
+def initial_system_monomial_check(families: Sequence[Sequence[Union[DiffPoly, Poly]]],
                                   solution: SolutionReport) -> MonomialCheckReport:
     """Compute in_S(d^k f_l) over derived families and look for monomial initial forms.
 

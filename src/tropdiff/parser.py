@@ -20,7 +20,9 @@ MAX_NESTING deep; a power n of a sum of k >= 2 terms, which has up to
 C(n + k - 1, k - 1) monomials, is refused when that bound exceeds
 MAX_POWER_TERMS.  A product, written with "*" or taken inside a power, of
 operands with a and b (monomial, t-degree) terms takes up to a * b products
-of field elements, and is refused when a * b exceeds MAX_POWER_TERMS^2.
+of field elements, and is refused when a * b exceeds MAX_POWER_TERMS^2, or
+when a * b times the summed bit lengths of the operands' largest numerators
+or denominators exceeds MAX_PRODUCT_BITS.
 Numbers are read, and field elements printed, on the integers.
 """
 
@@ -34,7 +36,7 @@ from .diffpoly import DiffPoly, ExponentMatrix, Poly
 from .errors import PolySyntaxError, UnknownVariable, ZetaUnavailable
 from .fields import FieldBackend, FieldElem, ResidueElem, power
 from .semiring import (MAX_DIGITS, T_ZERO, T2_ZERO, TRIVIAL_NAT_VAL, NatValuation, TropNum,
-                       format_ratio, format_rational, parse_ratio)
+                       format_ratio, parse_ratio)
 from .series import PowerSeries
 
 _SYMBOLS = "+-*^()'"
@@ -44,6 +46,9 @@ MAX_EXPONENT_DIGITS = 1000  # inside the interpreter's int/str digit limit
 # product may multiply.  Repeated squaring multiplies every pair of terms, so
 # (x + 1)^499, with 500 monomials, parses in about 2 s, (x + 1)^999 in 10 s.
 MAX_POWER_TERMS = 500
+# Term pairs of one product times its operands' largest coefficient bits:
+# (x + 1)^499 reaches 3.1 * 10^7, (x + a 100-digit literal)^64 1.8 * 10^8.
+MAX_PRODUCT_BITS = 2 ** 26
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,11 +120,16 @@ class _Parser:
 
     def product(self, a: DiffPoly, b: DiffPoly, op: _Token) -> DiffPoly:
         """a * b, refused at the operator `op` when it would multiply more
-        than MAX_POWER_TERMS^2 pairs of (monomial, t-degree) terms."""
-        m, n = (sum(len(c.terms) for _, c in f.terms) for f in (a, b))
+        than MAX_POWER_TERMS^2 pairs of (monomial, t-degree) terms, or when
+        its pairs times its operands' coefficient bits exceed MAX_PRODUCT_BITS."""
+        (m, a_bits), (n, b_bits) = _size(a), _size(b)
         if m * n > MAX_POWER_TERMS ** 2:
             raise PolySyntaxError(f"a product of {m} by {n} terms exceeds the limit of "
                                   f"{MAX_POWER_TERMS ** 2} term products", op.pos)
+        if m * n * (a_bits + b_bits) > MAX_PRODUCT_BITS:
+            raise PolySyntaxError(f"a product of {m} by {n} terms of up to {a_bits} and "
+                                  f"{b_bits} bits exceeds the limit of {MAX_PRODUCT_BITS} "
+                                  "term-product bits", op.pos)
         return a * b
 
     def parse(self) -> DiffPoly:
@@ -218,6 +228,13 @@ class _Parser:
         return DiffPoly.var(self.backend, self.nvars, self.truncation, index - 1, order)
 
 
+def _size(f: DiffPoly) -> tuple[int, int]:
+    """f's (monomial, t-degree) terms, and the bit length of their largest
+    numerator or denominator."""
+    xs = [x for _, c in f.terms for _, x in c.terms]
+    return len(xs), max((max(x.den, *map(abs, x.num)).bit_length() for x in xs), default=0)
+
+
 def _exponent(tok: _Token) -> int:
     """The integer of a power exponent or derivative order token."""
     if len(tok.text) > MAX_EXPONENT_DIGITS:
@@ -300,8 +317,8 @@ def _coefficient_str(c, nat_val: NatValuation) -> tuple[int, list[str], bool]:
     if isinstance(c, TropNum):
         return 1, [nat_val.to_text(c)], c in (T_ZERO, T2_ZERO)
     if isinstance(c, ResidueElem):
-        sign = -1 if (c.p is None and c.value < 0) else 1
-        factors = [format_rational(abs(c.value)) if c.p is None else str(c)]
+        sign = -1 if c.value < 0 else 1
+        factors = [format_ratio(abs(c.value), c.den)]
     elif isinstance(c, FieldElem):
         sign, factors = _field_scalar_str(c)
     else:

@@ -110,6 +110,10 @@ class PowerSeries:
         """Smallest exponent with a nonzero coefficient, or None within the window."""
         return self.terms[0][0] if self.terms else None
 
+    def leading_coefficient(self) -> FieldElem:
+        """The lowest nonzero coefficient of a nonzero series."""
+        return self.terms[0][1]
+
     def constant_term(self) -> FieldElem:
         if self.terms and self.terms[0][0] == 0:
             return self.terms[0][1]

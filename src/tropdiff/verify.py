@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .diffpoly import (
     DiffPoly,
@@ -22,6 +22,7 @@ from .diffpoly import (
     Poly,
     SolutionReport,
     at_vector,
+    constant_terms,
     derived_system,
     eval_classical,
     evaluate,
@@ -193,7 +194,8 @@ def _solution_detail(report: SolutionReport, m: int) -> str:
     return text
 
 
-def check_easy_inclusion(family: Sequence[DiffPoly], sol: Sequence[PowerSeries]) -> SolutionReport:
+def check_easy_inclusion(family: Sequence[Union[DiffPoly, Poly]],
+                         sol: Sequence[PowerSeries]) -> SolutionReport:
     """Tropicalized classical solutions solve the tropicalized derived system.
 
     `family` is f, df, ..., d^m f (see `derived_system`).  Raises
@@ -208,7 +210,8 @@ def check_easy_inclusion(family: Sequence[DiffPoly], sol: Sequence[PowerSeries])
     return is_tropical_solution([tropicalize_poly(g) for g in family], s)
 
 
-def check_truncation_vectors(family: Sequence[DiffPoly], s: Sequence[TropSeries]) -> SolutionReport:
+def check_truncation_vectors(family: Sequence[Union[DiffPoly, Poly]],
+                             s: Sequence[TropSeries]) -> SolutionReport:
     """A tropical solution truncates to a solution of the F_r tropicalizations.
 
     F_r = (d^r f)|_(t=0) is read from `family`, the derived family f, ..., d^m f,
@@ -217,7 +220,7 @@ def check_truncation_vectors(family: Sequence[DiffPoly], s: Sequence[TropSeries]
     """
     b = tuple(psi_trop_inverse(si) for si in s)
     return SolutionReport.of(
-        evaluate(g.constant_terms().map(FieldElem.valuation), at_vector(b))
+        evaluate(constant_terms(g).map(FieldElem.valuation), at_vector(b))
         for g in family)
 
 

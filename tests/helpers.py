@@ -133,6 +133,22 @@ def iterated_derived_system(f: DiffPoly, m: int) -> list:
     return out
 
 
+def assert_jets_match(family: list, oracle: list):
+    """The derived family (f, then `Poly`s of jets) agrees with the classical
+    family of `iterated_derived_system`: the same monomials in the same
+    order, each jet's value the rank-2 valuation of the oracle's
+    coefficient, its leading coefficient the lowest nonzero term there, and
+    its constant term the oracle's."""
+    assert len(family) == len(oracle) and family[0] is oracle[0]
+    for k, (g, h) in enumerate(zip(family[1:], oracle[1:]), 1):
+        assert [lam for lam, _ in g.terms] == [lam for lam, _ in h.terms], k
+        for (lam, jet), (_, c) in zip(g.terms, h.terms):
+            lead_degree, lead = c.terms[0]
+            assert jet.value == TropNum((lead_degree, lead.valuation().value)), (k, lam)
+            assert jet.leading_coefficient() == lead, (k, lam)
+            assert jet.constant_term() == c.constant_term(), (k, lam)
+
+
 def count_evaluations(monkeypatch) -> list:
     """Patch `diffpoly.evaluate`, also where `verify` imported it; the returned
     list gets one entry per call."""
@@ -261,10 +277,10 @@ class Laurent:
         v = self.rank2_valuation()
         p = self.backend.p
         if v is None:
-            return ResidueElem(p, 0 if p else Fraction(0))
+            return ResidueElem(p, 0)
         assert v >= (0, 0), "literal h_S coefficient left the valuation ring"
         if v[0] > 0 or (v[0] == 0 and v[1] > 0):
-            return ResidueElem(p, 0 if p else Fraction(0))
+            return ResidueElem(p, 0)
         return residue(self.coeffs[0])
 
 
@@ -401,14 +417,14 @@ def ref_uniformizer_pow(k: int, backend: FieldBackend) -> tuple:
 def ref_residue(a, backend: FieldBackend) -> ResidueElem:
     """Constant coefficient mod p (the zeta^i terms, i >= 1, lie in the maximal ideal)."""
     if backend.kind == "trivial":
-        return ResidueElem(None, a[0])
+        return ResidueElem(None, a[0].numerator, a[0].denominator)
     p, c = backend.p, a[0]
     return ResidueElem(p, c.numerator * pow(c.denominator, -1, p) % p)
 
 
 def ref_angular_component(a, backend: FieldBackend) -> ResidueElem:
     if backend.kind == "trivial":
-        return ResidueElem(None, a[0])
+        return ResidueElem(None, a[0].numerator, a[0].denominator)
     k = ref_valuation(a, backend) * backend.ramification
     return ref_residue(ref_mul(a, ref_uniformizer_pow(-int(k), backend), backend), backend)
 

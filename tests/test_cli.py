@@ -281,6 +281,47 @@ def test_power_of_a_sum_is_bounded_by_its_terms(capsys, tmp_path):
                                        "limit of 250000 term products (at position 11)\n")
 
 
+def test_product_is_bounded_by_its_coefficient_bits(capsys, tmp_path):
+    """A power of x plus a long literal is inside both term bounds, but its
+    coefficients grow by the literal's length at every product: (x + 7...7)^200
+    with 100 sevens and ^400 with 200 sevens are refused at the ^, within
+    1 s, when the squaring of the ^32 power (65 by 65 terms) would exceed
+    MAX_PRODUCT_BITS."""
+    for digits, n, bits in ((100, 200, 21238), (200, 400, 42498)):
+        src = f"(x + {'7' * digits})^{n}"
+        system = _write(tmp_path, "sys.json", {"field": {"kind": "padic", "p": 3}, "vars": 1,
+                                               "truncation": 4, "polynomials": [src]})
+        start = time.perf_counter()
+        assert main(["tropicalize", "--system", system]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == ("", f"tropdiff: a product of 65 by 65 terms of up to "
+                                           f"{bits} and {bits} bits exceeds the limit of "
+                                           f"67108864 term-product bits (at position "
+                                           f"{digits + 6})\n")
+
+
+def test_golden_and_bench_inputs_parse_within_the_product_bound(monkeypatch):
+    """Every golden system and ODE, and the systems and ODEs the benchmark
+    generates at seeds 13, 29 and 1, parse: no product of theirs comes near
+    MAX_PRODUCT_BITS."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import WORKLOADS
+
+    inputs = [json.loads(path.read_text()) for path in sorted(GOLDEN.glob("*.json"))
+              if path.name.startswith(("sys", "ode"))]
+    for name in ("system-check", "long-series"):
+        for seed in (13, 29, 1):
+            inputs += [json.loads(data) for file, data in WORKLOADS[name].generate(seed).items()
+                       if file.startswith(("sys", "ode"))]
+    systems = [d for d in inputs if "polynomials" in d]
+    odes = [d for d in inputs if "g" in d]
+    assert (len(systems), len(odes)) == (17, 17)
+    for d in systems:
+        assert files.system_from_dict(d)[3]
+    for d in odes:
+        files.ode_from_dict(d)
+
+
 def test_padded_variable_index_is_read(capsys, tmp_path):
     """Leading zeros do not count against the index length: x0...01 is x1."""
     system = _write(tmp_path, "sys.json", {"field": {"kind": "padic", "p": 3}, "vars": 2,

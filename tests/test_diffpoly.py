@@ -12,6 +12,7 @@ from tropdiff.diffpoly import (
     ExponentMatrix,
     Poly,
     at_vector,
+    constant_terms,
     derived_system,
     eval_classical,
     eval_tropical,
@@ -39,6 +40,7 @@ from helpers import (
     EISEN5,
     PADIC3,
     TRIVIAL,
+    assert_jets_match,
     bump_by_dict,
     iterated_derived_system,
     kpoly_evaluate,
@@ -122,9 +124,13 @@ def test_tropicalize_poly_matches_make():
         for _ in range(30):
             f = rand_diffpoly(rng, backend, 2, rng.randint(0, 6), max_terms=5,
                               max_order=3, max_degree=3, zero_prob=0.5)
-            for g in (f, *derived_system(f, min(f.truncation, 2))):
+            m = min(f.truncation, 2)
+            for g in iterated_derived_system(f, m):
                 assert tropicalize_poly(g) == Poly.make(
                     g.nvars, {lam: rank2_val(a).value for lam, a in g.terms})
+            for g in derived_system(f, m)[1:]:
+                assert tropicalize_poly(g) == Poly.make(
+                    g.nvars, {lam: jet.value for lam, jet in g.terms})
 
 
 def test_make_sums_repeated_and_cancelling_monomials():
@@ -238,8 +244,8 @@ def test_diffpoly_coefficients_nonzero_in_window():
     for _ in range(20):
         f = rand_diffpoly(rng, PADIC3, 2, 4, zero_prob=0.7)
         g = rand_diffpoly(rng, PADIC3, 2, 3, zero_prob=0.7)
-        polys += [f + g, f - g, f * g, -f, f ** 2, f.scale(PADIC3.elem(3))]
-        polys += derived_system(f, 4)
+        polys += [f + g, f - g, f * g, -f, f ** 2]
+        polys += iterated_derived_system(f, 4)
     for h in polys:
         assert all(not c.is_zero and not rank2_val(c).truncation_limited
                    for _, c in h.terms)
@@ -419,7 +425,9 @@ def test_family_constant_terms_match_f_lr():
     x = DiffPoly.var(PADIC3, 1, 6, 0, 0)
     for g, m in ((f, 9), (x, 3)):
         family = derived_system(g, m)
-        assert [h.constant_terms() for h in family] == [f_lr(g, r) for r in range(m + 1)]
+        assert [constant_terms(h) for h in family] == [f_lr(g, r) for r in range(m + 1)]
+        assert [constant_terms(h) for h in iterated_derived_system(g, m)] == \
+            [f_lr(g, r) for r in range(m + 1)]
 
 
 def closed_form_derived_trop(p: int, n: int) -> Poly:
@@ -473,8 +481,9 @@ def rand_leibniz_poly(rng, backend, nvars, n) -> DiffPoly:
 
 
 def test_derived_system_matches_iterated_derivatives():
-    """The Leibniz-rule family equals m one-step derivatives, windows included,
-    for every m <= N; m = N + 1 raises as the N + 1-th step does."""
+    """The Leibniz-rule family's jets agree with m one-step derivatives
+    (values, leading coefficients, constant terms; `assert_jets_match`) for
+    every m <= N; m = N + 1 raises as the N + 1-th step does."""
     rng = rng_for("leibniz-family")
     backends = (TRIVIAL, FieldBackend("padic", 2), PADIC3, EISEN3, EISEN5)
     for backend in backends:
@@ -484,14 +493,76 @@ def test_derived_system_matches_iterated_derivatives():
             for f in polys:
                 oracle = iterated_derived_system(f, n)
                 for m in range(n + 1):
-                    assert derived_system(f, m) == oracle[:m + 1], (backend, n, m, f)
+                    assert_jets_match(derived_system(f, m), oracle[:m + 1])
                 with pytest.raises(TruncationExhausted) as want:
                     oracle[-1].diff()
                 with pytest.raises(TruncationExhausted) as got:
                     derived_system(f, n + 1)
                 assert str(got.value) == str(want.value)
     f = parse_poly("x^3000000 - x", PADIC3, 1, 6)
-    assert derived_system(f, 2) == iterated_derived_system(f, 2)
+    assert_jets_match(derived_system(f, 2), iterated_derived_system(f, 2))
+
+
+def test_jet_collision_walks_past_a_cancelling_degree():
+    """Over Q_3 in window 6, the x' coefficient of d f has two sources that
+    start at t^1: -t (from d x = x') and c' (from c x'), c = 1/2*t^2 + t^3.
+    Their t^1 terms -1 and +1 cancel, and the walk moves up to 3*t^2, of
+    value (2, 1)."""
+    f = parse_poly("0 - t*x + (1/2*t^2 + t^3)*x'", PADIC3, 1, 6)
+    d = derived_system(f, 1)[1]
+    jet = dict(d.terms)[X1]
+    assert len(jet.sources) == 2
+    assert jet.value == TropNum((2, 1))
+    assert jet.leading_coefficient() == PADIC3.elem(3)
+    assert jet.coefficient(1).is_zero
+    assert tropicalize_poly(d) == tropicalize_poly(f.diff())
+
+
+def test_jet_collision_that_cancels_through_the_window_drops_the_monomial():
+    """With c = 1/2*t^2, the x' coefficient -t + t of d f cancels in full:
+    d f has no x' term, as `DiffPoly.make` drops a zero series."""
+    f = parse_poly("0 - t*x + 1/2*t^2*x'", PADIC3, 1, 6)
+    d = derived_system(f, 1)[1]
+    assert X1 not in dict(d.terms)
+    assert [lam for lam, _ in d.terms] == [X, X2]
+    assert tropicalize_poly(d) == tropicalize_poly(f.diff())
+
+
+def test_jets_match_iterated_derivatives_on_golden_systems():
+    """The jets of every golden system's polynomials, derived through their
+    whole window, agree with the one-step oracle (`assert_jets_match`)."""
+    golden = sorted((Path(__file__).parent / "golden").glob("sys*.json"))
+    assert len(golden) == 5
+    for path in golden:
+        _, _, n, polys = files.system_from_dict(files.load_json(str(path)))
+        for f in polys:
+            assert_jets_match(derived_system(f, n), iterated_derived_system(f, n))
+
+
+def test_derived_system_builds_no_series(monkeypatch):
+    """d^k f for k >= 1 is read off the terms of f: deriving the exponential
+    equation and the golden systems scales, differentiates and sums no
+    series and makes no DiffPoly."""
+    polys = [exp_equation(p, 6 * p)[1] for p in (2, 3, 5, 7)]
+    for path in sorted((Path(__file__).parent / "golden").glob("sys*.json")):
+        polys += files.system_from_dict(files.load_json(str(path)))[3]
+    calls = []
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        monkeypatch.setattr(owner, name, staticmethod(wrapper) if name in ("make", "sum")
+                            else wrapper)
+
+    for owner, name in ((PowerSeries, "scale"), (PowerSeries, "derivative"),
+                        (PowerSeries, "sum"), (DiffPoly, "make")):
+        counted(owner, name)
+    families = [derived_system(f, min(f.truncation, 9)) for f in polys]
+    assert calls == []
+    assert sum(len(g.terms) for family in families for g in family[1:]) > 500
 
 
 def test_is_tropical_solution_and_perturbation():

@@ -101,8 +101,7 @@ def test_angular_component_examples():
     assert angular_component(EISEN3.elem(6) * EISEN3.zeta()) == ResidueElem(3, 1)
     # the leading coefficient -p*zeta of the worked example has ac = 1
     assert angular_component(EISEN3.elem(-3) * EISEN3.zeta()) == ResidueElem(3, 1)
-    assert angular_component(TRIVIAL.elem(Fraction(-2, 7))) == \
-        ResidueElem(None, Fraction(-2, 7))
+    assert angular_component(TRIVIAL.elem(Fraction(-2, 7))) == ResidueElem(None, -2, 7)
     with pytest.raises(ZeroInput):
         angular_component(PADIC3.zero())
 

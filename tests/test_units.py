@@ -140,29 +140,39 @@ def test_kernel_enters_no_fraction_code():
 
 def test_cli_edges_enter_no_fraction_code(tmp_path, capsys):
     """From the files to the reports, `check` and `initial` on the Eisenstein
-    goldens (the p = 5 candidate inside (1/4)Z) and `tropicalize` on the
-    p-adic golden read and write every number on the integers: cProfile
-    sees no frame of the fractions module."""
+    goldens (the p = 5 candidate inside (1/4)Z), `tropicalize` on the
+    p-adic golden and `initial` on the trivially valued golden (rational
+    residues) read and write every number on the integers: cProfile sees
+    no frame of the fractions module."""
     data = json.loads((GOLDEN / "cand-p5.json").read_text())
     for rec in data["series"][0]["coeffs"]:
         if rec["val"] == "1/3":  # the golden's one value outside (1/4)Z
             rec["val"] = "3/4"
     cand_p5 = tmp_path / "cand-p5.json"
     cand_p5.write_text(json.dumps(data))
+    cand_boolean = tmp_path / "cand-boolean.json"
+    cand_boolean.write_text(json.dumps({"series": [
+        {"truncation": 12, "coeffs": [{"n": n, "val": "0"} for n in support]}
+        for support in ((0, 2), (0, 3))]}))
     runs = [[command, "--system", str(GOLDEN / system), "--candidate", str(candidate),
              "--order", order]
             for system, candidate, order in (("sys.json", GOLDEN / "cand.json", "9"),
                                              ("sys-p5.json", cand_p5, "4"))
             for command in ("check", "initial")]
     runs.append(["tropicalize", "--system", str(GOLDEN / "sys2-padic.json")])
+    runs.append(["initial", "--system", str(GOLDEN / "sys2-trivial.json"),
+                 "--candidate", str(cand_boolean), "--order", "2"])
     profile = cProfile.Profile()
     codes = []
     for k, argv in enumerate(runs):
         profile.enable()
         codes.append(cli.main(argv + ["--json", str(tmp_path / f"report-{k}.json")]))
         profile.disable()
-    # the changed value makes the p = 5 candidate fail both checks
-    assert codes == [0, 0, 1, 1, 0]
-    assert "trop_v  = x1''*x2 + (1, 1)*x1^2 + (0, -1)" in capsys.readouterr().out
+    # the changed value makes the p = 5 candidate fail both checks, and
+    # d^1 f_0 of the trivially valued system has a monomial initial form
+    assert codes == [0, 0, 1, 1, 0, 1]
+    out = capsys.readouterr().out
+    assert "trop_v  = x1''*x2 + (1, 1)*x1^2 + (0, -1)" in out
+    assert "in_S(d^0 f_0) = x1''*x2 + 1/5\nin_S(d^1 f_0) = 0 - 5*x1^2\n" in out
     entered = {path for path, _, _ in pstats.Stats(profile).stats}
     assert not [path for path in entered if Path(path).name == "fractions.py"]
