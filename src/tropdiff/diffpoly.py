@@ -18,8 +18,9 @@ table, initial forms), so no polynomial is evaluated twice at one candidate.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, perm
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import MissingVariable, TruncationExhausted
@@ -28,31 +29,17 @@ from .semiring import T_INF, Rat, TropNum, tropically_vanishes, v_p, v_p_factori
 from .series import LeadingTerm, PowerSeries, TropSeries, rank2_val
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class ExponentMatrix:
+class ExponentMatrix(NamedTuple):
     """Sparse exponent matrix of a differential monomial prod (x_i^(j))^e.
 
     Entries are (((i, j), e), ...) with e >= 1, sorted by (i, j); variable
-    indices i are 0-based internally.  The graded key (degree, entries) and
-    its hash are computed once, on construction.
+    indices i are 0-based internally, and `degree` is the sum of the e.  As
+    a tuple, a monomial compares, hashes and sorts by (degree, entries): the
+    graded order, then entrywise lexicographic for determinism.
     """
 
+    degree: int
     entries: tuple[tuple[tuple[int, int], int], ...]
-    _key: tuple = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        key = (sum(e for _, e in self.entries), self.entries)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __eq__(self, other):
-        if other.__class__ is not ExponentMatrix:
-            return NotImplemented
-        return self._hash == other._hash and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @staticmethod
     def make(exponents: Mapping[tuple[int, int], int]) -> "ExponentMatrix":
@@ -60,11 +47,11 @@ class ExponentMatrix:
         for (i, j), e in items:
             if i < 0 or j < 0 or e < 0:
                 raise ValueError(f"bad exponent entry ({i},{j}) -> {e}")
-        return ExponentMatrix(items)
+        return ExponentMatrix(sum(e for _, e in items), items)
 
     @staticmethod
     def var(i: int, j: int) -> "ExponentMatrix":
-        return ExponentMatrix((((i, j), 1),))
+        return ExponentMatrix(1, (((i, j), 1),))
 
     @property
     def is_constant(self) -> bool:
@@ -74,7 +61,7 @@ class ExponentMatrix:
         merged = dict(self.entries)
         for ij, e in other.entries:
             merged[ij] = merged.get(ij, 0) + e
-        return ExponentMatrix.make(merged)
+        return ExponentMatrix(self.degree + other.degree, tuple(sorted(merged.items())))
 
     def bump(self, i: int, j: int) -> "ExponentMatrix":
         """Leibniz step: one factor x_i^(j) becomes x_i^(j+1).
@@ -85,12 +72,8 @@ class ExponentMatrix:
         ij = (i, j)
         for k, (key, _) in enumerate(self.entries):
             if key == ij:
-                return ExponentMatrix(_bump_at(self.entries, k))
+                return ExponentMatrix(self.degree, _bump_at(self.entries, k))
         raise ValueError(f"no factor x_{i + 1}^({j}) to differentiate")
-
-    def sort_key(self):
-        """Graded ordering key, then entrywise lexicographic for determinism."""
-        return self._key
 
 
 def _bump_at(entries, k: int):
@@ -105,7 +88,7 @@ def _bump_at(entries, k: int):
     return (entries[:k] if e == 1 else entries[:k] + (((i, j), e - 1),)) + tail
 
 
-CONSTANT_MONOMIAL = ExponentMatrix(())
+CONSTANT_MONOMIAL = ExponentMatrix(0, ())
 
 
 def _is_additive_identity(c) -> bool:
@@ -115,7 +98,7 @@ def _is_additive_identity(c) -> bool:
 def _sorted_terms(terms: Mapping[ExponentMatrix, object]):
     """Terms in graded order, without additive-identity coefficients."""
     kept = ((lam, c) for lam, c in terms.items() if not _is_additive_identity(c))
-    return tuple(sorted(kept, key=lambda kv: kv[0].sort_key()))
+    return tuple(sorted(kept, key=itemgetter(0)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -375,8 +358,9 @@ def _leibniz_tables(lam: ExponentMatrix, top: int) -> list[dict[ExponentMatrix, 
 
     Every count is a positive int: D_(b+1) applies the Leibniz step to each
     factor of each monomial of D_b, on the raw entries, and each distinct
-    monomial becomes an ExponentMatrix once.  The list stops early at the
-    first empty table (x^lam constant).
+    monomial becomes an ExponentMatrix once, of lam's degree, which a
+    Leibniz step keeps.  The list stops early at the first empty table
+    (x^lam constant).
     """
     tables = [{lam: 1}]
     last = {lam.entries: 1}
@@ -388,7 +372,7 @@ def _leibniz_tables(lam: ExponentMatrix, top: int) -> list[dict[ExponentMatrix, 
                 step[nu] = step.get(nu, 0) + count * e
         if not step:
             break
-        tables.append({ExponentMatrix(nu): count for nu, count in step.items()})
+        tables.append({ExponentMatrix(lam.degree, nu): count for nu, count in step.items()})
         last = step
     return tables
 
@@ -480,7 +464,7 @@ def derived_system(f: DiffPoly, m: int) -> list:
                 terms.append((mu, Jet(TropNum((j, w)), k, (source,), zero)))
             elif (jet := _jet(k, entries, window, zero)) is not None:
                 terms.append((mu, jet))
-        terms.sort(key=lambda term: term[0].sort_key())
+        terms.sort(key=itemgetter(0))
         out.append(Poly(f.nvars, tuple(terms)))
     return out
 

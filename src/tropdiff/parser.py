@@ -22,14 +22,15 @@ MAX_POWER_TERMS.  A product, written with "*" or taken inside a power, of
 operands with a and b (monomial, t-degree) terms takes up to a * b products
 of field elements, and is refused when a * b exceeds MAX_POWER_TERMS^2, or
 when a * b times the summed bit lengths of the operands' largest numerators
-or denominators exceeds MAX_PRODUCT_BITS.
+or denominators exceeds MAX_PRODUCT_BITS, or when those two bit lengths sum
+to more than MAX_LITERAL_BITS, the bits of the longest literal read.
 Numbers are read, and field elements printed, on the integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, floor, log2
 from typing import Iterable, Union
 
 from .diffpoly import DiffPoly, ExponentMatrix, Poly
@@ -49,6 +50,9 @@ MAX_POWER_TERMS = 500
 # Term pairs of one product times its operands' largest coefficient bits:
 # (x + 1)^499 reaches 3.1 * 10^7, (x + a 100-digit literal)^64 1.8 * 10^8.
 MAX_PRODUCT_BITS = 2 ** 26
+# One product's summed operand bits: at most a MAX_DIGITS-digit literal's, so
+# a power of one literal, such as 7^16000000, is refused while still cheap.
+MAX_LITERAL_BITS = floor(MAX_DIGITS * log2(10)) + 1  # (10^MAX_DIGITS - 1).bit_length()
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,8 +124,9 @@ class _Parser:
 
     def product(self, a: DiffPoly, b: DiffPoly, op: _Token) -> DiffPoly:
         """a * b, refused at the operator `op` when it would multiply more
-        than MAX_POWER_TERMS^2 pairs of (monomial, t-degree) terms, or when
-        its pairs times its operands' coefficient bits exceed MAX_PRODUCT_BITS."""
+        than MAX_POWER_TERMS^2 pairs of (monomial, t-degree) terms, when its
+        pairs times its operands' coefficient bits exceed MAX_PRODUCT_BITS,
+        or when those bits alone exceed MAX_LITERAL_BITS."""
         (m, a_bits), (n, b_bits) = _size(a), _size(b)
         if m * n > MAX_POWER_TERMS ** 2:
             raise PolySyntaxError(f"a product of {m} by {n} terms exceeds the limit of "
@@ -130,6 +135,9 @@ class _Parser:
             raise PolySyntaxError(f"a product of {m} by {n} terms of up to {a_bits} and "
                                   f"{b_bits} bits exceeds the limit of {MAX_PRODUCT_BITS} "
                                   "term-product bits", op.pos)
+        if a_bits + b_bits > MAX_LITERAL_BITS:
+            raise PolySyntaxError(f"a product of coefficients of {a_bits} and {b_bits} bits "
+                                  f"exceeds the limit of {MAX_LITERAL_BITS} bits", op.pos)
         return a * b
 
     def parse(self) -> DiffPoly:

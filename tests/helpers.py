@@ -625,7 +625,7 @@ def rational_evaluate(f: DiffPoly, refs, p) -> dict:
         weights[lam] = None if flagged else (first, second)
     value = min((w for w in weights.values() if w is not None), default=None)
     attainment = tuple(sorted((lam for lam, w in weights.items() if w == value),
-                              key=ExponentMatrix.sort_key))
+                              key=graded_key))
     return {"value": value, "attainment": attainment,
             "vanishes": value is None or len(attainment) >= 2,
             "ambiguous": value is not None and any(b <= value[0] for b in bounds),
@@ -635,6 +635,12 @@ def rational_evaluate(f: DiffPoly, refs, p) -> dict:
 # ---------------------------------------------------------------------------
 # reference monomial arithmetic and DiffPoly construction: exponents edited in
 # a dict and re-sorted, coefficients summed on the dense reference series
+
+def graded_key(lam: ExponentMatrix) -> tuple:
+    """The graded order of monomials, read off the entries alone: the sum of
+    the exponents, then the entries lexicographically."""
+    return sum(e for _, e in lam.entries), lam.entries
+
 
 def bump_by_dict(lam: ExponentMatrix, i: int, j: int) -> ExponentMatrix:
     """The Leibniz step x_i^(j) -> x_i^(j+1) by editing a dict of exponents and

@@ -300,6 +300,26 @@ def test_product_is_bounded_by_its_coefficient_bits(capsys, tmp_path):
                                            f"{digits + 6})\n")
 
 
+def test_power_of_one_literal_is_bounded_by_the_longest_literal(capsys, tmp_path):
+    """7^16000000 and 7^100000000 are one term each, inside both term bounds,
+    but squaring 7 that often would build numbers of 45 and 280 million bits:
+    both are refused at the ^, within 1 s, by the first product whose
+    operands hold more bits than a literal of MAX_DIGITS digits.  7^1000000,
+    2.8 million bits, still parses."""
+    for n, a_bits in ((16000000, 761804), (100000000, 1081618)):
+        system = _write(tmp_path, "sys.json", {"field": {"kind": "padic", "p": 3}, "vars": 1,
+                                               "truncation": 4, "polynomials": [f"7^{n}"]})
+        start = time.perf_counter()
+        assert main(["tropicalize", "--system", system]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == ("", f"tropdiff: a product of coefficients of {a_bits} "
+                                           f"and 2943725 bits exceeds the limit of 3321929 "
+                                           f"bits (at position 1)\n")
+    _, _, _, (f,) = files.system_from_dict({"field": {"kind": "padic", "p": 3}, "vars": 1,
+                                            "truncation": 4, "polynomials": ["7^1000000"]})
+    assert f.terms[0][1].terms[0][1].num[0] == 7 ** 1000000
+
+
 def test_golden_and_bench_inputs_parse_within_the_product_bound(monkeypatch):
     """Every golden system and ODE, and the systems and ODEs the benchmark
     generates at seeds 13, 29 and 1, parse: no product of theirs comes near

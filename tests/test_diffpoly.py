@@ -11,6 +11,7 @@ from tropdiff.diffpoly import (
     DiffPoly,
     ExponentMatrix,
     Poly,
+    _leibniz_tables,
     at_vector,
     constant_terms,
     derived_system,
@@ -42,6 +43,7 @@ from helpers import (
     TRIVIAL,
     assert_jets_match,
     bump_by_dict,
+    graded_key,
     iterated_derived_system,
     kpoly_evaluate,
     rand_elem,
@@ -69,11 +71,11 @@ def mono(backend, n, c, k):
 
 def test_exponent_matrix():
     m = ExponentMatrix.make({(0, 0): 1, (0, 3): 1})
-    assert m.sort_key()[0] == 2 and max(j for (_, j), _ in m.entries) == 3
+    assert m.degree == 2 and max(j for (_, j), _ in m.entries) == 3
     assert dict((X * X1).entries).get((0, 0), 0) == 1
     assert X.bump(0, 0) == X1
     assert ExponentMatrix.make({(0, 0): 2}).bump(0, 0) == X * X1
-    assert CONSTANT_MONOMIAL.is_constant and CONSTANT_MONOMIAL.sort_key() == (0, ())
+    assert CONSTANT_MONOMIAL.is_constant and CONSTANT_MONOMIAL == (0, ())
 
 
 def test_diff_examples():
@@ -156,14 +158,39 @@ def test_bump_matches_dict_oracle():
             got = lam.bump(i, j)
             want = bump_by_dict(lam, i, j)
             assert got == want and got.entries == want.entries
-            assert hash(got) == hash(want) and got.sort_key() == want.sort_key()
-            assert got.sort_key()[0] == lam.sort_key()[0]
+            assert hash(got) == hash(want) and not got < want and not want < got
+            assert got.degree == want.degree == lam.degree
         i, j = rng.randrange(3), rng.randint(0, 4)
         if dict(lam.entries).get((i, j), 0) == 0:
             with pytest.raises(ValueError):
                 bump_by_dict(lam, i, j)
             with pytest.raises(ValueError):
                 lam.bump(i, j)
+
+
+def test_monomial_degree_order_and_equality_follow_the_entries():
+    """On random monomials: `degree` is the sum of the exponents for every
+    monomial that `make`, `var`, `*`, `bump` and the Leibniz tables build;
+    monomials sort in the graded order (sum of exponents, entries); and two
+    are equal, with equal hashes, exactly when their entries are."""
+    rng = rng_for("monomial-invariant")
+    built = [CONSTANT_MONOMIAL]
+    for _ in range(200):
+        nvars = rng.randint(1, 3)
+        lam = rand_exponent_matrix(rng, nvars, 3, 5)
+        mu = rand_exponent_matrix(rng, nvars, 3, 5)
+        built += [lam, lam * mu, ExponentMatrix.var(rng.randrange(nvars), rng.randint(0, 4))]
+        built += [lam.bump(i, j) for (i, j), _ in lam.entries]
+        for table in _leibniz_tables(lam, rng.randint(0, 4)):
+            built += table
+    for lam in built:
+        assert lam.degree == sum(e for _, e in lam.entries)
+        twin = ExponentMatrix.make(dict(lam.entries))
+        assert twin == lam and hash(twin) == hash(lam)
+    assert sorted(built) == sorted(built, key=graded_key)
+    for lam, mu in zip(built, rng.sample(built, len(built))):
+        assert (lam == mu) == (lam.entries == mu.entries)
+        assert lam != mu or hash(lam) == hash(mu)
 
 
 def test_make_matches_dense_reference():
