@@ -24,7 +24,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import MissingVariable, TruncationExhausted
-from .fields import FieldBackend, FieldElem, power
+from .fields import FieldBackend, FieldElem
 from .semiring import T_INF, Rat, TropNum, tropically_vanishes, v_p, v_p_factorial
 from .series import LeadingTerm, PowerSeries, TropSeries, rank2_val
 
@@ -148,8 +148,8 @@ class DiffPoly:
         """The sum of the (monomial, coefficient) pairs in window `truncation`.
 
         Each monomial's coefficients are collected first and summed once,
-        degree by degree, in the window; zero sums are dropped.  Sums, products
-        and derivatives build their results here, the one place that sorts terms.
+        degree by degree, in the window; zero sums are dropped.  The parser and
+        derivatives build their results here, the one place that sorts terms.
         """
         collected: dict[ExponentMatrix, list[PowerSeries]] = {}
         for lam, coeff in terms:
@@ -163,52 +163,9 @@ class DiffPoly:
             else PowerSeries.sum(backend, truncation, parts)
             for lam, parts in collected.items()}))
 
-    @staticmethod
-    def zero(backend: FieldBackend, nvars: int, truncation: int) -> "DiffPoly":
-        return DiffPoly(backend, nvars, truncation, ())
-
-    @staticmethod
-    def var(backend: FieldBackend, nvars: int, truncation: int, i: int, j: int) -> "DiffPoly":
-        return DiffPoly(backend, nvars, truncation,
-                        ((ExponentMatrix.var(i, j), PowerSeries.one(backend, truncation)),))
-
-    @staticmethod
-    def constant(backend: FieldBackend, nvars: int, series: PowerSeries) -> "DiffPoly":
-        terms = () if series.is_zero else ((CONSTANT_MONOMIAL, series),)
-        return DiffPoly(backend, nvars, series.truncation, terms)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def _common(self, other: "DiffPoly") -> int:
-        if self.backend != other.backend or self.nvars != other.nvars:
-            raise ValueError("mixed polynomial rings")
-        return min(self.truncation, other.truncation)
-
-    def __add__(self, other: "DiffPoly") -> "DiffPoly":
-        n = self._common(other)
-        return DiffPoly.make(self.backend, self.nvars, n, self.terms + other.terms)
-
-    def __neg__(self) -> "DiffPoly":
-        return DiffPoly(self.backend, self.nvars, self.truncation,
-                        tuple((lam, -c) for lam, c in self.terms))
-
-    def __sub__(self, other: "DiffPoly") -> "DiffPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "DiffPoly") -> "DiffPoly":
-        """Product; each coefficient product lies in the smaller window already."""
-        n = self._common(other)
-        return DiffPoly.make(self.backend, self.nvars, n, (
-            (lam * mu, a * b) for lam, a in self.terms for mu, b in other.terms))
-
-    def __pow__(self, n: int) -> "DiffPoly":
-        if n < 0:
-            raise ValueError("polynomial powers need n >= 0")
-        one = DiffPoly.constant(self.backend, self.nvars,
-                                PowerSeries.one(self.backend, self.truncation))
-        return power(self, n, one)
 
     def diff(self) -> "DiffPoly":
         """Total derivative: Leibniz across coefficients and monomials."""

@@ -21,13 +21,12 @@ written and read as the rationals they stand for; in memory they count the
 unit 1/e of the series' `nat_val`, and its `from_text` / `to_text` convert
 at the record, on the integers.  Every reader refuses a truncation above
 MAX_TRUNCATION before allocating anything.
-`dump_json` encodes a whole file before it opens it and writes it with one
-call.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .diffpoly import DiffPoly
@@ -196,11 +195,40 @@ def ode_from_dict(data: dict) -> LinearODE:
 
 
 def dump_json(data: dict, path: str):
-    """Canonical serialization: stable key order, no timestamps; encoded in
-    full before the file is opened, and written with one call."""
-    text = json.dumps(data, indent=2, sort_keys=True)
+    """Canonical serialization, json.dumps(data, indent=2, sort_keys=True) and
+    a newline: encoded in full before the file is opened, written in one call."""
+    out: list[str] = []
+    _encode(data, "\n", out)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write("".join(out) + "\n")
+
+
+def _encode(value, newline: str, out: list[str]):
+    """Append json.dumps(value, indent=2, sort_keys=True) to `out`; `newline` is
+    the line break and indentation before it.  Dicts, lists, tuples, str, int,
+    bool and None are written here; json.dumps writes, or refuses, the rest."""
+    if value.__class__ is str:
+        out.append(encode_basestring_ascii(value))
+    elif value.__class__ is int:
+        out.append(int.__repr__(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, dict):
+        inner, sep = newline + "  ", "{"
+        for key in sorted(value):  # a key but str raises TypeError in the escaper
+            out += (sep, inner, encode_basestring_ascii(key), ": ")
+            _encode(value[key], inner, out)
+            sep = ","
+        out.append(newline + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner, sep = newline + "  ", "["
+        for item in value:
+            out += (sep, inner)
+            _encode(item, inner, out)
+            sep = ","
+        out.append(newline + "]" if value else "[]")
+    else:
+        out.append(json.dumps(value))
 
 
 def load_json(path: str) -> dict:

@@ -9,6 +9,7 @@ Grammar (the normative expression format of all system files):
     var    := "x" index? deriv          (index = digits; x means x1)
     deriv  := "'"* | "^(" digits ")"
     rational := digits ("/" digits)?
+    digits := [0-9]+                    (ASCII, as are the letters of names)
 
 There is no implicit multiplication.  The parser additionally accepts a
 leading "-" before the first term of an expr for hand-written input; the
@@ -29,18 +30,17 @@ Numbers are read, and field elements printed, on the integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from math import comb, floor, log2
 from typing import Iterable, Union
 
-from .diffpoly import DiffPoly, ExponentMatrix, Poly
+from .diffpoly import CONSTANT_MONOMIAL, DiffPoly, ExponentMatrix, Poly
 from .errors import PolySyntaxError, UnknownVariable, ZetaUnavailable
-from .fields import FieldBackend, FieldElem, ResidueElem, power
+from .fields import FieldBackend, FieldElem, ResidueElem, dot, power
 from .semiring import (MAX_DIGITS, T_ZERO, T2_ZERO, TRIVIAL_NAT_VAL, NatValuation, TropNum,
                        format_ratio, parse_ratio)
 from .series import PowerSeries
 
-_SYMBOLS = "+-*^()'"
 MAX_NESTING = 200  # parenthesis depth, well inside the interpreter's recursion limit
 MAX_EXPONENT_DIGITS = 1000  # inside the interpreter's int/str digit limit
 # Monomials in a power of a sum, and the square root of the term pairs one
@@ -54,42 +54,27 @@ MAX_PRODUCT_BITS = 2 ** 26
 # a power of one literal, such as 7^16000000, is refused while still cheap.
 MAX_LITERAL_BITS = floor(MAX_DIGITS * log2(10)) + 1  # (10^MAX_DIGITS - 1).bit_length()
 
+# ASCII digits, a name, a symbol, or any other non-blank character (refused);
+# `finditer` steps over each blank in constant time.
+_TOKEN = re.compile(r"([0-9]+)|([A-Za-z]+[0-9]*)|([-+*^()'/])|(\S)")
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # "num" | "name" | one of _SYMBOLS | "end"
-    text: str
-    pos: int
+# A value: monomial -> {t-degree in the window: nonzero coefficient}, no {} inside.
+Terms = dict[ExponentMatrix, dict[int, FieldElem]]
+Token = tuple[str, str, int]  # (kind: "num", "name", the symbol or "end"; text; position)
 
 
-def _tokenize(src: str) -> list[_Token]:
+def _tokenize(src: str) -> list[Token]:
     tokens = []
-    k = 0
-    while k < len(src):
-        ch = src[k]
-        if ch.isspace():
-            k += 1
-        elif ch.isdigit():
-            start = k
-            while k < len(src) and src[k].isdigit():
-                k += 1
-            if k - start > MAX_DIGITS:
-                raise PolySyntaxError(f"a number of {k - start} digits exceeds the limit of "
-                                      f"{MAX_DIGITS} digits", start)
-            tokens.append(_Token("num", src[start:k], start))
-        elif ch.isalpha():
-            start = k
-            while k < len(src) and src[k].isalpha():
-                k += 1
-            while k < len(src) and src[k].isdigit():
-                k += 1
-            tokens.append(_Token("name", src[start:k], start))
-        elif ch in _SYMBOLS or ch == "/":
-            tokens.append(_Token(ch, ch, k))
-            k += 1
-        else:
-            raise PolySyntaxError(f"unexpected character {ch!r}", k)
-    tokens.append(_Token("end", "", len(src)))
+    for m in _TOKEN.finditer(src):
+        group = m.lastindex
+        text, pos = m[group], m.start(group)
+        if group == 4:
+            raise PolySyntaxError(f"unexpected character {text!r}", pos)
+        if group == 1 and len(text) > MAX_DIGITS:
+            raise PolySyntaxError(f"a number of {len(text)} digits exceeds the limit of "
+                                  f"{MAX_DIGITS} digits", pos)
+        tokens.append((("num", "name", text)[group - 1], text, pos))
+    tokens.append(("end", "", len(src)))
     return tokens
 
 
@@ -100,155 +85,173 @@ class _Parser:
         self.backend = backend
         self.nvars = nvars
         self.truncation = truncation
+        self.one = backend.one()
         self.depth = 0  # open parentheses
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.k + ahead, len(self.tokens) - 1)]
+    def peek(self, ahead: int = 0) -> Token:
+        return self.tokens[self.k + ahead]  # no caller looks past the end token
 
-    def take(self) -> _Token:
+    def take(self) -> Token:
         tok = self.tokens[self.k]
         self.k += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
+    def expect(self, kind: str) -> Token:
         tok = self.take()
-        if tok.kind != kind:
-            raise PolySyntaxError(f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                                  tok.pos)
+        if tok[0] != kind:
+            raise PolySyntaxError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}",
+                                  tok[2])
         return tok
 
-    def constant(self, elem: FieldElem, degree: int = 0) -> DiffPoly:
-        """The polynomial elem * t^degree."""
-        series = PowerSeries.monomial(self.backend, self.truncation, elem, degree)
-        return DiffPoly.constant(self.backend, self.nvars, series)
+    def constant(self, elem: FieldElem, degree: int = 0) -> Terms:
+        """The value elem * t^degree, cut at the window."""
+        return {} if degree > self.truncation or elem.is_zero else \
+            {CONSTANT_MONOMIAL: {degree: elem}}
 
-    def product(self, a: DiffPoly, b: DiffPoly, op: _Token) -> DiffPoly:
+    def product(self, a: Terms, b: Terms, op: Token) -> Terms:
         """a * b, refused at the operator `op` when it would multiply more
         than MAX_POWER_TERMS^2 pairs of (monomial, t-degree) terms, when its
         pairs times its operands' coefficient bits exceed MAX_PRODUCT_BITS,
-        or when those bits alone exceed MAX_LITERAL_BITS."""
+        or when those bits alone exceed MAX_LITERAL_BITS; each term is one `dot`."""
         (m, a_bits), (n, b_bits) = _size(a), _size(b)
         if m * n > MAX_POWER_TERMS ** 2:
             raise PolySyntaxError(f"a product of {m} by {n} terms exceeds the limit of "
-                                  f"{MAX_POWER_TERMS ** 2} term products", op.pos)
+                                  f"{MAX_POWER_TERMS ** 2} term products", op[2])
         if m * n * (a_bits + b_bits) > MAX_PRODUCT_BITS:
             raise PolySyntaxError(f"a product of {m} by {n} terms of up to {a_bits} and "
                                   f"{b_bits} bits exceeds the limit of {MAX_PRODUCT_BITS} "
-                                  "term-product bits", op.pos)
+                                  "term-product bits", op[2])
         if a_bits + b_bits > MAX_LITERAL_BITS:
             raise PolySyntaxError(f"a product of coefficients of {a_bits} and {b_bits} bits "
-                                  f"exceeds the limit of {MAX_LITERAL_BITS} bits", op.pos)
-        return a * b
+                                  f"exceeds the limit of {MAX_LITERAL_BITS} bits", op[2])
+        pairs: dict[tuple[ExponentMatrix, int], list] = {}
+        for lam, ca in a.items():
+            for mu, cb in b.items():
+                nu = mu if not lam.entries else lam if not mu.entries else lam * mu
+                for i, x in ca.items():
+                    for j, y in cb.items():
+                        if i + j <= self.truncation:
+                            pairs.setdefault((nu, i + j), []).append((x, y))
+        out: Terms = {}
+        for (nu, k), ps in pairs.items():
+            if not (c := dot(self.backend, ps)).is_zero:
+                out.setdefault(nu, {})[k] = c
+        return out
 
     def parse(self) -> DiffPoly:
-        result = self.expr_inner()
+        terms = self.expr_inner()
         self.expect("end")
-        return result
+        return DiffPoly.make(self.backend, self.nvars, self.truncation, (
+            (lam, PowerSeries(self.backend, self.truncation, tuple(sorted(c.items()))))
+            for lam, c in terms.items()))
 
-    def term(self) -> DiffPoly:
+    def term(self) -> Terms:
         result = self.factor()
-        while self.peek().kind == "*":
+        while self.peek()[0] == "*":
             op = self.take()
             result = self.product(result, self.factor(), op)
         return result
 
-    def factor(self) -> DiffPoly:
+    def factor(self) -> Terms:
         result = self.atom()
-        if self.peek().kind == "^":
+        if self.peek()[0] == "^":
             caret = self.take()
             tok = self.take()
-            if tok.kind != "num":
+            if tok[0] != "num":
                 raise PolySyntaxError("expected a nonnegative integer exponent",
-                                      tok.pos if tok.kind != "end" else caret.pos)
-            n, k = _exponent(tok), len(result.terms)
+                                      tok[2] if tok[0] != "end" else caret[2])
+            n, k = _exponent(tok), len(result)
             # C(n + k - 1, k - 1) > n: a large n is refused before comb runs
             if k >= 2 and (n > MAX_POWER_TERMS or comb(n + k - 1, k - 1) > MAX_POWER_TERMS):
                 raise PolySyntaxError(f"a power of a sum of {k} terms may have more than "
-                                      f"{MAX_POWER_TERMS} monomials", caret.pos)
-            result = power(result, n, self.constant(self.backend.one()),
+                                      f"{MAX_POWER_TERMS} monomials", caret[2])
+            result = power(result, n, self.constant(self.one),
                            lambda a, b: self.product(a, b, caret))
         return result
 
-    def atom(self) -> DiffPoly:
-        tok = self.take()
-        if tok.kind == "num":
-            num, den = parse_ratio(tok.text)
-            if self.peek().kind == "/":
+    def atom(self) -> Terms:
+        kind, text, pos = self.take()
+        if kind == "num":
+            num, den = parse_ratio(text)
+            if self.peek()[0] == "/":
                 self.take()
                 den_tok = self.expect("num")
-                den, _ = parse_ratio(den_tok.text)
+                den, _ = parse_ratio(den_tok[1])
                 if den == 0:
-                    raise PolySyntaxError("zero denominator", den_tok.pos)
+                    raise PolySyntaxError("zero denominator", den_tok[2])
             return self.constant(self.backend.elem(num, den))
-        if tok.kind == "(":
+        if kind == "(":
             if self.depth == MAX_NESTING:
-                raise PolySyntaxError(f"parentheses nested deeper than {MAX_NESTING}", tok.pos)
+                raise PolySyntaxError(f"parentheses nested deeper than {MAX_NESTING}", pos)
             self.depth += 1
             inner = self.expr_inner()
             self.expect(")")
             self.depth -= 1
             return inner
-        if tok.kind == "name":
-            if tok.text == "zeta":
+        if kind == "name":
+            if text == "zeta":
                 if self.backend.kind != "eisenstein":
                     raise ZetaUnavailable(
                         f"zeta is not defined over the {self.backend.kind} backend")
                 return self.constant(self.backend.zeta())
-            if tok.text == "t":
-                return self.constant(self.backend.one(), 1)
-            if tok.text.startswith("x"):
-                return self.variable(tok)
-            raise PolySyntaxError(f"unknown name {tok.text!r}", tok.pos)
-        raise PolySyntaxError(f"unexpected {tok.text or 'end of input'!r}", tok.pos)
+            if text == "t":
+                return self.constant(self.one, 1)
+            if text.startswith("x"):
+                return self.variable(text, pos)
+            raise PolySyntaxError(f"unknown name {text!r}", pos)
+        raise PolySyntaxError(f"unexpected {text or 'end of input'!r}", pos)
 
-    def expr_inner(self) -> DiffPoly:
-        if self.peek().kind == "-":  # lenient leading minus
+    def expr_inner(self) -> Terms:
+        """A signed sum of terms, added up in one accumulator."""
+        acc: Terms = {}
+        negate = self.peek()[0] == "-"  # lenient leading minus
+        if negate:
             self.take()
-            result = -self.term()
-        else:
-            result = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            result = result + rhs if op.kind == "+" else result - rhs
-        return result
+        while True:
+            for lam, cs in self.term().items():
+                old = acc.setdefault(lam, {})
+                for k, c in cs.items():
+                    c = -c if negate else c
+                    old[k] = old[k] + c if k in old else c
+            if self.peek()[0] not in ("+", "-"):
+                return {lam: kept for lam, cs in acc.items()
+                        if (kept := {k: c for k, c in cs.items() if not c.is_zero})}
+            negate = self.take()[0] == "-"
 
-    def variable(self, tok: _Token) -> DiffPoly:
-        index_text = tok.text[1:]
+    def variable(self, text: str, pos: int) -> Terms:
+        index_text = text[1:]
         if index_text and not index_text.isdigit():
-            raise PolySyntaxError(f"unknown name {tok.text!r}", tok.pos)
+            raise PolySyntaxError(f"unknown name {text!r}", pos)
         digits = (index_text.lstrip("0") or "0") if index_text else "1"
         # an index with more digits than nvars is out of range and never converted
         if len(digits) > len(str(self.nvars)) or not 1 <= int(digits) <= self.nvars:
             raise UnknownVariable(
                 f"variable x{digits} out of range for {self.nvars} variable(s)")
-        index = int(digits)
         order = 0
-        if self.peek().kind == "'":
-            while self.peek().kind == "'":
+        if self.peek()[0] == "'":
+            while self.peek()[0] == "'":
                 self.take()
                 order += 1
-        elif self.peek().kind == "^" and self.peek(1).kind == "(":
+        elif self.peek()[0] == "^" and self.peek(1)[0] == "(":
             self.take()
             self.take()
             order = _exponent(self.expect("num"))
             self.expect(")")
-        return DiffPoly.var(self.backend, self.nvars, self.truncation, index - 1, order)
+        return {ExponentMatrix.var(int(digits) - 1, order): {0: self.one}}
 
 
-def _size(f: DiffPoly) -> tuple[int, int]:
-    """f's (monomial, t-degree) terms, and the bit length of their largest
-    numerator or denominator."""
-    xs = [x for _, c in f.terms for _, x in c.terms]
-    return len(xs), max((max(x.den, *map(abs, x.num)).bit_length() for x in xs), default=0)
+def _size(f: Terms) -> tuple[int, int]:
+    """f's (monomial, t-degree) term count and the bits of its largest numerator or denominator."""
+    xs = [x for c in f.values() for x in c.values()]
+    return len(xs), max([max(x.den, *map(abs, x.num)) for x in xs], default=0).bit_length()
 
 
-def _exponent(tok: _Token) -> int:
+def _exponent(tok: Token) -> int:
     """The integer of a power exponent or derivative order token."""
-    if len(tok.text) > MAX_EXPONENT_DIGITS:
-        raise PolySyntaxError(f"an exponent of {len(tok.text)} digits exceeds the limit of "
-                              f"{MAX_EXPONENT_DIGITS} digits", tok.pos)
-    return int(tok.text)
+    if len(tok[1]) > MAX_EXPONENT_DIGITS:
+        raise PolySyntaxError(f"an exponent of {len(tok[1])} digits exceeds the limit of "
+                              f"{MAX_EXPONENT_DIGITS} digits", tok[2])
+    return int(tok[1])
 
 
 def parse_poly(src: str, backend: FieldBackend, nvars: int, truncation: int) -> DiffPoly:

@@ -7,6 +7,7 @@ import random
 from typing import Optional
 
 from tropdiff.diffpoly import (
+    CONSTANT_MONOMIAL,
     DiffPoly,
     ExponentMatrix,
     Poly,
@@ -14,7 +15,7 @@ from tropdiff.diffpoly import (
     is_tropical_solution,
     tropicalize_poly,
 )
-from tropdiff.fields import FieldBackend, FieldElem, ResidueElem, residue
+from tropdiff.fields import FieldBackend, FieldElem, ResidueElem, power, residue
 from tropdiff.initial import initial_form, initial_system_monomial_check, is_monomial
 from tropdiff.semiring import NatValuation, T_INF, TropNum, Trop2, is_prime, trop_sum
 from tropdiff.series import LeadingTerm, PowerSeries, TropSeries
@@ -668,6 +669,140 @@ def ref_diffpoly_make(backend: FieldBackend, truncation: int, terms) -> list:
     kept = [(entries, ref) for entries, ref in sums.items()
             if any(any(c) for c in ref)]
     return sorted(kept, key=lambda kv: (sum(e for _, e in kv[0]), kv[0]))
+
+
+# ---------------------------------------------------------------------------
+# DiffPoly ring arithmetic, one DiffPoly.make per operation: the reference the
+# parser's accumulator is checked against
+
+def dp_zero(backend: FieldBackend, nvars: int, truncation: int) -> DiffPoly:
+    return DiffPoly(backend, nvars, truncation, ())
+
+
+def dp_var(backend: FieldBackend, nvars: int, truncation: int, i: int, j: int) -> DiffPoly:
+    """x_{i+1}^(j) with coefficient 1."""
+    return DiffPoly(backend, nvars, truncation,
+                    ((ExponentMatrix.var(i, j), PowerSeries.one(backend, truncation)),))
+
+
+def dp_constant(backend: FieldBackend, nvars: int, series: PowerSeries) -> DiffPoly:
+    terms = () if series.is_zero else ((CONSTANT_MONOMIAL, series),)
+    return DiffPoly(backend, nvars, series.truncation, terms)
+
+
+def _dp_window(f: DiffPoly, g: DiffPoly) -> int:
+    if f.backend != g.backend or f.nvars != g.nvars:
+        raise ValueError("mixed polynomial rings")
+    return min(f.truncation, g.truncation)
+
+
+def dp_add(f: DiffPoly, g: DiffPoly) -> DiffPoly:
+    return DiffPoly.make(f.backend, f.nvars, _dp_window(f, g), f.terms + g.terms)
+
+
+def dp_neg(f: DiffPoly) -> DiffPoly:
+    return DiffPoly(f.backend, f.nvars, f.truncation, tuple((lam, -c) for lam, c in f.terms))
+
+
+def dp_sub(f: DiffPoly, g: DiffPoly) -> DiffPoly:
+    return dp_add(f, dp_neg(g))
+
+
+def dp_mul(f: DiffPoly, g: DiffPoly) -> DiffPoly:
+    """Product; each coefficient product lies in the smaller window already."""
+    return DiffPoly.make(f.backend, f.nvars, _dp_window(f, g), (
+        (lam * mu, a * b) for lam, a in f.terms for mu, b in g.terms))
+
+
+def dp_pow(f: DiffPoly, n: int) -> DiffPoly:
+    """f^n by repeated squaring; f^1 is f itself."""
+    if n < 0:
+        raise ValueError("polynomial powers need n >= 0")
+    one = dp_constant(f.backend, f.nvars, PowerSeries.one(f.backend, f.truncation))
+    return power(f, n, one, dp_mul)
+
+
+# ---------------------------------------------------------------------------
+# random expression trees of the polynomial grammar: printed as text for the
+# parser, and evaluated by DiffPoly arithmetic as its oracle
+
+def rand_expr_tree(rng, backend: FieldBackend, nvars: int, depth: int = 3) -> tuple:
+    """A random expression tree: leaves ("num", n, d), ("zeta",), ("t",),
+    ("var", i, j); nodes ("+" | "-" | "*", a, b), ("^", a, n) and ("neg", a).
+    It draws parentheses, powers of sums and of t, a leading minus and
+    differences of equal subtrees, which cancel."""
+    if depth == 0 or rng.random() < 0.25:
+        kind = rng.choice(("num", "num", "t", "var", "var")
+                          + (("zeta",) if backend.kind == "eisenstein" else ()))
+        if kind == "num":
+            return ("num", rng.randint(0, 12), rng.choice((1, 1, 2, 3, 4, 9)))
+        if kind == "var":
+            return ("var", rng.randrange(nvars), rng.randint(0, 5))
+        return (kind,)
+    kind = rng.choice(("+", "-", "*", "*", "^", "neg", "cancel"))
+    a = rand_expr_tree(rng, backend, nvars, depth - 1)
+    if kind == "^":
+        return ("^", a, rng.randint(0, 3 if depth > 1 else 5))
+    if kind == "neg":
+        return ("neg", a)
+    if kind == "cancel":
+        return ("-", a, a)
+    return (kind, a, rand_expr_tree(rng, backend, nvars, depth - 1))
+
+
+def expr_text(tree: tuple, nvars: int, first: bool = True) -> str:
+    """The tree in the polynomial grammar; `first`: the tree starts an
+    expression, where a leading minus needs no parentheses."""
+    kind = tree[0]
+    if kind == "num":
+        return str(tree[1]) if tree[2] == 1 else f"{tree[1]}/{tree[2]}"
+    if kind in ("zeta", "t"):
+        return kind
+    if kind == "var":
+        _, i, j = tree
+        name = "x" if nvars == 1 and i == 0 and j % 2 else f"x{i + 1}"
+        return name + ("'" * j if j <= 3 else f"^({j})")
+    if kind == "neg":
+        text = "-" + _operand_text(tree[1], nvars, ("+", "-", "neg"))
+        return text if first else f"({text})"
+    if kind == "^":
+        base = expr_text(tree[1], nvars, False)
+        if tree[1][0] in ("+", "-", "*", "^", "neg", "num"):
+            base = f"({expr_text(tree[1], nvars)})"
+        return f"{base}^{tree[2]}"
+    _, a, b = tree
+    if kind == "*":
+        return (_operand_text(a, nvars, ("+", "-", "neg")) + "*"
+                + _operand_text(b, nvars, ("+", "-", "neg")))
+    left = expr_text(a, nvars, first)
+    return f"{left} {kind} " + _operand_text(b, nvars, ("+", "-", "neg"))
+
+
+def _operand_text(tree: tuple, nvars: int, grouped: tuple) -> str:
+    """An operand's text, in parentheses when its kind is in `grouped`."""
+    if tree[0] in grouped:
+        return f"({expr_text(tree, nvars)})"
+    return expr_text(tree, nvars, False)
+
+
+def expr_diffpoly(tree: tuple, backend: FieldBackend, nvars: int, truncation: int) -> DiffPoly:
+    """The tree's value by DiffPoly arithmetic in window `truncation`: each
+    leaf a one-term DiffPoly cut at the window, then + - * ** and negation."""
+    kind = tree[0]
+    if kind in ("num", "zeta", "t"):
+        elem = (backend.elem(tree[1], tree[2]) if kind == "num"
+                else backend.zeta() if kind == "zeta" else backend.one())
+        series = PowerSeries.monomial(backend, truncation, elem, int(kind == "t"))
+        return dp_constant(backend, nvars, series)
+    if kind == "var":
+        return dp_var(backend, nvars, truncation, tree[1], tree[2])
+    a = expr_diffpoly(tree[1], backend, nvars, truncation)
+    if kind == "neg":
+        return dp_neg(a)
+    if kind == "^":
+        return dp_pow(a, tree[2])
+    b = expr_diffpoly(tree[2], backend, nvars, truncation)
+    return (dp_add if kind == "+" else dp_sub if kind == "-" else dp_mul)(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
+import gc
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropdiff import files
 from tropdiff.fields import FieldBackend
@@ -98,18 +101,70 @@ def test_ode_record_with_series_g(tmp_path):
                              "g": "x + t", "c0": "1"})
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
 def test_dump_is_canonical(tmp_path):
     path = tmp_path / "a.json"
     files.dump_json({"b": 1, "a": [2, 3]}, str(path))
     assert path.read_text() == '{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}\n'
-    # the bytes of json.dump(indent=2, sort_keys=True) and a newline
-    data = {"field": {"kind": "eisenstein", "p": 3},
+    # the bytes of json.dump(indent=2, sort_keys=True) and a newline, also for
+    # every golden file read and written again
+    made = {"field": {"kind": "eisenstein", "p": 3},
             **files.series_to_dict(rand_power_series(rng_for("files-dump"), EISEN3, 30)),
             "nested": [{"b": [], "a": {}}, None, True, 1.5, "\u00e9"]}
-    files.dump_json(data, str(path))
-    want = io.StringIO()
-    json.dump(data, want, indent=2, sort_keys=True)
-    assert path.read_bytes() == (want.getvalue() + "\n").encode("utf-8")
+    goldens = sorted(GOLDEN.glob("*.json"))
+    assert goldens
+    for data in [made] + [json.loads(golden.read_text()) for golden in goldens]:
+        files.dump_json(data, str(path))
+        want = io.StringIO()
+        json.dump(data, want, indent=2, sort_keys=True)
+        assert path.read_bytes() == (want.getvalue() + "\n").encode("utf-8")
+
+
+# str of full Unicode (control characters, lone surrogates, astral planes)
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=12)
+_SCALARS = (_TEXT | st.integers(-10 ** 4000, 10 ** 4000) | st.integers(-300, 300)
+            | st.booleans() | st.none() | st.floats())
+_VALUES = st.recursive(_SCALARS, lambda inner: (st.lists(inner, max_size=4)
+                                               | st.lists(inner, max_size=4).map(tuple)
+                                               | st.dictionaries(_TEXT, inner, max_size=4)),
+                       max_leaves=24)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(value=_VALUES)
+def test_dump_matches_the_standard_encoder(tmp_path_factory, value):
+    """dump_json writes the bytes of json.dumps(indent=2, sort_keys=True)
+    and a newline, for any nesting of dicts, lists and tuples of str, int,
+    float, bool and None."""
+    path = tmp_path_factory.mktemp("dump") / "a.json"
+    files.dump_json(value, str(path))
+    want = json.dumps(value, indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {"a": {1, 2}}, {"a": Fraction(1, 2)},
+                                   {"a": [b"x"]}], ids=["int-key", "set", "fraction", "bytes"])
+def test_dump_refuses_what_a_file_cannot_hold(tmp_path, value):
+    """A non-str key or a value of another type raises TypeError before the
+    file is opened."""
+    path = tmp_path / "a.json"
+    with pytest.raises(TypeError):
+        files.dump_json(value, str(path))
+    assert not path.exists()
+
+
+def test_dump_leaves_no_cyclic_garbage(tmp_path):
+    """Writing a report creates no reference cycles for the collector."""
+    data = files.load_json(str(GOLDEN / "check.json"))
+    gc.collect()
+    gc.disable()
+    try:
+        files.dump_json(data, str(tmp_path / "check.json"))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_trivial_candidates_must_be_boolean():

@@ -1,3 +1,5 @@
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -5,12 +7,13 @@ import pytest
 from tropdiff import parser
 from tropdiff.diffpoly import DiffPoly, ExponentMatrix, Poly, tropicalize_poly
 from tropdiff.errors import PolySyntaxError, UnknownVariable, ZetaUnavailable
-from tropdiff.fields import ResidueElem
+from tropdiff.fields import FieldBackend, ResidueElem
 from tropdiff.parser import parse_poly, print_poly
 from tropdiff.series import PowerSeries
 from tropdiff.verify import exp_equation, exp_tropical_closed_form
 
-from helpers import EISEN3, PADIC3, TRIVIAL, initial_at, rand_diffpoly, rng_for
+from helpers import (EISEN3, EISEN5, PADIC3, TRIVIAL, dp_zero, expr_diffpoly, expr_text,
+                     initial_at, rand_diffpoly, rand_expr_tree, rng_for)
 
 X = ExponentMatrix.var(0, 0)
 X3 = ExponentMatrix.var(0, 3)
@@ -89,6 +92,37 @@ def test_parse_errors():
     assert err is not None and err.position == 4
 
 
+@pytest.mark.parametrize("src, char, position", [
+    ("x + \u0663", "\u0663", 4),  # ARABIC-INDIC DIGIT THREE
+    ("x\uff11", "\uff11", 1),      # FULLWIDTH DIGIT ONE
+    ("x\u00b2", "\u00b2", 1),      # SUPERSCRIPT TWO
+    ("x^\u00b2", "\u00b2", 2),
+    ("\u00b2*x", "\u00b2", 0),
+], ids=["arabic-indic-three", "fullwidth-one", "superscript-index", "superscript-exponent",
+        "superscript-literal"])
+def test_digits_are_ascii(src, char, position):
+    """Only 0-9 are digits: any other Unicode digit is an unexpected
+    character at its position, not a number, an index or an exponent."""
+    with pytest.raises(PolySyntaxError) as info:
+        parse_poly(src, PADIC3, 1, 4)
+    assert str(info.value) == f"unexpected character {char!r} (at position {position})"
+
+
+def test_blanks_are_read_in_linear_time():
+    """A million blanks after, before or instead of an expression are
+    skipped one at a time: each input parses, or is refused, well within 1 s."""
+    blanks = " " * 10 ** 6
+    for src in ("x" + blanks, blanks + "x", "x +" + blanks + "1"):
+        start = time.perf_counter()
+        assert parse_poly(src, PADIC3, 1, 4).terms
+        assert time.perf_counter() - start < 1.0, len(src)
+    start = time.perf_counter()
+    with pytest.raises(PolySyntaxError, match=r"unexpected 'end of input' \(at position "
+                                              r"1000000\)"):
+        parse_poly(blanks, PADIC3, 1, 4)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_number_token_digit_limit(monkeypatch):
     """A number token longer than MAX_DIGITS is a syntax error at its position."""
     monkeypatch.setattr(parser, "MAX_DIGITS", 50)
@@ -132,7 +166,7 @@ def test_print_examples():
     s = exp_tropical_closed_form(3, 12)
     assert print_poly(initial_at(f, (s,))) == "x' + x"
 
-    assert print_poly(DiffPoly.zero(PADIC3, 1, 4)) == "0"
+    assert print_poly(dp_zero(PADIC3, 1, 4)) == "0"
     assert print_poly(Poly.make(1, {X: ResidueElem(3, 2)})) == "2*x"
 
 
@@ -166,3 +200,57 @@ def check_parser_roundtrip(count=200):
 
 def test_parser_roundtrip():
     check_parser_roundtrip()
+
+
+@pytest.mark.parametrize("src, truncation, message, position", [
+    ("(x + 1 + t)^32*(x + 1 + t)^29", 200,
+     "a product of 561 by 465 terms exceeds the limit of 250000 term products", 14),
+    ("(x + " + "7" * 100 + ")^200", 4,
+     "a product of 65 by 65 terms of up to 21238 and 21238 bits exceeds the limit of "
+     "67108864 term-product bits", 106),
+    ("7^16000000", 4,
+     "a product of coefficients of 761804 and 2943725 bits exceeds the limit of "
+     "3321929 bits", 1),
+    ("(x+x'+x''+x''')^60", 4,
+     "a power of a sum of 4 terms may have more than 500 monomials", 15),
+    ("((x + 1)*(x - 1))^600", 4,  # the product's cancelled x is not counted
+     "a power of a sum of 2 terms may have more than 500 monomials", 17),
+    ("(" * 201 + "x" + ")" * 201, 4, "parentheses nested deeper than 200", 200),
+    ("x + " + "1" * 1000001, 4,
+     "a number of 1000001 digits exceeds the limit of 1000000 digits", 4),
+    ("x + x^" + "9" * 1001, 4, "an exponent of 1001 digits exceeds the limit of 1000 digits", 6),
+    ("x + 1/0", 4, "zero denominator", 6),
+    ("x + y", 4, "unknown name 'y'", 4),
+], ids=["term-pairs", "product-bits", "literal-bits", "power-monomials", "cancelled-terms",
+        "nesting", "literal-digits", "exponent-digits", "zero-denominator", "unknown-name"])
+def test_parser_refusals_are_pinned(src, truncation, message, position):
+    """Each bound of the grammar refuses its input with a PolySyntaxError of
+    this message, at the position of the operator or token that crosses it."""
+    with pytest.raises(PolySyntaxError) as info:
+        parse_poly(src, PADIC3, 1, truncation)
+    assert type(info.value) is PolySyntaxError
+    assert str(info.value) == f"{message} (at position {position})"
+    assert info.value.position == position
+
+
+def test_parser_matches_diffpoly_arithmetic():
+    """parse_poly of a random expression tree's text equals the tree's value
+    by DiffPoly arithmetic (the oracle in helpers), over the trivial, 2- and
+    3-adic and Eisenstein 3 and 5 backends, at windows 0 to 3."""
+    rng = rng_for("parser-differential")
+    backends = (TRIVIAL, FieldBackend("padic", 2), PADIC3, EISEN3, EISEN5)
+    seen = Counter()
+    for k in range(500):
+        backend = backends[k % len(backends)]
+        nvars, truncation = rng.randint(1, 2), rng.randint(0, 3)
+        tree = rand_expr_tree(rng, backend, nvars)
+        text = expr_text(tree, nvars)
+        want = expr_diffpoly(tree, backend, nvars, truncation)
+        assert parse_poly(text, backend, nvars, truncation) == want, text
+        wide = expr_diffpoly(tree, backend, nvars, truncation + 6)
+        seen["zero"] += want.is_zero
+        seen["cut"] += any(d > truncation for _, c in wide.terms for d, _ in c.terms)
+        seen["window 0"] += truncation == 0
+        seen["leading minus"] += text.startswith("-")
+        seen["power of a group"] += ")^" in text
+    assert min(seen.values()) >= 25, seen
