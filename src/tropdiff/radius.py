@@ -27,13 +27,13 @@ series in its unit.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import BadBase, InvalidRule, TrivialBackend
-from .semiring import NatValuation, Rat, TropNum, format_rational, is_prime, v_p_factorial
+from .semiring import (NatValuation, Rat, TropNum, format_rational, is_prime, max_str_digits,
+                       v_p_factorial)
 from .series import PowerSeries, TropSeries, tropicalize_series
 
 LogValue = Union[Fraction, float]  # float: the infinity marker, or an inexact base change
@@ -99,6 +99,8 @@ def radius_window_estimate(a: TropSeries, window_start: Optional[int] = None) ->
     an infinite candidate radius with a caveat.
     """
     if window_start is None:
+        if a.truncation < 1:
+            raise ValueError("a window estimate needs truncation >= 1")
         window_start = a.truncation // 2
     if not 0 <= window_start < a.truncation:
         raise ValueError("window must start inside the truncation window")
@@ -229,12 +231,12 @@ def fit_rule(a: TropSeries, stride: int, p: Optional[int]) -> RadiusRule:
 
 
 def _power_prints(x: int, k: int) -> bool:
-    """Whether x^k, for x >= 1 and k >= 0, has at most sys.get_int_max_str_digits() digits.
+    """Whether x^k, for x >= 1 and k >= 0, has at most `max_str_digits()` digits.
 
     x^k >= 2^(k*(bits(x) - 1)) settles the large cases from bit lengths; any
     other x^k has at most twice the bits of 10^limit and is compared with it.
     """
-    limit = sys.get_int_max_str_digits()
+    limit = max_str_digits()
     bound = 10 ** limit  # the least number with limit + 1 digits
     return limit == 0 or (k * (x.bit_length() - 1) < bound.bit_length() and x ** k < bound)
 

@@ -90,7 +90,7 @@ def format_rational(q: Rat) -> str:
 
 # The interpreter's int/str digit limit (0: none), never set below
 # _FREE_DIGITS; interpreters before 3.10.7 and 3.11 have no limit.
-_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 _FREE_DIGITS = getattr(sys.int_info, "str_digits_check_threshold", 0)
 
 
@@ -102,7 +102,7 @@ def _digits_int(s: str) -> int:
     """
     if len(s) <= _FREE_DIGITS:
         return int(s)
-    limit = _max_str_digits()
+    limit = max_str_digits()
     if not limit or len(s) < limit:
         return int(s)
     if s[0] in "+-":
@@ -123,7 +123,7 @@ def _int_str(n: int) -> str:
     bits = n.bit_length()
     if bits <= 3 * _FREE_DIGITS:
         return str(n)
-    limit = _max_str_digits()
+    limit = max_str_digits()
     if not limit or bits <= 3 * limit:
         return str(n)
     k = bits * 3 // 20

@@ -22,7 +22,6 @@ from .diffpoly import (
     Poly,
     SolutionReport,
     at_vector,
-    constant_terms,
     derived_system,
     eval_classical,
     evaluate,
@@ -33,13 +32,11 @@ from .errors import NotAClassicalSolution, TruncationExhausted
 from .fields import FieldBackend, FieldElem, ResidueElem, dot
 from .initial import initial_form, initial_system_monomial_check
 from .radius import RadiusRule, radius_from_rule, radius_window_estimate
-from .semiring import NatValuation
+from .semiring import T_INF, NatValuation, TropNum
 from .series import (
-    LeadingTerm,
     PowerSeries,
     TropSeries,
     psi_trop_inverse,
-    sigma0,
     sigma_to_grigoriev,
     tropicalize_series,
 )
@@ -210,18 +207,21 @@ def check_easy_inclusion(family: Sequence[Union[DiffPoly, Poly]],
     return is_tropical_solution([tropicalize_poly(g) for g in family], s)
 
 
-def check_truncation_vectors(family: Sequence[Union[DiffPoly, Poly]],
-                             s: Sequence[TropSeries]) -> SolutionReport:
+def t0_face(g: Poly) -> Poly:
+    """trop(h|_(t=0)) read off g = trop(h): the terms (0, b) of g, each as the rank-1 b."""
+    return g.map(lambda w: TropNum(w.value[1]) if w.value[0] == 0 else T_INF)
+
+
+def check_truncation_vectors(system: Sequence[Poly], s: Sequence[TropSeries]) -> SolutionReport:
     """A tropical solution truncates to a solution of the F_r tropicalizations.
 
-    F_r = (d^r f)|_(t=0) is read from `family`, the derived family f, ..., d^m f,
-    at B with b_j = c_j + v(j!).  The values are constants, so no report is
-    truncation-limited.
+    F_r = (d^r f)|_(t=0), and a coefficient's rank-2 value is (t-order,
+    valuation of its lowest term), so trop(F_r) is the `t0_face` of
+    trop(d^r f) in `system`.  It is evaluated at B with b_j = c_j + v(j!);
+    the values are constants, so no report is truncation-limited.
     """
     b = tuple(psi_trop_inverse(si) for si in s)
-    return SolutionReport.of(
-        evaluate(constant_terms(g).map(FieldElem.valuation), at_vector(b))
-        for g in family)
+    return SolutionReport.of(evaluate(t0_face(g), at_vector(b)) for g in system)
 
 
 def random_linear_odes(count: int, backend: FieldBackend, truncation: int,
@@ -247,18 +247,20 @@ def random_linear_odes(count: int, backend: FieldBackend, truncation: int,
 
 def verify_ft(p: int, count: int, truncation: int, order: int,
               seed: int = DEFAULT_SEED) -> FTReport:
-    """Easy-inclusion and truncation-vector checks over seeded random linear ODEs."""
+    """Easy-inclusion and truncation-vector checks over seeded random linear ODEs, m < N."""
+    if order >= truncation:  # g is cut to N - 1, and F_m reads b_(m+1)
+        raise ValueError(f"verify-ft needs order < truncation, got {order} >= {truncation}")
     backend = FieldBackend("padic", p)
     odes = random_linear_odes(count, backend, truncation, seed)
     steps = []
     for idx, ode in enumerate(odes):
-        family = derived_system(ode.as_diffpoly(), order)
-        # solve_linear certified the solution against family[0]
+        system = [tropicalize_poly(g) for g in derived_system(ode.as_diffpoly(), order)]
+        # solve_linear certified the solution against f
         s = (tropicalize_series(solve_linear(ode)),)
-        inclusion = is_tropical_solution([tropicalize_poly(g) for g in family], s)
+        inclusion = is_tropical_solution(system, s)
         steps.append(FTStep(f"ode-{idx}-easy-inclusion", inclusion.all_vanish,
                             _solution_detail(inclusion, order)))
-        vectors = check_truncation_vectors(family, s)
+        vectors = check_truncation_vectors(system, s)
         detail = (f"all {len(vectors.reports)} F_r checks vanish" if vectors.all_vanish
                   else f"F_r fails at r in {list(vectors.failing)}")
         steps.append(FTStep(f"ode-{idx}-truncation-vectors", vectors.all_vanish, detail))
@@ -340,14 +342,9 @@ def reproduce_exponential_example(p: int, truncation: Optional[int] = None,
                 f"{window.log_str()} at N={radius_n}, start {window.window[0]}"):
         return report()
 
-    grig_s = (sigma_to_grigoriev(s),)
-
-    def grig_leading(i: int, j: int) -> LeadingTerm:
-        lt = grig_s[i].diff_leading(j)
-        return LeadingTerm(sigma0(lt.value), lt.truncation_limited, lt.beyond)
-
-    grig = tuple(evaluate(g.map(sigma0), grig_leading) for g in system)
-    grig_ok = all(r.vanishes for r in grig)
+    grig_s = sigma_to_grigoriev(s)  # leading terms (k, 0); coefficients (a, b) become (a, 0)
+    grig_ok = all(evaluate(g.map(lambda w: TropNum((w.value[0], 0))),
+                           lambda i, j: grig_s.diff_leading(j)).vanishes for g in system)
     step("grigoriev-projection", grig_ok,
          "support projection solves the t-adic tropicalization of the derived system")
     return report()

@@ -649,6 +649,10 @@ def test_range_checks_exit_2(capsys, tmp_path):
     trivial_series = _write(tmp_path, "triv.json", {
         "field": {"kind": "trivial"}, "truncation": 4,
         "coeffs": [{"n": 0, "val": "1"}, {"n": 2, "val": "3"}]})
+    point_series = _write(tmp_path, "t0.json", {"p": 3, "truncation": 0,
+                                                "coeffs": [{"n": 0, "val": "1"}]})
+    report = tmp_path / "ft.json"
+    ft_window = ["verify-ft", "--count", "2", "--json", str(report), "--truncation"]
     cases = [
         (["check", *sys_cand, "--order", "-1"], "order must be >= 0"),
         (["initial", *sys_cand, "--order", "-1"], "order must be >= 0"),
@@ -659,12 +663,61 @@ def test_range_checks_exit_2(capsys, tmp_path):
         (["verify-ft", "--count", "0"], "count must be >= 1"),
         (["radius", "--series", str(GOLDEN / "sol.json"), "--base", "1"], "base must be > 1"),
         (["radius", "--series", trivial_series], "no base given and the field has no prime"),
+        (["radius", "--series", point_series], "a window estimate needs truncation >= 1"),
+        (["radius", "--series", point_series, "--window-start", "0"],
+         "window must start inside the truncation window"),
+        ([*ft_window, "0", "--order", "0"], "verify-ft needs order < truncation, got 0 >= 0"),
+        ([*ft_window, "5", "--order", "5"], "verify-ft needs order < truncation, got 5 >= 5"),
+        ([*ft_window, "5", "--order", "6"], "verify-ft needs order < truncation, got 6 >= 5"),
     ]
     for argv, message in cases:
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.err == f"tropdiff: {message}\n", argv
         assert captured.out == "", argv
+    assert not report.exists()  # a usage error writes no report
+
+
+PADIC3_FIELD = {"kind": "padic", "p": 3}
+
+
+@pytest.mark.parametrize("command, record, message", [
+    ("tropicalize", {"field": PADIC3_FIELD, "vars": 0, "truncation": 4, "polynomials": ["1"]},
+     "systems need at least one variable"),
+    ("tropicalize", {"field": PADIC3_FIELD, "vars": 1, "truncation": -1, "polynomials": ["x"]},
+     "truncation must be a natural number"),
+    ("tropicalize", {"field": PADIC3_FIELD, "vars": 1, "truncation": 4, "polynomials": []},
+     "system file lists no polynomials"),
+    ("tropicalize", {"field": {"p": 3}, "vars": 1, "truncation": 4, "polynomials": ["x"]},
+     "bad field record: 'kind'"),
+    ("solve-linear", {"field": PADIC3_FIELD, "truncation": 4, "g": "1", "c0": [1, 2]},
+     "coefficient arrays are for Eisenstein backends only"),
+    ("tropicalize", {"field": PADIC3_FIELD, "vars": 1, "truncation": 4,
+                     "polynomials": ["xa + 1"]},
+     "unknown name 'xa' (at position 0)"),
+], ids=["no-variables", "negative-truncation", "no-polynomials", "field-without-kind",
+        "array-c0-over-padic", "unknown-name"])
+def test_input_refusals_exit_2(capsys, tmp_path, command, record, message):
+    """A malformed input file exits 2 with its message and prints nothing."""
+    path = _write(tmp_path, "input.json", record)
+    flag = "--ode" if command == "solve-linear" else "--system"
+    assert main([command, flag, path]) == 2
+    assert capsys.readouterr() == ("", f"tropdiff: {message}\n")
+
+
+def test_verify_ft_smallest_window_passes(capsys):
+    """verify-ft needs m < N (g is cut to N - 1, F_m reads b_(m+1)); m = 1,
+    N = 2 is inside."""
+    assert main(["verify-ft", "--count", "5", "--truncation", "2", "--order", "1"]) == 0
+    assert capsys.readouterr().out.endswith("overall: ALL PASS\n")
+
+
+def test_radius_without_the_interpreters_digit_limit_reader(capsys, monkeypatch):
+    """Interpreters before 3.10.7 have no sys.get_int_max_str_digits; radius
+    reads the limit through `semiring.max_str_digits`, as the number codec does."""
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert main(["radius", "--series", str(GOLDEN / "sol.json"), "--rule", "p,auto"]) == 0
+    assert "log_r = 0, r = 1" in capsys.readouterr().out
 
 
 def test_check_default_order_scales_with_p(capsys, tmp_path):

@@ -34,7 +34,7 @@ from tropdiff.series import (
     rank2_val,
     sigma0,
 )
-from tropdiff.verify import exp_equation, exp_tropical_closed_form, solve_linear
+from tropdiff.verify import exp_equation, exp_tropical_closed_form, solve_linear, t0_face
 
 from helpers import (
     EISEN3,
@@ -574,6 +574,29 @@ def test_jets_match_iterated_derivatives_on_golden_systems():
         _, _, n, polys = files.system_from_dict(files.load_json(str(path)))
         for f in polys:
             assert_jets_match(derived_system(f, n), iterated_derived_system(f, n))
+
+
+def test_t0_face_of_the_tropical_family_is_trop_of_its_constant_terms():
+    """For every r <= N, the t^0 face of trop(d^r f) is trop((d^r f)|_(t=0)),
+    the tropicalized constant terms: a rank-2 value is (t-order, valuation of
+    the lowest term), so a coefficient is nonzero at t = 0 iff its value is
+    (0, b), and then b is the valuation of its constant term.  Checked on
+    random Leibniz polynomials (trivial, padic 2/3, eisenstein 3/5) and the
+    golden systems; the F_r check of `verify` reads trop(F_r) this way."""
+    rng = rng_for("t0-face")
+    polys = [rand_leibniz_poly(rng, backend, rng.randint(1, 2), n)
+             for backend in (TRIVIAL, FieldBackend("padic", 2), PADIC3, EISEN3, EISEN5)
+             for n in range(9) for _ in range(3)]
+    for path in sorted((Path(__file__).parent / "golden").glob("sys*.json")):
+        polys += files.system_from_dict(files.load_json(str(path)))[3]
+    kept = dropped = 0
+    for f in polys:
+        for g in derived_system(f, f.truncation):
+            trop, face = tropicalize_poly(g), t0_face(tropicalize_poly(g))
+            assert face == constant_terms(g).map(FieldElem.valuation)
+            kept += len(face.terms)
+            dropped += len(trop.terms) - len(face.terms)
+    assert kept > 500 and dropped > 500
 
 
 def test_derived_system_builds_no_series(monkeypatch):

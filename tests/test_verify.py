@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from tropdiff import verify
-from tropdiff.diffpoly import DiffPoly, ExponentMatrix, Poly, derived_system, f_lr
+from tropdiff.diffpoly import (DiffPoly, ExponentMatrix, Jet, Poly, derived_system, f_lr,
+                               tropicalize_poly)
 from tropdiff.errors import NotAClassicalSolution
 from tropdiff.fields import FieldBackend, FieldElem
 from tropdiff.semiring import TropNum
@@ -209,7 +211,7 @@ def test_easy_inclusion_rejects_non_solutions():
 def test_truncation_vectors_exp_example():
     _, f = exp_equation(3, 18)
     s = exp_tropical_closed_form(3, 18)
-    report = check_truncation_vectors(derived_system(f, 6), (s,))
+    report = check_truncation_vectors([tropicalize_poly(g) for g in derived_system(f, 6)], (s,))
     assert report.all_vanish and len(report.reports) == 7
 
 
@@ -217,7 +219,8 @@ def test_truncation_vectors_order_zero():
     _, f = exp_equation(3, 12)
     assert f_lr(f, 0) == Poly.make(1, {ExponentMatrix.var(0, 1): EISEN3.one()})
     s = exp_tropical_closed_form(3, 12)
-    assert check_truncation_vectors(derived_system(f, 0), (s,)).all_vanish
+    assert check_truncation_vectors([tropicalize_poly(g) for g in derived_system(f, 0)],
+                                    (s,)).all_vanish
 
 
 def test_truncation_vectors_perturbed():
@@ -226,9 +229,26 @@ def test_truncation_vectors_perturbed():
     cs = list(s.coeffs)
     cs[3] = cs[3] * s.nat_val.to_units(TropNum.of(1))
     perturbed = TropSeries.from_coeffs(s.nat_val, 18, tuple(cs))
-    report = check_truncation_vectors(derived_system(f, 6), (perturbed,))
+    report = check_truncation_vectors([tropicalize_poly(g) for g in derived_system(f, 6)],
+                                      (perturbed,))
     assert not report.all_vanish
     assert 2 in report.failing  # F_2 = x''' - 6*zeta*x sees the bad b_3
+
+
+def test_verify_ft_reads_the_truncation_vectors_off_the_tropical_system(monkeypatch):
+    """The F_r check reads trop(F_r) off the tropicalized family the easy
+    inclusion already built: at the default window (N = 18, m = 9), 50 ODEs
+    sum no jet coefficient and take no series' constant term, and all 100
+    steps pass."""
+    calls = Counter()
+    for owner, name in ((Jet, "coefficient"), (PowerSeries, "constant_term")):
+        def counted(*args, name=name, original=getattr(owner, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(owner, name, counted)
+    report = verify_ft(3, 50, 18, 9)
+    assert calls == Counter()
+    assert report.passed and len(report.steps) == 100
 
 
 def test_verify_ft_random_odes():
