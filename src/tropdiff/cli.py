@@ -29,7 +29,7 @@ from .radius import (
     radius_from_rule,
     radius_window_estimate,
 )
-from .semiring import NatValuation, format_rational, parse_rational
+from .semiring import NatValuation, TropNum, format_rational, parse_rational
 from .series import sigma0, tropicalize_series
 from .verify import (
     DEFAULT_SEED,
@@ -74,7 +74,7 @@ def cmd_tropicalize(args) -> int:
     backend, nvars, truncation, polys = files.system_from_dict(files.load_json(args.system))
     records = []
     for f in polys:
-        trop = tropicalize_poly(f)
+        trop = tropicalize_poly(f).map(TropNum)
         grig = trop.map(sigma0)
         records.append({"input": print_poly(f), "rank2": print_poly(trop, backend.nat_val),
                         "grigoriev": print_poly(grig)})

@@ -6,13 +6,17 @@ A_lam is a truncated series.  Tropicalization replaces each A_lam by its
 rank-2 valuation, giving a `Poly`, the one sparse container for
 polynomials with tropical, field, residue or jet coefficients (a derived
 family holds d^k f, k >= 1, as jets: `derived_system`).  One evaluator
-(`evaluate`) computes such a polynomial's value: a leading-term provider
-gives the value of x_i^(j), e.g. the leading term of the j-th tropical
-derivative of a series, and the report gives the minimum, the monomials
-attaining it, whether it tropically vanishes, and whether an exhausted
-window could still reach it (`ambiguous`).  Reports are values: a caller
-that evaluates a system passes them on to whatever reads them (the solution
-table, initial forms), so no polynomial is evaluated twice at one candidate.
+(`evaluate`) computes such a polynomial's value at the values of the
+x_i^(j) (e.g. the leading terms of the tropical derivatives of a series):
+the minimum, the monomials attaining it, whether it tropically vanishes,
+and whether an exhausted window could still reach it (`ambiguous`).  A
+caller passes the reports on (solution table, initial forms), so no
+polynomial is evaluated twice at one candidate.
+
+Tropicalization, jets and evaluation run on raw tropical values, a TropNum's
+`value`: None for infinity, a rational (rank 1) or a (t-exponent, units)
+pair (rank 2), added with `min` and multiplied coordinatewise, with no
+TropNum arithmetic.  A TropNum is built where a value leaves: the report's.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, 
 
 from .errors import MissingVariable, TruncationExhausted
 from .fields import FieldBackend, FieldElem
-from .semiring import T_INF, Rat, TropNum, tropically_vanishes, v_p, v_p_factorial
-from .series import LeadingTerm, PowerSeries, TropSeries, rank2_val
+from .semiring import TropNum, v_p, v_p_factorial
+from .series import LeadingTerm, PowerSeries, TropSeries
 
 
 class ExponentMatrix(NamedTuple):
@@ -92,7 +96,8 @@ CONSTANT_MONOMIAL = ExponentMatrix(0, ())
 
 
 def _is_additive_identity(c) -> bool:
-    return c.is_inf if isinstance(c, TropNum) else c.is_zero
+    """inf (None or T_INF) for a tropical coefficient, 0 for a field or residue one."""
+    return c is None or (c.is_inf if isinstance(c, TropNum) else getattr(c, "is_zero", False))
 
 
 def _sorted_terms(terms: Mapping[ExponentMatrix, object]):
@@ -105,7 +110,7 @@ def _sorted_terms(terms: Mapping[ExponentMatrix, object]):
 class Poly:
     """Sparse polynomial in the x_i^(j) with coefficients of one type.
 
-    The coefficients carry their own ring: tropical values (TropNum),
+    The coefficients carry their own ring: tropical values (raw or TropNum),
     field elements (FieldElem), residues (ResidueElem) or jets (Jet).
     Terms are in graded-lexicographic order, without additive-identity
     coefficients (inf, 0); only `make` sorts, other constructors keep the
@@ -199,14 +204,15 @@ class EvalReport:
 
 
 def tropicalize_poly(f: Union[DiffPoly, Poly]) -> Poly:
-    """Apply the rank-2 valuation coefficientwise; a jet holds its value.
+    """Apply the rank-2 valuation coefficientwise, as raw pairs; a jet holds its value.
 
     Every coefficient of a DiffPoly or jet is nonzero inside its window, so
     no rank-2 value here is truncation-limited, and the terms are in graded
     order already, so they are kept as they stand.
     """
-    return Poly(f.nvars, tuple((lam, a.value if a.__class__ is Jet else rank2_val(a).value)
-                               for lam, a in f.terms))
+    return Poly(f.nvars, tuple(
+        (lam, a.value if a.__class__ is Jet else (a.terms[0][0], a.terms[0][1].valuation().value))
+        for lam, a in f.terms))
 
 
 def constant_terms(f: Union[DiffPoly, Poly]) -> Poly:
@@ -252,49 +258,60 @@ def eval_classical(f: DiffPoly, a: Sequence[PowerSeries]) -> PowerSeries:
     return total
 
 
-LeadingProvider = Callable[[int, int], LeadingTerm]
-
-
-def _first(w: TropNum) -> Rat:
-    """First coordinate of a finite tropical value."""
-    return w.value[0] if w.value.__class__ is tuple else w.value
+LeadingProvider = Callable[[int, int], object]  # the raw x_i^(j), or a flagged LeadingTerm
 
 
 def evaluate(g: Poly, leading: LeadingProvider) -> EvalReport:
-    """Tropical evaluation of g with x_i^(j) read from `leading`.
+    """Tropical evaluation of g on raw values, each x_i^(j) read once from `leading`.
 
-    Each monomial weighs coeff * prod Phi(d^j S_i)^e.  A weight with a factor
-    from an exhausted window reads as infinite; the first coordinate of its
-    true value is at least that of its known part (coefficient and unflagged
-    factors) plus, per flagged factor, e times the first exponent past that
-    factor's window.  The report is `ambiguous` when such a bound does not
-    exceed a finite minimum.
+    A TropNum coefficient is read as its value.  Each monomial weighs
+    coeff * prod x_i^(j)^e.  A weight with a flagged factor reads as
+    infinite; when its known part (the rest) is finite, the first coordinate
+    of its true value is at least that of the known part plus, per flagged
+    factor, e times the first exponent past that factor's window.  The
+    report is `ambiguous` when such a bound does not exceed a finite minimum.
     """
+    read: dict[tuple[int, int], object] = {}
     weights, bounds = [], []
-    for lam, coeff in g.terms:
-        w, beyond, flagged = coeff, 0, False
-        for (i, j), e in lam.entries:
-            lt = leading(i, j)
-            if lt.truncation_limited:
-                beyond += e * lt.beyond
+    for lam, w in g.terms:
+        if w.__class__ is TropNum:
+            w = w.value
+        beyond, flagged = 0, False
+        for ij, e in lam.entries:
+            try:
+                x = read[ij]
+            except KeyError:
+                x = read[ij] = leading(*ij)
+            if x.__class__ is LeadingTerm:
+                beyond += e * x.beyond
                 flagged = True
+            elif w is None or x is None:
+                w = None
+            elif w.__class__ is tuple:
+                w = (w[0] + e * x[0], w[1] + e * x[1])
             else:
-                w = w * lt.value ** e
+                w = w + e * x
         if flagged:
-            bounds.append(_first(w) + beyond)
-        weights.append(T_INF if flagged else w)
-    vr = tropically_vanishes(weights)
-    attainment = tuple(g.terms[k][0] for k in vr.attainment)
-    ambiguous = not vr.total.is_inf and any(b <= _first(vr.total) for b in bounds)
-    return EvalReport(vr.total, attainment, vr.vanishes, bool(bounds), ambiguous)
+            if w is not None:  # an infinite known part bounds nothing
+                bounds.append((w[0] if w.__class__ is tuple else w) + beyond)
+            w = None
+        weights.append(w)
+    total = min((w for w in weights if w is not None), default=None)  # inf: all attain it
+    attainment = tuple(lam for (lam, _), w in zip(g.terms, weights) if w == total)
+    first = total[0] if total.__class__ is tuple else total
+    ambiguous = total is not None and any(b <= first for b in bounds)
+    return EvalReport(TropNum(total), attainment, total is None or len(attainment) >= 2,
+                      bool(bounds), ambiguous)
 
 
-def at_vector(b: Sequence[Sequence[TropNum]]) -> LeadingProvider:
-    """Plain min-plus provider: x_i^(j) is the constant b[i][j], no differential relations."""
-    def leading(i: int, j: int) -> LeadingTerm:
+def at_vector(b: Sequence[Sequence]) -> LeadingProvider:
+    """Plain min-plus provider: x_i^(j) is the constant b[i][j], a raw value
+    or a TropNum, with no differential relations."""
+    def leading(i: int, j: int):
         if i >= len(b) or j >= len(b[i]):
             raise MissingVariable(f"no value supplied for x_{i + 1}^({j})")
-        return LeadingTerm(b[i][j])
+        x = b[i][j]
+        return x.value if x.__class__ is TropNum else x
     return leading
 
 
@@ -302,7 +319,7 @@ def eval_tropical(g: Poly, s: Sequence[TropSeries]) -> EvalReport:
     """Evaluate a tropicalized polynomial at tropical series: x_i^(j) is Phi(d_v^j S_i)."""
     if len(s) != g.nvars:
         raise MissingVariable(f"expected {g.nvars} series, got {len(s)}")
-    return evaluate(g, lambda i, j: s[i].diff_leading(j))
+    return evaluate(g, lambda i, j: s[i].leading(j))
 
 
 def f_lr(f: DiffPoly, r: int) -> Poly:
@@ -339,12 +356,12 @@ class Jet(NamedTuple):
 
     The coefficient is the sum of C(k, a) * count * c^(a) over its sources
     (c, a, count), c a coefficient of f by degree (see `derived_system`).
-    `value` is its rank-2 value; its t^j coefficients are summed on demand.
+    `value` is its raw rank-2 value; its t^j coefficients are summed on demand.
     A NamedTuple: one is made per term of every d^k f, twice as fast as a
     frozen dataclass.
     """
 
-    value: TropNum
+    value: tuple[int, object]
     k: int
     sources: tuple[tuple[dict[int, FieldElem], int, int], ...]
     zero: FieldElem
@@ -358,7 +375,7 @@ class Jet(NamedTuple):
         return total
 
     def leading_coefficient(self) -> FieldElem:
-        return self.coefficient(self.value.value[0])
+        return self.coefficient(self.value[0])
 
     def constant_term(self) -> FieldElem:
         return self.coefficient(0)
@@ -369,12 +386,12 @@ def _jet(k: int, entries: list, window: int, zero: FieldElem) -> Optional[Jet]:
     valuation of its t^j0 term; None when they cancel through the window."""
     j = min(j0 for j0, _, _ in entries)
     first = [v for j0, v, _ in entries if j0 == j]
-    jet = Jet(TropNum((j, first[0])), k, tuple(source for _, _, source in entries), zero)
+    jet = Jet((j, first[0]), k, tuple(source for _, _, source in entries), zero)
     if len(first) == 1:
         return jet
     for j in range(j, window + 1):  # a collision: sum at j, one degree up while it cancels
         if not (x := jet.coefficient(j)).is_zero:
-            return jet._replace(value=TropNum((j, x.valuation().value)))
+            return jet._replace(value=(j, x.valuation().value))
     return None
 
 
@@ -418,7 +435,7 @@ def derived_system(f: DiffPoly, m: int) -> list:
         for mu, entries in found.items():
             if len(entries) == 1:
                 (j, w, source), = entries
-                terms.append((mu, Jet(TropNum((j, w)), k, (source,), zero)))
+                terms.append((mu, Jet((j, w), k, (source,), zero)))
             elif (jet := _jet(k, entries, window, zero)) is not None:
                 terms.append((mu, jet))
         terms.sort(key=itemgetter(0))

@@ -8,7 +8,9 @@ absorbing for times and neutral for plus.  `Trop2` is the rank-2 name of the
 same class.  The Boolean sub-semiring {0, inf} is TropNum restricted by
 `is_boolean`.  A finite rational is exact: an `int` where the program builds
 or parses an integral value, a `Fraction` otherwise, never a float.  The two
-compare and hash equal, so a value's type never changes an answer.
+compare and hash equal, so a value's type never changes an answer.  The
+kernel (`diffpoly`, `TropSeries.leading`) computes on these raw values;
+a TropNum is built for reports, series, files and printing.
 
 TropNum itself has no unit.  Every valuation the program computes is held
 as a count of the field's unit 1/e, where (1/e)Z is the value group: e = 1
@@ -25,12 +27,14 @@ radius rule's).  `TropNum.parse` and `str` are the unit-1 reader and writer.
 
 from __future__ import annotations
 
+import decimal
+import functools
 import math
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Union
 
 from .errors import ZeroInput
 
@@ -113,22 +117,30 @@ def _digits_int(s: str) -> int:
 
 
 def _int_str(n: int) -> str:
-    """str(n) at any size.
+    """str(n) at any size, in subquadratic time.
 
     A number of b bits has at most b*log10(2) + 1 < 0.302*b + 1 digits, so
     one of at most 3 * limit bits is within the interpreter's int/str digit
-    limit.  Past that, |n| is split at 10^k with k = 3/20 of its bits, about
-    half its digits.
+    limit.  Past that, n is built as a `Decimal` from halves of its bits and
+    printed, as CPython 3.12's `_pylong` does: libmpdec multiplies fast.
     """
     bits = n.bit_length()
-    if bits <= 3 * _FREE_DIGITS:
-        return str(n)
-    limit = max_str_digits()
+    limit = bits > 3 * _FREE_DIGITS and max_str_digits()
     if not limit or bits <= 3 * limit:
         return str(n)
-    k = bits * 3 // 20
-    hi, lo = divmod(abs(n), 10**k)
-    return ("-" if n < 0 else "") + _int_str(hi) + _int_str(lo).rjust(k, "0")
+    power = functools.cache(lambda w: decimal.Decimal(2) ** w)
+
+    def build(m: int, w: int) -> decimal.Decimal:  # 0 <= m < 2^w
+        if w <= 128:
+            return decimal.Decimal(m)
+        half = w >> 1
+        hi = m >> half
+        return build(m - (hi << half), half) + build(hi, w - half) * power(half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        return ("-" if n < 0 else "") + str(build(abs(n), bits))
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,36 +217,6 @@ Trop2 = TropNum
 T_INF = TropNum(None)
 T_ZERO = TropNum(0)  # multiplicative identity of T
 T2_ZERO = TropNum((0, 0))  # multiplicative identity of T_2
-
-
-def trop_sum(addends: Iterable[TropNum]) -> TropNum:
-    """Tropical sum of a finite sequence; the empty sum is infinity."""
-    total: Optional[TropNum] = None
-    for a in addends:
-        total = a if total is None else total + a
-    return T_INF if total is None else total
-
-
-@dataclass(frozen=True, slots=True)
-class VanishReport:
-    """Outcome of a tropical-vanishing test on a finite sequence of addends."""
-
-    vanishes: bool
-    total: TropNum
-    attainment: tuple[int, ...]
-
-
-def tropically_vanishes(addends: Sequence[TropNum]) -> VanishReport:
-    """Check whether a finite tropical sum vanishes.
-
-    The sum vanishes iff it is infinity, or the minimum is attained by at
-    least two addends; this is equivalent to removal-stability (dropping any
-    one addend leaves the sum unchanged).
-    """
-    total = trop_sum(addends)
-    attainment = tuple(k for k, a in enumerate(addends) if a == total)
-    vanishes = total.is_inf or len(attainment) >= 2
-    return VanishReport(vanishes, total, attainment)
 
 
 def v_p(n: int, p: int) -> int:

@@ -50,10 +50,6 @@ class LeadingTerm:
     truncation_limited: bool = False
     beyond: int = 0
 
-    @property
-    def is_inf(self) -> bool:
-        return self.value.is_inf
-
 
 @dataclass(frozen=True, slots=True)
 class PowerSeries:
@@ -237,9 +233,9 @@ class TropSeries:
     nat_val: NatValuation
     truncation: int
     terms: tuple[tuple[int, TropNum], ...]
-    # Memo of `_leading_table`, set on the first `diff_leading` call; not
-    # part of the value, so equality, hashing and repr ignore it.
-    _leading: Optional[tuple[LeadingTerm, ...]] = field(
+    # Memo of `_leading_table`, set on the first `leading` call; not part of
+    # the value, so equality, hashing and repr ignore it.
+    _leading: Optional[tuple[tuple, ...]] = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -307,13 +303,12 @@ class TropSeries:
         v = self.nat_val
         return TropSeries(v, self.truncation - 1, tuple((k - 1, v(k) * c) for k, c in self.terms if k))
 
-    def diff_leading(self, j: int) -> LeadingTerm:
-        """Phi(d_v^j S) for j >= 0: (first finite exponent, its coefficient) in T_2.
+    def leading(self, j: int):
+        """Phi(d_v^j S), j >= 0, as the raw pair (first finite exponent, its coefficient).
 
-        Read from a table of j = 0 .. K, K the last finite index, built on
-        the first call (`_leading_table`).  Every j > K leaves no finite
-        coefficient in the window: a flagged infinity whose true leading
-        exponent is at least N - j + 1.
+        Read from a table of j = 0 .. K (K the last finite index) built on the
+        first call.  Every j > K leaves no finite coefficient in the window:
+        a flagged infinity (LeadingTerm), true leading exponent >= N - j + 1.
         """
         table = self._leading
         if table is None:
@@ -323,7 +318,12 @@ class TropSeries:
             return table[j]
         return LeadingTerm(T_INF, True, max(self.truncation - j + 1, 0))
 
-    def _leading_table(self) -> tuple[LeadingTerm, ...]:
+    def diff_leading(self, j: int) -> LeadingTerm:
+        """`leading(j)` as a LeadingTerm."""
+        w = self.leading(j)
+        return w if w.__class__ is LeadingTerm else LeadingTerm(TropNum(w))
+
+    def _leading_table(self) -> tuple[tuple, ...]:
         """Phi(d_v^j S) for j = 0 .. K in closed form, walking the terms backwards.
 
         Coefficient i of d_v^j S is S_{i+j} + v((i+j)!) - v(i!), so the first
@@ -339,7 +339,7 @@ class TropSeries:
             if t and terms[t - 1][0] == j:
                 t -= 1
             k, c = terms[t]
-            table.append(LeadingTerm(TropNum((k - j, c.value + vfact[k] - vfact[k - j]))))
+            table.append((k - j, c.value + vfact[k] - vfact[k - j]))
         table.reverse()
         return tuple(table)
 

@@ -32,11 +32,10 @@ from .errors import NotAClassicalSolution, TruncationExhausted
 from .fields import FieldBackend, FieldElem, ResidueElem, dot
 from .initial import initial_form, initial_system_monomial_check
 from .radius import RadiusRule, radius_from_rule, radius_window_estimate
-from .semiring import T_INF, NatValuation, TropNum
+from .semiring import NatValuation
 from .series import (
     PowerSeries,
     TropSeries,
-    psi_trop_inverse,
     sigma_to_grigoriev,
     tropicalize_series,
 )
@@ -209,7 +208,7 @@ def check_easy_inclusion(family: Sequence[Union[DiffPoly, Poly]],
 
 def t0_face(g: Poly) -> Poly:
     """trop(h|_(t=0)) read off g = trop(h): the terms (0, b) of g, each as the rank-1 b."""
-    return g.map(lambda w: TropNum(w.value[1]) if w.value[0] == 0 else T_INF)
+    return g.map(lambda w: w[1] if w[0] == 0 else None)
 
 
 def check_truncation_vectors(system: Sequence[Poly], s: Sequence[TropSeries]) -> SolutionReport:
@@ -217,10 +216,12 @@ def check_truncation_vectors(system: Sequence[Poly], s: Sequence[TropSeries]) ->
 
     F_r = (d^r f)|_(t=0), and a coefficient's rank-2 value is (t-order,
     valuation of its lowest term), so trop(F_r) is the `t0_face` of
-    trop(d^r f) in `system`.  It is evaluated at B with b_j = c_j + v(j!);
-    the values are constants, so no report is truncation-limited.
+    trop(d^r f) in `system`.  It is evaluated at B, b_j = c_j + v(j!) the
+    constant term of d_v^j S: b where its leading term is (0, b), else inf.
+    The values are constants, so no report is truncation-limited.
     """
-    b = tuple(psi_trop_inverse(si) for si in s)
+    b = [[w[1] if w.__class__ is tuple and w[0] == 0 else None
+          for w in map(si.leading, range(si.truncation + 1))] for si in s]
     return SolutionReport.of(evaluate(t0_face(g), at_vector(b)) for g in system)
 
 
@@ -343,8 +344,8 @@ def reproduce_exponential_example(p: int, truncation: Optional[int] = None,
         return report()
 
     grig_s = sigma_to_grigoriev(s)  # leading terms (k, 0); coefficients (a, b) become (a, 0)
-    grig_ok = all(evaluate(g.map(lambda w: TropNum((w.value[0], 0))),
-                           lambda i, j: grig_s.diff_leading(j)).vanishes for g in system)
+    grig_ok = all(evaluate(g.map(lambda w: (w[0], 0)), lambda i, j: grig_s.leading(j)).vanishes
+                  for g in system)
     step("grigoriev-projection", grig_ok,
          "support projection solves the t-adic tropicalization of the derived system")
     return report()

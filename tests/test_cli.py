@@ -584,6 +584,31 @@ def test_huge_exponents_run_quickly(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_tropicalize_prints_a_huge_coefficient_in_time(tmp_path):
+    """`tropicalize` of 7^1000000*x + x' prints the 845,099-digit coefficient
+    in subquadratic time: the child ends within 5 s, where a quadratic
+    conversion took about 7.5 s on a 2-core machine.  Its leading digits are
+    checked against `decimal`'s correctly rounded power, its last ones
+    against 7^1000000 mod 10^20."""
+    import decimal
+
+    sys_path = tmp_path / "sys.json"
+    files.dump_json({"field": {"kind": "padic", "p": 3}, "vars": 1, "truncation": 2,
+                     "polynomials": ["7^1000000*x + x'"]}, str(sys_path))
+    src = str(Path(tropdiff.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "tropdiff.cli", "tropicalize",
+                           "--system", str(sys_path)], capture_output=True, text=True,
+                          timeout=5, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    first = proc.stdout.splitlines()[0]
+    assert first.startswith("f       = x' + ") and first.endswith("*x")
+    digits = first[len("f       = x' + "):-len("*x")]
+    lead = decimal.Context(prec=30).power(7, 10**6)
+    assert len(digits) == lead.adjusted() + 1 == 845099
+    assert digits[:25] == str(lead.scaleb(-lead.adjusted()))[:26].replace(".", "")
+    assert digits[-20:] == str(pow(7, 10**6, 10**20)).zfill(20)
+
+
 CAPPED_MAIN = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))

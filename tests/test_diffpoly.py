@@ -111,13 +111,13 @@ def test_diff_examples():
 def test_tropicalize_poly_examples():
     _, f = exp_equation(3, 12)
     units = EISEN3.nat_val.to_units
-    trop = tropicalize_poly(f)
+    trop = tropicalize_poly(f).map(TropNum)
     assert trop == Poly.make(1, {
         X1: Trop2.of(0, 0),
         X: units(Trop2.of(2, Fraction(3, 2))),
     })
 
-    trop_df = tropicalize_poly(f.diff())
+    trop_df = tropicalize_poly(f.diff()).map(TropNum)
     assert trop_df == Poly.make(1, {
         X2: Trop2.of(0, 0),
         X: units(Trop2.of(1, Fraction(3, 2))),
@@ -137,7 +137,7 @@ def test_tropicalize_poly_matches_make():
             m = min(f.truncation, 2)
             for g in iterated_derived_system(f, m):
                 assert tropicalize_poly(g) == Poly.make(
-                    g.nvars, {lam: rank2_val(a).value for lam, a in g.terms})
+                    g.nvars, {lam: rank2_val(a).value.value for lam, a in g.terms})
             for g in derived_system(f, m)[1:]:
                 assert tropicalize_poly(g) == Poly.make(
                     g.nvars, {lam: jet.value for lam, jet in g.terms})
@@ -488,7 +488,7 @@ def test_derived_system_matches_closed_forms():
     for p in (2, 3, 5):
         n_max = 2 * p + 2
         _, f = exp_equation(p, 3 * p + 4)
-        system = [tropicalize_poly(g) for g in derived_system(f, n_max)]
+        system = [tropicalize_poly(g).map(TropNum) for g in derived_system(f, n_max)]
         for n, g in enumerate(system):
             units = FieldBackend("eisenstein", p).nat_val.to_units
             assert g == closed_form_derived_trop(p, n).map(units), (p, n)
@@ -549,7 +549,7 @@ def test_jet_collision_walks_past_a_cancelling_degree():
     d = derived_system(f, 1)[1]
     jet = dict(d.terms)[X1]
     assert len(jet.sources) == 2
-    assert jet.value == TropNum((2, 1))
+    assert jet.value == (2, 1)
     assert jet.leading_coefficient() == PADIC3.elem(3)
     assert jet.coefficient(1).is_zero
     assert tropicalize_poly(d) == tropicalize_poly(f.diff())
@@ -593,7 +593,7 @@ def test_t0_face_of_the_tropical_family_is_trop_of_its_constant_terms():
     for f in polys:
         for g in derived_system(f, f.truncation):
             trop, face = tropicalize_poly(g), t0_face(tropicalize_poly(g))
-            assert face == constant_terms(g).map(FieldElem.valuation)
+            assert face == constant_terms(g).map(lambda c: c.valuation().value)
             kept += len(face.terms)
             dropped += len(trop.terms) - len(face.terms)
     assert kept > 500 and dropped > 500

@@ -61,7 +61,7 @@ def test_leading_exponents_are_int():
         for _ in range(6):
             a = rand_power_series(rng, backend, 8)
             lt = rank2_val(a)
-            if not lt.is_inf:
+            if not lt.value.is_inf:
                 assert type(lt.value.value[0]) is int
                 assert_exact(lt.value.value[1])
             s = tropicalize_series(a)
@@ -69,7 +69,7 @@ def test_leading_exponents_are_int():
                 assert_exact(c.value)
             for j in range(s.truncation + 3):
                 lt = s.diff_leading(j)
-                if not lt.is_inf:
+                if not lt.value.is_inf:
                     assert type(lt.value.value[0]) is int
                     assert_exact(lt.value.value[1])
 

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,8 @@ from tropdiff.semiring import (
     TropNum,
     Trop2,
     digit_sum,
+    format_ratio,
     is_prime,
-    tropically_vanishes,
-    trop_sum,
     v_p,
     v_p_factorial,
 )
@@ -21,6 +21,8 @@ from helpers import (
     rng_for,
     rand_trop_num,
     rand_trop2,
+    trop_sum,
+    tropically_vanishes,
     v_p_factorial_iter,
     vanishes_by_removal,
     vp_factorial_bruteforce,
@@ -84,6 +86,27 @@ def test_vanishing_examples():
     assert tropically_vanishes([]).vanishes
     assert trop_sum([]) == T_INF
     assert tropically_vanishes([T_INF]).vanishes
+
+
+def test_huge_integers_print_as_str_does():
+    """`format_ratio` writes an integer as `str` does with the int/str digit
+    limit lifted, on both sides of its two thresholds: 3 * 640 bits (below,
+    `str` alone) and 3 * 4300 bits, past which the digits come from a
+    `Decimal` built from halves of the bits."""
+    rng = rng_for("int-str")
+    numbers = [10**k + d for k in (3900, 13000, 20000) for d in (-1, 0, 1)]
+    for bits in (1919, 1920, 1921, 12899, 12900, 12901, 13100, 60000):
+        top = 1 << (bits - 1)
+        numbers += [top, top | rng.getrandbits(bits - 1), 2 * top - 1]
+    numbers += [-n for n in numbers]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        texts = [format_ratio(n, 1) for n in numbers]
+        sys.set_int_max_str_digits(0)
+        assert texts == [str(n) for n in numbers]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def is_prime_by_trial_division(n: int) -> bool:
