@@ -238,8 +238,9 @@ def cmd_solve_linear(args) -> int:
             print("  ...")
             break
     record = {"field": files.field_to_dict(backend), **files.series_to_dict(sol)}
+    if args.out or args.json:  # encoded once, and the report holds the text
+        record = files.dump_json(record, args.out)
     if args.out:
-        files.dump_json(record, args.out)
         print(f"series written to {args.out}")
     _write_json(args.json, {"command": "solve-linear", "solution": record})
     return 0

@@ -21,13 +21,13 @@ folded by zeta^(p-1) = -p as it lands.  `dot`, the sum of products that
 series convolutions use, normalizes the whole sum once.  A one-pair sum is
 that product; degree-1 sums run on plain ints; otherwise the sum is packed
 (Kronecker substitution): both factors of every pair are evaluated at
-X = 2^B, one big-integer product per pair does the d^2 coefficient
-products, the scaled products are added into one integer, and the 2d - 1
-unfolded coefficients are read back as balanced base-2^B digits and folded
-once.  B bounds every unfolded coefficient strictly below 2^(B-1); the
-bound and its proof are in `dot`'s docstring.  Because zero has one
-form, `+` and scaling by an `int` return an operand unchanged when one side
-is zero, without touching the integers; `-` is `+` of the negation.
+X = 2^B, or read from their memo, one big-integer product per pair does the
+d^2 coefficient products, the scaled products are added into one integer,
+and the 2d - 1 unfolded coefficients are read back as balanced base-2^B
+digits and folded once.  B bounds every unfolded coefficient strictly below
+2^(B-1); the bound and its proof are in `dot`'s docstring.  Because zero has
+one form, `+` and scaling by an `int` return an operand unchanged when one
+side is zero, without touching the integers; `-` is `+` of the negation.
 
 Scaling by a nonzero `int` k stays on the integers as well.  `x * k`
 divides out gcd(den, k) alone, which canonical form makes the whole common
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -159,6 +159,27 @@ class FieldElem:
     backend: FieldBackend
     num: tuple[int, ...]
     den: int
+    # `dot`'s memo (bit length, width, packed num), unset until used; outside the value.
+    _pack: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+
+    def __reduce__(self):  # copies and pickles leave the memo behind
+        return FieldElem, (self.backend, self.num, self.den)
+
+    def _num_bits(self) -> int:
+        """Bit length of the largest numerator, memoized in `_pack`."""
+        if not hasattr(self, "_pack"):
+            object.__setattr__(self, "_pack", (max(map(int.bit_length, self.num)), 0, 0))
+        return self._pack[0]
+
+    def _packed(self, width: int) -> int:
+        """num evaluated at 2^width by Horner's rule, memoized in `_pack` per width."""
+        n, w, packed = self._pack
+        if w != width:
+            packed = 0
+            for c in reversed(self.num):
+                packed = (packed << width) + c
+            object.__setattr__(self, "_pack", (n, width, packed))
+        return packed
 
     def _check(self, other: "FieldElem"):
         if self.backend is not other.backend and self.backend != other.backend:
@@ -334,6 +355,9 @@ def _product(backend: FieldBackend, a: tuple[int, ...], b: tuple[int, ...]) -> l
     return out
 
 
+PACK_STEP = 64  # dot's Kronecker widths are multiples of this many bits
+
+
 def dot(backend: FieldBackend, pairs: Iterable[tuple[FieldElem, FieldElem]]) -> FieldElem:
     """The sum of a * b over `pairs`, normalized once; the empty sum is zero.
 
@@ -349,14 +373,16 @@ def dot(backend: FieldBackend, pairs: Iterable[tuple[FieldElem, FieldElem]]) -> 
 
     The digits are exact because every unfolded coefficient lies strictly
     inside (-2^(B-1), 2^(B-1)).  Let n be the number of pairs and
-    B = max_pairs(bits(max|a_i|) + bits(max|b_j|) - bits(pden))
-        + bits(D) + 2 + bits(d * n).
+    B >= max_pairs(bits(max|a_i|) + bits(max|b_j|) - bits(pden))
+         + bits(D) + 2 + bits(d * n).
     Coefficient k of the sum is sum over pairs of (D // pden) times at most d
     products a_i * b_j with i + j = k.  For one pair, |a_i| < 2^bits(max|a_i|),
     |b_j| likewise, and D // pden < 2^(bits(D) - bits(pden) + 1), since
     D < 2^bits(D) and pden >= 2^(bits(pden) - 1).  So each of the d * n terms
     is below 2^(B - 2 - bits(d*n) + 1), and their sum below
-    2^bits(d*n) * 2^(B - 1 - bits(d*n)) = 2^(B - 1).
+    2^bits(d*n) * 2^(B - 1 - bits(d*n)) = 2^(B - 1).  B is that bound rounded
+    up to a multiple of PACK_STEP, so consecutive sums share a width and reuse
+    each operand's memoized bit length and A(2^B).
     """
     pairs = list(pairs)
     for a, b in pairs:
@@ -386,18 +412,15 @@ def dot(backend: FieldBackend, pairs: Iterable[tuple[FieldElem, FieldElem]]) -> 
     pdens = [a.den * b.den for a, b in pairs]
     den = math.lcm(*pdens)
     bits = int.bit_length
-    width = (max([max(map(bits, a.num)) + max(map(bits, b.num)) - bits(pden)
+    width = (max([a._num_bits() + b._num_bits() - bits(pden)
                   for (a, b), pden in zip(pairs, pdens)])
              + bits(den) + 2 + bits(d * len(pairs)))
+    width += -width % PACK_STEP
     total = 0
     for (a, b), pden in zip(pairs, pdens):
-        x = y = 0  # A(2^width) and B(2^width) by Horner's rule
-        for c in reversed(a.num):
-            x = (x << width) + c
-        for c in reversed(b.num):
-            y = (y << width) + c
+        prod = a._packed(width) * b._packed(width)
         scale = den // pden
-        total += x * y if scale == 1 else x * y * scale
+        total += prod if scale == 1 else prod * scale
     mask, half = (1 << width) - 1, 1 << (width - 1)
     digits = []
     for _ in range(2 * d - 1):  # balanced digits, lowest first

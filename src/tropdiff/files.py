@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .diffpoly import DiffPoly
 from .fields import FieldBackend, FieldElem
@@ -38,6 +38,8 @@ from .verify import LinearODE
 
 SCHEMA_VERSION = 1
 MAX_TRUNCATION = 10**5
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,  # the scalars `_encode` joins
+            bool: {True: "true", False: "false"}.get, type(None): {None: "null"}.get}
 
 
 def limit_truncation(n: int) -> int:
@@ -194,25 +196,32 @@ def ode_from_dict(data: dict) -> LinearODE:
     return LinearODE(g, c0, truncation)
 
 
-def dump_json(data: dict, path: str):
-    """Canonical serialization, json.dumps(data, indent=2, sort_keys=True) and
-    a newline: encoded in full before the file is opened, written in one call."""
+def dump_json(data, path: Optional[str]) -> "Encoded":
+    """Canonical serialization, json.dumps(data, indent=2, sort_keys=True), encoded
+    in full and returned; written with a newline in one call when `path` is set."""
     out: list[str] = []
     _encode(data, "\n", out)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(out) + "\n")
+    text = Encoded("".join(out))
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    return text
+
+
+class Encoded(str):
+    """Text of `dump_json`, which `_encode` writes as it is, re-indented."""
 
 
 def _encode(value, newline: str, out: list[str]):
     """Append json.dumps(value, indent=2, sort_keys=True) to `out`; `newline` is
     the line break and indentation before it.  Dicts, lists, tuples, str, int,
-    bool and None are written here; json.dumps writes, or refuses, the rest."""
-    if value.__class__ is str:
-        out.append(encode_basestring_ascii(value))
-    elif value.__class__ is int:
-        out.append(int.__repr__(value))
-    elif value is None or value is True or value is False:
-        out.append("null" if value is None else "true" if value else "false")
+    bool, None and `Encoded` text are written here, a list of _SCALARS with one
+    join; json.dumps writes, or refuses, the rest."""
+    scalar = _SCALARS.get(value.__class__)
+    if scalar is not None:
+        out.append(scalar(value))
+    elif value.__class__ is Encoded:
+        out.append(value.replace("\n", newline))
     elif isinstance(value, dict):
         inner, sep = newline + "  ", "{"
         for key in sorted(value):  # a key but str raises TypeError in the escaper
@@ -222,6 +231,10 @@ def _encode(value, newline: str, out: list[str]):
         out.append(newline + "}" if value else "{}")
     elif isinstance(value, (list, tuple)):
         inner, sep = newline + "  ", "["
+        if value and all(item.__class__ in _SCALARS for item in value):
+            out += (sep, inner, ("," + inner).join(
+                [_SCALARS[item.__class__](item) for item in value]), newline, "]")
+            return
         for item in value:
             out += (sep, inner)
             _encode(item, inner, out)

@@ -281,6 +281,8 @@ def reproduce_exponential_example(p: int, truncation: Optional[int] = None,
     R = max(RADIUS_TRUNCATION, 2p) holds the support indices p and 2p.
     """
     n, m = default_window(p, truncation, order)
+    if n < max(m, p - 1):  # d^m f needs m <= N, and g's t^(p-1) term p - 1 <= N
+        raise ValueError(f"selftest needs --truncation >= max(--order, p - 1) = {max(m, p - 1)}")
     radius_n = max(RADIUS_TRUNCATION, 2 * p)
     backend = FieldBackend("eisenstein", p)
     steps: list[FTStep] = []

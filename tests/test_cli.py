@@ -668,6 +668,50 @@ def _write(tmp_path, name, record) -> str:
     return str(path)
 
 
+@pytest.mark.parametrize("window, least", [(["3", "--order", "9"], 9), (["1", "--order", "0"], 2)],
+                         ids=["order-above-truncation", "truncation-below-p-1"])
+def test_selftest_refuses_a_window_that_cannot_hold_the_example(capsys, tmp_path, window, least):
+    """d^m f cannot be derived in a window N < m, and a window N < p - 1
+    cuts g's t^(p-1) term, leaving the equation x' alone: both are refused
+    with exit 2, naming the flags, and write no report.  N = p - 1 and
+    m = N still run, and their failures are flagged truncation-limited."""
+    report = tmp_path / "selftest.json"
+    assert main(["selftest", "--p", "3", "--json", str(report), "--truncation", *window]) == 2
+    assert capsys.readouterr() == (
+        "", f"tropdiff: selftest needs --truncation >= max(--order, p - 1) = {least}\n")
+    assert not report.exists()
+    assert main(["selftest", "--p", "3", "--truncation", "2", "--order", "2"]) == 1
+    assert "truncation-limited)\noverall: FAILED\n" in capsys.readouterr().out
+
+
+def test_solve_linear_encodes_the_solution_once(monkeypatch, capsys, tmp_path):
+    """With --out and --json the report holds the written record's text,
+    re-indented: both files keep the bytes json.dumps writes, and the
+    record is encoded once, with or without --out."""
+    records = []
+    encode = files._encode
+
+    def counted(value, newline, out):
+        if isinstance(value, dict) and "coeffs" in value:
+            records.append(newline)
+        encode(value, newline, out)
+
+    monkeypatch.setattr(files, "_encode", counted)
+    sol, report = tmp_path / "sol.json", tmp_path / "report.json"
+    solution = json.loads((GOLDEN / "sol-dense.json").read_text())
+    want = json.dumps({"command": "solve-linear", "schema": files.SCHEMA_VERSION,
+                       "solution": solution}, indent=2, sort_keys=True) + "\n"
+    for out in (["--out", str(sol)], []):
+        records.clear()
+        report.unlink(missing_ok=True)
+        assert main(["solve-linear", "--ode", str(GOLDEN / "ode-dense.json"), *out,
+                     "--json", str(report)]) == 0
+        capsys.readouterr()
+        assert records == ["\n"]
+        assert report.read_text() == want
+    assert sol.read_bytes() == (GOLDEN / "sol-dense.json").read_bytes()
+
+
 def test_range_checks_exit_2(capsys, tmp_path):
     """Each out-of-range run parameter exits 2 with its message on stderr."""
     sys_cand = ["--system", str(GOLDEN / "sys.json"), "--candidate", str(GOLDEN / "cand.json")]

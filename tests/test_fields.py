@@ -1,10 +1,13 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from tropdiff.errors import NegativeValuation, NonIntegralExponent, ZeroInput
 from tropdiff.fields import (
+    PACK_STEP,
     FieldBackend,
     ResidueElem,
     angular_component,
@@ -401,6 +404,49 @@ def test_dot_matches_fraction_reference():
         for bits in (1, 12, 1024):
             for _ in range(4):
                 check(backend, [tuple(rand_ref_coeffs(rng, backend, bits) for _ in range(2))])
+
+
+def test_dot_reuses_packings_only_at_their_width():
+    """The same elements meet small and 1024-bit partners in turn, at widths
+    on both sides of a PACK_STEP step, and on both sides of one pair: every
+    sum equals the Fraction reference, though each element keeps its last
+    packing between calls.  A packed element compares, hashes, prints,
+    copies and pickles as a fresh one."""
+    rng = rng_for("dot-memo")
+    for backend in (EISEN3, EISEN5, FieldBackend("eisenstein", 7)):
+        d = backend.degree
+
+        def ints(bits):  # nonzero integers of exactly `bits` bits
+            top = 2**(bits - 1)
+            return tuple(Fraction(rng.choice((-1, 1)) * (top + rng.getrandbits(bits - 1)))
+                         for _ in range(d))
+
+        refs = {"x": ints(30), "small": rand_ref_coeffs(rng, backend, 4),
+                "big": rand_ref_coeffs(rng, backend, 1024),
+                **{bits: ints(bits) for bits in range(22, 34)}}
+        elems = {name: backend.from_coeffs(ref) for name, ref in refs.items()}
+        fresh = {name: (hash(y), repr(y)) for name, y in elems.items()}
+        widths = []
+        # partner sizes up and down again, each pass crossing the step at
+        # 64 bits, with small and 1024-bit partners in between
+        for name in ["small", *range(22, 34), "big", *range(33, 21, -1), "small", "big", 27]:
+            for pairs in ((("x", name), (name, "x")), (("x", "x"), ("x", name)),
+                          ((name, name), ("x", "big"))):
+                total = (Fraction(0),) * d
+                for a, b in pairs:
+                    total = ref_add(total, ref_mul(refs[a], refs[b], backend))
+                assert_canonical(dot(backend, [(elems[a], elems[b]) for a, b in pairs]), total)
+                widths.append(elems["x"]._pack[1])
+        assert {PACK_STEP, 2 * PACK_STEP} <= set(widths)
+        assert sum(w != v for w, v in zip(widths, widths[1:])) > 10
+        for name, y in elems.items():
+            again = backend.from_coeffs(refs[name])
+            assert hasattr(y, "_pack") and not hasattr(again, "_pack")
+            assert y == again and again == y and (hash(y), repr(y)) == fresh[name]
+            assert hash(again) == fresh[name][0] and repr(again) == fresh[name][1]
+            for copied in (copy.copy(y), copy.deepcopy(y), pickle.loads(pickle.dumps(y))):
+                assert_same(copied, y)
+                assert not hasattr(copied, "_pack")
 
 
 def test_dot_mixed_backends_raise():

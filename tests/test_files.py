@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tropdiff import files
 from tropdiff.fields import FieldBackend
@@ -134,14 +134,31 @@ _VALUES = st.recursive(_SCALARS, lambda inner: (st.lists(inner, max_size=4)
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(value=_VALUES)
+@example(value={"val": ["1/2", "-3/4", "0"], "ints": [1, -2, 10**400], "empty": []})
+@example(value=[("a", 7, True, None, False), ["\n", 1.5], [["x"], "y"], [{}, 2]])
 def test_dump_matches_the_standard_encoder(tmp_path_factory, value):
     """dump_json writes the bytes of json.dumps(indent=2, sort_keys=True)
     and a newline, for any nesting of dicts, lists and tuples of str, int,
-    float, bool and None."""
+    float, bool and None; a list of str, int, bool and None, such as an
+    Eisenstein coefficient, is written with one join."""
     path = tmp_path_factory.mktemp("dump") / "a.json"
     files.dump_json(value, str(path))
     want = json.dumps(value, indent=2, sort_keys=True) + "\n"
     assert path.read_bytes() == want.encode("utf-8")
+
+
+def test_dump_splices_its_own_text(tmp_path):
+    """dump_json returns the text it encodes, and a larger value holding that
+    text is written as if it held the encoded value, at any depth."""
+    record = {"field": {"kind": "eisenstein", "p": 5},
+              **files.series_to_dict(rand_power_series(rng_for("files-splice"), EISEN5, 12))}
+    text = files.dump_json(record, None)
+    assert text == json.dumps(record, indent=2, sort_keys=True)
+    path = tmp_path / "a.json"
+    for outer in (lambda v: v, lambda v: {"solution": v, "schema": 1},
+                  lambda v: [1, {"a": [v, "x"]}], lambda v: [v, v]):
+        assert files.dump_json(outer(text), str(path)) == path.read_text()[:-1]
+        assert path.read_text() == json.dumps(outer(record), indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("value", [{1: "a"}, {"a": {1, 2}}, {"a": Fraction(1, 2)},

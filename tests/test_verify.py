@@ -341,6 +341,31 @@ def test_verify_ft_certifies_each_solution_once(monkeypatch):
     assert counts == {"eval_classical": 4, "tropicalize_series": 4}
 
 
+def test_solve_linear_packs_each_coefficient_once_per_width(monkeypatch):
+    """On a dense Q(zeta_5) equation (N = 60, integer g_k of one digit),
+    the recurrence and its residual check put 7,436 operands through `dot`'s
+    Kronecker path; each element keeps its packing while the rounded width
+    stays, so only 926 of them are packed, not all 7,436."""
+    rng = rng_for("dense-packings")
+    digits = [k for k in range(-9, 10) if k]
+    g = tuple(tuple(Fraction(rng.choice(digits)) for _ in range(4)) for _ in range(60))
+    ode = LinearODE(series_from_ref(EISEN5, g), EISEN5.one(), 60)
+    counts = {"operands": 0, "packings": 0}
+    packed = FieldElem._packed
+
+    def counted(self, width):
+        memo = self._pack
+        counts["operands"] += 1
+        out = packed(self, width)
+        counts["packings"] += self._pack is not memo
+        return out
+
+    monkeypatch.setattr(FieldElem, "_packed", counted)
+    solve_linear(ode)
+    assert counts == {"operands": 7436, "packings": 926}
+    assert 4 * counts["packings"] <= counts["operands"]
+
+
 def test_derived_system_works_on_the_support(monkeypatch):
     """The exp equation at p = 13 derived to order 39 costs no field product
     and no sum: each monomial x^(b) of d^k f gets one Leibniz term, whose
