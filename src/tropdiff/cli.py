@@ -190,7 +190,7 @@ def cmd_radius(args) -> int:
         series = tropicalize_series(files.series_from_dict(data, backend))
         p = backend.p
     else:
-        p = data.get("p")
+        p = files.read_prime(data)
         series = files.trop_series_from_dict(data, NatValuation(p))
     if args.base:
         base = parse_rational(args.base)

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, 
 
 from .errors import MissingVariable, TruncationExhausted
 from .fields import FieldBackend, FieldElem
-from .semiring import TropNum, v_p, v_p_factorial
+from .semiring import TropNum
 from .series import LeadingTerm, PowerSeries, TropSeries
 
 
@@ -411,8 +411,8 @@ def derived_system(f: DiffPoly, m: int) -> list:
     n = f.truncation
     if m > n:
         raise TruncationExhausted("coefficient truncation exhausted by d")
-    p, e = f.backend.nat_val.p, f.backend.nat_val.e
-    vf = [e * v_p_factorial(i, p) for i in range(n + 1)] if p else [0] * (n + 1)  # v(i!)
+    nat_val = f.backend.nat_val
+    p, vf = nat_val.p, nat_val.factorials(n)  # vf[i] = v(i!)
     parts = [(dict(c.terms), [d for d, _ in c.terms], [x.valuation().value for _, x in c.terms],
               _leibniz_tables(lam, min(m, n - c.terms[0][0]))) for lam, c in f.terms]
     zero = f.backend.zero()
@@ -429,7 +429,7 @@ def derived_system(f: DiffPoly, m: int) -> list:
                     continue
                 v = vals[i] + vf[j0 + a] - vf[j0] + vf[k] - vf[a] - vf[k - a]
                 for mu, count in tables[k - a].items():
-                    w = v if not p or count % p else v + e * v_p(count, p)
+                    w = v if not p or count % p else v + nat_val(count).value
                     found.setdefault(mu, []).append((j0, w, (c, a, count)))
         terms = []
         for mu, entries in found.items():

@@ -2,13 +2,13 @@
 
 All exact values serialize as strings "num/den" (or "inf"); Eisenstein
 elements as arrays of rational strings ["c0", "c1", ...].  A coefficient is
-read from a string or a JSON number (as str(value)), in a scalar and in an
-array alike.  Field elements are written from their integer numerators over
-the common denominator, one gcd per coefficient, and read back into them
-with one lcm and one normalization, without a `Fraction` on either side.
-Numbers are written in full at any length, past the interpreter's int/str
-digit limit; a number of more than MAX_DIGITS characters in a file, string
-or JSON integer, is refused.  Series records list only the nonzero
+read from a string or a JSON number (a decimal exactly, never through a
+float), in a scalar and in an array alike.  Field elements are written
+from their integer numerators over the common denominator, one gcd per
+coefficient, and read back into them with one lcm and one normalization,
+without a `Fraction` on either side.  Numbers are written in full at any
+length, past the interpreter's int/str digit limit; a number of more than
+MAX_DIGITS characters in a file, string or JSON number, is refused.  Series records list only the nonzero
 (classical) / finite (tropical) coefficients:
 
     {"truncation": N, "coeffs": [{"n": k, "val": ...}, ...]}
@@ -19,25 +19,28 @@ candidate file is {"series": [series-record, ...]} over the system's field.
 Both series types share one record reader and writer.  Tropical values are
 written and read as the rationals they stand for; in memory they count the
 unit 1/e of the series' `nat_val`, and its `from_text` / `to_text` convert
-at the record, on the integers.  Every reader refuses a truncation above
-MAX_TRUNCATION before allocating anything.
+at the record, on the integers.  A file is one JSON object; counts ("vars",
+"truncation", "n", "p") are integers, and every reader refuses a truncation
+below 0 or above MAX_TRUNCATION before allocating anything.
 """
 
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .diffpoly import DiffPoly
 from .fields import FieldBackend, FieldElem
 from .parser import parse_poly, print_poly
-from .semiring import MAX_DIGITS, NatValuation, format_ratio, parse_ratio
+from .semiring import MAX_DIGITS, NatValuation, format_ratio, format_rational, parse_ratio
 from .series import PowerSeries, TropSeries
 from .verify import LinearODE
 
 SCHEMA_VERSION = 1
 MAX_TRUNCATION = 10**5
+_JSON_TYPES = {dict: "object", list: "array", str: "string"}
 _SCALARS = {str: encode_basestring_ascii, int: int.__repr__,  # the scalars `_encode` joins
             bool: {True: "true", False: "false"}.get, type(None): {None: "null"}.get}
 
@@ -50,8 +53,39 @@ def limit_truncation(n: int) -> int:
 
 
 def _read_truncation(data: dict) -> int:
-    """The record's "truncation", refused above MAX_TRUNCATION."""
-    return limit_truncation(int(data["truncation"]))
+    """The record's "truncation", refused below 0 and above MAX_TRUNCATION."""
+    n = limit_truncation(read_count(data, "truncation"))
+    if n < 0:
+        raise ValueError("truncation must be a natural number")
+    return n
+
+
+def read_count(data: dict, key: str) -> int:
+    """The integer at `key`: a JSON integer, a decimal with an integral value
+    or a string spelling one; anything else is refused, naming the key."""
+    value = data[key]
+    if value.__class__ is int:
+        return value
+    if value.__class__ in (str, Fraction):
+        try:
+            num, den = _ratio(value)
+        except ValueError:
+            num, den = 0, 0
+        if den and num % den == 0:
+            return num // den
+    raise ValueError(f"'{key}' must be an integer")
+
+
+def read_prime(data: dict) -> Optional[int]:
+    """The record's "p" read by `read_count`, or None when it has none."""
+    return None if data.get("p") is None else read_count(data, "p")
+
+
+def _expect(value, kind: type, what: str):
+    """`value`, refused unless it is a `kind`: a dict, list or str."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a JSON {_JSON_TYPES[kind]}")
+    return value
 
 
 def field_to_dict(backend: FieldBackend) -> dict:
@@ -63,8 +97,9 @@ def field_to_dict(backend: FieldBackend) -> dict:
 
 def field_from_dict(data: dict) -> FieldBackend:
     try:
-        return FieldBackend(data["kind"], data.get("p"))
-    except (KeyError, TypeError) as exc:
+        kind = _expect(_expect(data, dict, "a field record")["kind"], str, "a field's 'kind'")
+        return FieldBackend(kind, read_prime(data))
+    except KeyError as exc:
         raise ValueError(f"bad field record: {exc}") from exc
 
 
@@ -84,14 +119,16 @@ def elem_from_json(value, backend: FieldBackend) -> FieldElem:
 
 def _ratio(value) -> tuple[int, int]:
     """(num, den) of one rational of a file."""
-    if type(value) is int:  # read, and its length checked, by load_json
-        return value, 1
+    if value.__class__ in (int, Fraction):  # a JSON number, read exactly by load_json
+        return value.numerator, value.denominator
     return parse_ratio(_number_text(value))
 
 
 def _number_text(value) -> str:
-    """A number of a file as text: a string, or a JSON number read as
-    str(value); text above MAX_DIGITS characters is refused."""
+    """A number of a file as text: a string, or a JSON number written out
+    exactly; a string above MAX_DIGITS characters is refused."""
+    if value.__class__ in (int, Fraction):
+        return format_rational(value)
     text = value if isinstance(value, str) else str(value)
     if len(text) > MAX_DIGITS:
         raise ValueError(f"a number of {len(text)} characters exceeds the limit of "
@@ -108,10 +145,10 @@ def _series_to_record(s, fmt) -> dict:
 def _series_from_record(data: dict, parse) -> tuple[int, list]:
     """(N, sorted (k, parse(val)) pairs) of a series record; a repeated index
     keeps its last record."""
-    n = _read_truncation(data)
+    n = _read_truncation(_expect(data, dict, "a series record"))
     cs = {}
-    for rec in data.get("coeffs", []):
-        k = int(rec["n"])
+    for rec in _expect(data.get("coeffs", []), list, "'coeffs'"):
+        k = read_count(_expect(rec, dict, "a coefficient record"), "n")
         if not 0 <= k <= n:
             raise ValueError(f"coefficient index {k} outside truncation {n}")
         cs[k] = parse(rec["val"])
@@ -157,16 +194,15 @@ def candidate_from_dict(data: dict, nat_val: NatValuation) -> tuple[TropSeries, 
 def system_from_dict(data: dict):
     """Returns (backend, nvars, truncation, polynomials)."""
     backend = field_from_dict(data["field"])
-    nvars = int(data["vars"])
+    nvars = read_count(data, "vars")
     truncation = _read_truncation(data)
     if nvars < 1:
         raise ValueError("systems need at least one variable")
-    if truncation < 0:
-        raise ValueError("truncation must be a natural number")
-    exprs = data.get("polynomials", [])
+    exprs = _expect(data.get("polynomials", []), list, "'polynomials'")
     if not exprs:
         raise ValueError("system file lists no polynomials")
-    polys = tuple(parse_poly(src, backend, nvars, truncation) for src in exprs)
+    polys = tuple(parse_poly(_expect(src, str, "a polynomial"), backend, nvars, truncation)
+                  for src in exprs)
     return backend, nvars, truncation, polys
 
 
@@ -245,6 +281,9 @@ def _encode(value, newline: str, out: list[str]):
 
 
 def load_json(path: str) -> dict:
-    """The JSON value of a file; integer literals are read like number strings."""
+    """The JSON object of a file, refused when it is not one; numbers are read
+    like number strings, exactly: an integer as an int, a decimal as a Fraction."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh, parse_int=lambda text: _ratio(text)[0])
+        data = json.load(fh, parse_int=lambda text: _ratio(text)[0],
+                         parse_float=lambda text: Fraction(*_ratio(text)))
+    return _expect(data, dict, f"the file {path}")

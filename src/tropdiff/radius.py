@@ -32,8 +32,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import BadBase, InvalidRule, TrivialBackend
-from .semiring import (NatValuation, Rat, TropNum, format_rational, is_prime, max_str_digits,
-                       v_p_factorial)
+from .semiring import NatValuation, Rat, TropNum, format_rational, is_prime, max_str_digits
 from .series import PowerSeries, TropSeries, tropicalize_series
 
 LogValue = Union[Fraction, float]  # float: the infinity marker, or an inexact base change
@@ -59,13 +58,15 @@ class RadiusRule:
 
     def series(self, nat_val: NatValuation, truncation: int) -> TropSeries:
         """The rule's series in window `truncation`, in the unit 1/e of `nat_val`,
-        on the integers where e * slope and e * offset are integral."""
+        on the integers where e * slope and e * offset are integral.  A
+        factorial correction reads v(m!) from `nat_val`, whose prime must be p."""
+        if self.factorial_correction and nat_val.p != self.p:
+            raise InvalidRule(f"a rule for p = {self.p} does not apply at p = {nat_val.p}")
         slope, offset = (nat_val.to_units(TropNum(q)).value for q in (self.slope, self.offset))
-        corr = nat_val.e if self.factorial_correction else 0
+        count = truncation // self.stride + 1
+        vfact = nat_val.factorials(count - 1) if self.factorial_correction else [0] * count
         return TropSeries(nat_val, truncation, tuple(
-            (self.stride * m,
-             TropNum(slope * m + offset - (corr and corr * v_p_factorial(m, self.p))))
-            for m in range(truncation // self.stride + 1)))
+            (self.stride * m, TropNum(slope * m + offset - vfact[m])) for m in range(count)))
 
 
 @dataclass(frozen=True, slots=True)

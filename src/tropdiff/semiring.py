@@ -253,7 +253,10 @@ _MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact below _MR_LIMIT (about 3.3 * 10^24)."""
+    """Deterministic Miller-Rabin, exact below _MR_LIMIT (about 3.3 * 10^24);
+    anything but an int (a bool, a float) raises ValueError."""
+    if n.__class__ is not int:
+        raise ValueError(f"a prime must be an integer, not {n!r}")
     if n >= _MR_LIMIT:
         raise ValueError(f"primality is decided below {_MR_LIMIT} only, not for {n}")
     if n < 2:
@@ -302,11 +305,9 @@ class NatValuation:
             return T_ZERO
         return TropNum(self.e * v_p(n, self.p))
 
-    def factorial(self, m: int) -> TropNum:
-        """Valuation of m! (zero in trivial mode)."""
-        if self.p is None:
-            return T_ZERO
-        return TropNum(self.e * v_p_factorial(m, self.p))
+    def factorials(self, n: int) -> list[int]:
+        """v(0!), ..., v(n!) in units of 1/e, all 0 in trivial mode; [] for n = -1."""
+        return [0 if self.p is None else self.e * v_p_factorial(m, self.p) for m in range(n + 1)]
 
     def to_units(self, w: TropNum) -> TropNum:
         """A value read as rationals, in units of 1/e: a rank-1 value and the

@@ -33,7 +33,6 @@ from .semiring import (
     TRIVIAL_NAT_VAL,
     T_ZERO,
     TropNum,
-    v_p_factorial,
 )
 
 
@@ -329,10 +328,9 @@ class TropSeries:
         Coefficient i of d_v^j S is S_{i+j} + v((i+j)!) - v(i!), so the first
         finite index k >= j gives the leading term (k - j, S_k + v(k!) - v((k-j)!)).
         """
-        terms, p, e = self.terms, self.nat_val.p, self.nat_val.e
+        terms = self.terms
         last = terms[-1][0] if terms else -1
-        vfact = ([0] * (last + 1) if p is None  # vfact[m] = v(m!), in units of 1/e
-                 else [e * v_p_factorial(m, p) for m in range(last + 1)])
+        vfact = self.nat_val.factorials(last)
         table = []
         t = len(terms)  # terms[t] is the first term of index >= j
         for j in range(last, -1, -1):
@@ -376,13 +374,14 @@ def psi_one_inverse(s: PowerSeries) -> tuple[FieldElem, ...]:
 
 def psi_trop(b: Sequence[TropNum], nat_val: NatValuation) -> TropSeries:
     """Tropical Taylor packing: coefficient j is b_j - v(j!)."""
+    vfact = nat_val.factorials(len(b) - 1)
     return TropSeries(nat_val, len(b) - 1, tuple(
-        (j, TropNum(bj.value - nat_val.factorial(j).value)) for j, bj in enumerate(b) if not bj.is_inf))
+        (j, TropNum(bj.value - vfact[j])) for j, bj in enumerate(b) if not bj.is_inf))
 
 
 def psi_trop_inverse(s: TropSeries) -> tuple[TropNum, ...]:
     """Inverse packing: b_j = c_j + v(j!) (the constant term of d_v^j applied to s)."""
-    return tuple(s.nat_val.factorial(j) * c for j, c in enumerate(s.coeffs))
+    return tuple(TropNum(f) * c for f, c in zip(s.nat_val.factorials(s.truncation), s.coeffs))
 
 
 def sigma0(w: TropNum) -> TropNum:

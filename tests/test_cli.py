@@ -774,6 +774,75 @@ def test_input_refusals_exit_2(capsys, tmp_path, command, record, message):
     assert capsys.readouterr() == ("", f"tropdiff: {message}\n")
 
 
+_ODE = '{"field": {"kind": "padic", "p": 3}, "truncation": 2, "g": "1", "c0": %s}'
+_SYSTEM = ('{"field": {"kind": "padic", "p": %s}, "vars": %s, "truncation": %s, '
+           '"polynomials": %s}')
+_TROP = '{"p": %s, "truncation": %s, "coeffs": %s}'
+_RADIUS = ["radius", "--series", "{input}"]
+_CHECK = ["check", "--system", "{system}", "--candidate", "{input}"]
+_OBJECT = "the file {input} must be a JSON object"
+_NATURAL = "truncation must be a natural number"
+
+
+@pytest.mark.parametrize("argv, text, code, output", [
+    (["solve-linear", "--ode", "{input}"], _ODE % "123456789012345678901.5", 0,
+     "t^0: 246913578024691357803/2\n"),
+    ([*_RADIUS, "--window-start", "1"],
+     _TROP % (3, 2, '[{"n": 0, "val": 0.1}, {"n": 1, "val": 1e400}]'), 0,
+     f"log_r = {10**400}, "),
+    (["tropicalize", "--system", "{input}"], _SYSTEM % (3, 1.9, 4, '["x"]'), 2,
+     "'vars' must be an integer"),
+    (["tropicalize", "--system", "{input}"], _SYSTEM % (3, 1, 4.9, '["x"]'), 2,
+     "'truncation' must be an integer"),
+    ([*_RADIUS, "--window-start", "1"], _TROP % (3, 2, '[{"n": 1.7, "val": "1"}]'), 2,
+     "'n' must be an integer"),
+    ([*_RADIUS, "--window-start", "1"], _TROP % ('"3"', 2, '[{"n": 1, "val": "1"}]'), 0,
+     "log_r = 1, r = 3 (base 3)"),
+    (["tropicalize", "--system", "{input}"], _SYSTEM % ('"3"', 1, 4, '["x\' - 3*x"]'), 0,
+     "trop_v  = x' + (0, 1)*x\n"),
+    (["tropicalize", "--system", "{input}"],
+     _SYSTEM % ("3.0", 1, 4, '["x\' - 12157665459056928802*x"]'), 0, "trop_v  = x' + x\n"),
+    (["tropicalize", "--system", "{input}"], "[]", 2, _OBJECT),
+    (["tropicalize", "--system", "{input}"], "null", 2, _OBJECT),
+    (["solve-linear", "--ode", "{input}"], "[]", 2, _OBJECT),
+    (["solve-linear", "--ode", "{input}"], "null", 2, _OBJECT),
+    (_RADIUS, "[1]", 2, _OBJECT),
+    (_CHECK, "[]", 2, _OBJECT),
+    (_CHECK, '{"series": [1]}', 2, "a series record must be a JSON object"),
+    (_CHECK, '{"series": [{"truncation": 3, "coeffs": [5]}]}', 2,
+     "a coefficient record must be a JSON object"),
+    (["tropicalize", "--system", "{input}"], _SYSTEM % (3, 1, 4, "[5]"), 2,
+     "a polynomial must be a JSON string"),
+    (["tropicalize", "--system", "{input}"],
+     '{"field": [], "vars": 1, "truncation": 4, "polynomials": ["x"]}', 2,
+     "a field record must be a JSON object"),
+    (["solve-linear", "--ode", "{input}"], _ODE.replace('"padic"', "1.5") % 1, 2,
+     "a field's 'kind' must be a JSON string"),
+    (_CHECK, '{"series": [{"truncation": -1, "coeffs": []}]}', 2, _NATURAL),
+    (["initial", *_CHECK[1:]], '{"series": [{"truncation": -1, "coeffs": []}]}', 2, _NATURAL),
+    ([*_RADIUS, "--rule", "1,auto"], _TROP % (3, -1, "[]"), 2, _NATURAL),
+], ids=["decimal-c0-exact", "decimal-past-float-range", "decimal-vars", "decimal-truncation",
+        "decimal-index", "string-p-series", "string-p-field", "integral-decimal-p",
+        "system-list", "system-null", "ode-list", "ode-null", "series-list", "candidate-list",
+        "candidate-number-record", "candidate-number-coefficient", "number-polynomial",
+        "field-list", "number-kind",
+        "negative-window-check", "negative-window-initial", "negative-window-radius"])
+def test_file_values_read_exactly_or_refused(capsys, tmp_path, argv, text, code, output):
+    """Decimals in a file are read exactly, not through a float; counts and
+    primes are integers; a file that is not one JSON object, a record of the
+    wrong JSON type or a negative window exits 2 with a message, no traceback."""
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    system = _write(tmp_path, "sys.json", {"field": PADIC3_FIELD, "vars": 1, "truncation": 4,
+                                           "polynomials": ["x' - 3*x"]})
+    assert main([arg.format(input=path, system=system) for arg in argv]) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert (out, err) == ("", f"tropdiff: {output.format(input=path)}\n")
+    else:
+        assert output in out and err == ""
+
+
 def test_verify_ft_smallest_window_passes(capsys):
     """verify-ft needs m < N (g is cut to N - 1, F_m reads b_(m+1)); m = 1,
     N = 2 is inside."""

@@ -1,5 +1,6 @@
 """Each module imports on its own; the package itself re-exports nothing."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -32,3 +33,11 @@ def test_package_binds_no_public_name():
     proc = _run("import tropdiff; print(sorted(n for n in vars(tropdiff) if not n.startswith('_')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_v_on_the_naturals_has_one_home():
+    """v(m!) is read from `NatValuation.factorials`, and v(n) from calling a
+    NatValuation: only `semiring` and `fields` bind v_p or v_p_factorial."""
+    binders = [m for m in SUBMODULES if {"v_p", "v_p_factorial"} & set(
+        vars(importlib.import_module(f"tropdiff.{m}")))]
+    assert binders == ["fields", "semiring"]

@@ -285,6 +285,18 @@ def test_check_rule():
         check_rule(exp_rule(3), TropSeries(closed.nat_val, 30, closed.terms[:-1]))
 
 
+def test_corrected_rule_needs_the_series_prime():
+    """A factorial-corrected rule reads v(m!) from the series' valuation, so a
+    series at another prime, or with none, is refused rather than mixed in."""
+    for nv in (NatValuation(5), FieldBackend("eisenstein", 5).nat_val, NatValuation(None)):
+        with pytest.raises(InvalidRule, match="a rule for p = 3 does not apply"):
+            exp_rule(3).series(nv, 9)
+    with pytest.raises(InvalidRule, match="does not apply"):
+        check_rule(exp_rule(3), TropSeries(NatValuation(5), 9, exp_tropical_closed_form(3, 9).terms))
+    plain = RadiusRule(1, Fraction(1), Fraction(0), False, 3)  # reads no v(m!)
+    assert plain.series(NatValuation(5), 4) == RadiusRule(1, Fraction(1)).series(NatValuation(5), 4)
+
+
 def test_describe_radius():
     assert describe_radius(radius_from_rule(exp_rule(3)), 3) == \
         "log_r = 0, r = 1 (base 3)"

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tropdiff.errors import ZeroInput
+from tropdiff.fields import FieldBackend
 from tropdiff.semiring import (
     NatValuation,
     T_INF,
@@ -124,6 +125,18 @@ def test_is_prime():
         is_prime(2**89 - 1)
 
 
+def test_is_prime_takes_only_ints():
+    """A float, a bool or a string is refused, not tested: 3.0 would give
+    float valuations downstream, and "3" cannot be compared."""
+    for n in (3.0, True, "3"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            is_prime(n)
+        with pytest.raises(ValueError, match="must be an integer"):
+            FieldBackend("padic", n)
+        with pytest.raises(ValueError, match="must be an integer"):
+            NatValuation(n)
+
+
 def test_v_p_examples():
     assert v_p(6, 3) == 1
     assert v_p(8, 2) == 3
@@ -161,10 +174,22 @@ def test_nat_valuation():
     v3 = NatValuation(3)
     assert triv(5) == T(0) and triv(0) == T_INF
     assert v3(9) == T(2) and v3(2) == T(0) and v3(0) == T_INF
-    assert v3.factorial(6) == T(2)
-    assert triv.factorial(6) == T(0)
+    assert v3.factorials(6)[6] == 2
+    assert triv.factorials(6)[6] == 0
     with pytest.raises(ValueError):
         NatValuation(4)
+
+
+def test_factorials_against_bruteforce():
+    """factorials(n) is e * v_p(m!) for m = 0 .. n, v_p(m!) counted on the
+    literal product; all 0 in trivial mode, and [] for n = -1 (an empty window)."""
+    for p in (2, 3, 5, 7):
+        for e in {1, p - 1}:
+            nv = NatValuation(p, e)
+            want = [e * vp_factorial_bruteforce(m, p) for m in range(201)]
+            assert all(nv.factorials(n) == want[:n + 1] for n in range(-1, 201))
+    assert NatValuation(None).factorials(200) == [0] * 201
+    assert NatValuation(None).factorials(-1) == []
 
 
 def test_is_boolean():
