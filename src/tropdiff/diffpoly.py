@@ -223,8 +223,7 @@ def constant_terms(f: Union[DiffPoly, Poly]) -> Poly:
 def eval_classical(f: DiffPoly, a: Sequence[PowerSeries]) -> PowerSeries:
     """Plug d^j(a_i) in for x_i^(j) and expand; exact up to the propagated truncation.
 
-    Each term multiplies its derivative factors first; a unit coefficient
-    only cuts that product to its window instead of convolving with 1.
+    Each term multiplies its derivative factors first, then its coefficient.
     """
     if len(a) != f.nvars:
         raise MissingVariable(f"expected {f.nvars} series, got {len(a)}")
@@ -238,19 +237,13 @@ def eval_classical(f: DiffPoly, a: Sequence[PowerSeries]) -> PowerSeries:
             while len(chain) <= j:
                 chain.append(chain[-1].derivative())
 
-    unit = ((0, backend.one()),)
     total: Optional[PowerSeries] = None
     for lam, coeff in f.terms:
         prod = None
         for (i, j), e in lam.entries:
             factor = derivs[i][j] ** e
             prod = factor if prod is None else prod * factor
-        if prod is None:
-            prod = coeff
-        elif coeff.terms == unit:
-            prod = prod.truncate(coeff.truncation)
-        else:
-            prod = coeff * prod
+        prod = coeff if prod is None else coeff * prod
         total = prod if total is None else total + prod
     if total is None:
         n = min([f.truncation] + [ai.truncation for ai in a])

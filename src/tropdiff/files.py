@@ -284,6 +284,9 @@ def load_json(path: str) -> dict:
     """The JSON object of a file, refused when it is not one; numbers are read
     like number strings, exactly: an integer as an int, a decimal as a Fraction."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh, parse_int=lambda text: _ratio(text)[0],
-                         parse_float=lambda text: Fraction(*_ratio(text)))
+        try:
+            data = json.load(fh, parse_int=lambda text: _ratio(text)[0],
+                             parse_float=lambda text: Fraction(*_ratio(text)))
+        except RecursionError:  # the decoder recurses once per nested array or object
+            raise ValueError(f"the file {path} is nested too deeply to read") from None
     return _expect(data, dict, f"the file {path}")

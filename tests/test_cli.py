@@ -235,6 +235,15 @@ def test_parenthesis_nesting_limit(capsys, tmp_path):
         "tropdiff: parentheses nested deeper than 200 (at position 200)\n")
 
 
+def test_deeply_nested_file_exits_2(capsys, tmp_path):
+    """A file nested deeper than the JSON decoder can recurse exits 2 with a
+    message naming it, not a RecursionError traceback."""
+    path = tmp_path / "sys.json"
+    path.write_text('{"a": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main(["tropicalize", "--system", str(path)]) == 2
+    assert capsys.readouterr().err == f"tropdiff: the file {path} is nested too deeply to read\n"
+
+
 @pytest.mark.parametrize("poly, message", [
     ("x^" + "1" * 5001,
      "an exponent of 5001 digits exceeds the limit of 1000 digits (at position 2)"),

@@ -74,13 +74,14 @@ def test_traced_counts_of_selftest(monkeypatch, capsys):
 
 
 def test_traced_products_of_selftest(monkeypatch, capsys):
-    """`selftest --p 3` solves and certifies one oracle: one residual, whose
-    unit x' term takes no product, so g*x is the only series product."""
+    """`selftest --p 3` solves and certifies one oracle: x' is compared with
+    g*x degree by degree, so g*x is the only series product, and no classical
+    evaluation runs."""
     code, counts, spans = traced_counts(monkeypatch, capsys, ["selftest", "--p", "3"])
     assert code == 0
     assert counts["series.mul_calls"] == 1
     assert spans["verify.solve_linear"] == 1
-    assert spans["diffpoly.eval_classical"] == 1
+    assert spans["diffpoly.eval_classical"] == 0
 
 
 def test_traced_products_of_verify_ft(monkeypatch, capsys):

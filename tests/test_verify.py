@@ -1,12 +1,13 @@
+import json
 import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from tropdiff import verify
-from tropdiff.diffpoly import (DiffPoly, ExponentMatrix, Jet, Poly, derived_system, f_lr,
-                               tropicalize_poly)
+from tropdiff import cli, verify
+from tropdiff.diffpoly import (DiffPoly, ExponentMatrix, Jet, Poly, derived_system,
+                               eval_classical, f_lr, tropicalize_poly)
 from tropdiff.errors import NotAClassicalSolution
 from tropdiff.fields import FieldBackend, FieldElem
 from tropdiff.semiring import TropNum
@@ -28,7 +29,10 @@ from helpers import (
     EISEN3,
     EISEN5,
     PADIC3,
+    TRIVIAL,
     count_evaluations,
+    rand_nonzero_elem,
+    rand_power_series,
     rand_ref_coeffs,
     rand_ref_series,
     ref_add,
@@ -176,13 +180,71 @@ def test_selftest_reports_in_long_and_short_windows():
     assert reproduce_exponential_example(3, 2, 1).format_text() == SELFTEST_P3_N2
 
 
-def test_solve_linear_raises_on_nonzero_residual(monkeypatch):
-    # the self-check is a raise, not an assert, so it also runs under python -O
-    ode, _ = exp_equation(3, 6)
-    monkeypatch.setattr(verify, "eval_classical",
-                        lambda f, a: PowerSeries.monomial(EISEN3, 5, EISEN3.one(), 2))
-    with pytest.raises(NotAClassicalSolution, match=r"t\^2"):
+def _corrupt_sum(monkeypatch, index):
+    """Patch `verify.dot` so that its call number `index` (from 0) returns
+    the true sum plus one."""
+    dot, calls = verify.dot, []
+
+    def corrupted(backend, pairs):
+        calls.append(None)
+        out = dot(backend, pairs)
+        return out + backend.one() if len(calls) == index + 1 else out
+    monkeypatch.setattr(verify, "dot", corrupted)
+
+
+def test_solve_linear_raises_on_a_corrupted_recurrence(monkeypatch, capsys, tmp_path):
+    """The certificate recomputes g*x by its own pair walk, so a recurrence
+    whose sum for c_3 is off by one fails at t^2, where 3*c_3 meets (g*x)_2.
+    The self-check is a raise, not an assert, so it also runs under python -O,
+    and the CLI reports it as a math error: exit 1, no traceback."""
+    # x' = x: step k sums the one pair (1, c_k), so call 2 of `dot` forms c_3
+    ode = LinearODE(PowerSeries.one(PADIC3, 7), PADIC3.one(), 8)
+    _corrupt_sum(monkeypatch, 2)
+    with pytest.raises(NotAClassicalSolution, match=r"at t\^2$"):
         solve_linear(ode)
+    path = tmp_path / "ode.json"
+    path.write_text(json.dumps({"field": {"kind": "padic", "p": 3}, "truncation": 8,
+                                "c0": "1", "g": "1"}))
+    _corrupt_sum(monkeypatch, 2)
+    assert cli.main(["solve-linear", "--ode", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "tropdiff: recurrence oracle failed its own equation at t^2\n"
+
+
+def _mutants(sol: PowerSeries):
+    """sol, then each single-coefficient change of it: +1 or -1 on one c_k,
+    one term dropped, c_0 zeroed."""
+    one, coeffs = sol.backend.one(), sol.coeffs
+    yield sol
+    for k in range(sol.truncation + 1):
+        for step in (one, -one):
+            yield PowerSeries.from_coeffs(sol.backend, sol.truncation,
+                                          coeffs[:k] + (coeffs[k] + step,) + coeffs[k + 1:])
+    for k, _ in sol.terms:
+        yield PowerSeries(sol.backend, sol.truncation,
+                          tuple(term for term in sol.terms if term[0] != k))
+    yield PowerSeries.from_coeffs(sol.backend, sol.truncation,
+                                  (sol.backend.zero(),) + coeffs[1:])
+
+
+@pytest.mark.parametrize("backend", [FieldBackend("padic", 2), PADIC3, FieldBackend("padic", 5),
+                                     EISEN3, EISEN5, TRIVIAL],
+                         ids=["padic2", "padic3", "padic5", "eisen3", "eisen5", "trivial"])
+def test_certificate_agrees_with_the_residual(backend):
+    """Comparing x' with g*x degree by degree is as strong as the residual
+    x' - g*x of the generic evaluator: on seeded solutions and on every
+    single-coefficient mutant, both pass, or both fail at the same first degree."""
+    rng = rng_for(f"certificate:{backend.describe()}")
+    verdicts = Counter()
+    for _ in range(8):
+        n = rng.randint(1, 9)
+        g = rand_power_series(rng, backend, n - 1 + rng.randint(0, 2))
+        ode = LinearODE(g, rand_nonzero_elem(rng, backend), n)
+        for s in _mutants(solve_linear(ode)):
+            first = verify._first_mismatch(ode, s)
+            assert first == eval_classical(ode.as_diffpoly(), (s,)).order()
+            verdicts[first is None] += 1
+    assert verdicts[True] >= 8 and verdicts[False] > verdicts[True]
 
 
 def test_easy_inclusion_worked_example():
@@ -323,29 +385,30 @@ def test_verify_ft_derives_each_ode_once(monkeypatch):
 
 
 def test_verify_ft_certifies_each_solution_once(monkeypatch):
-    """solve_linear's residual check is the only certificate: one classical
-    evaluation and one tropicalization per ODE."""
-    counts = {"eval_classical": 0, "tropicalize_series": 0}
+    """solve_linear's check of x' = g*x is the only certificate: one series
+    product (g*x) and one tropicalization per ODE, and no classical evaluation."""
+    counts = {"eval_classical": 0, "tropicalize_series": 0, "__mul__": 0}
 
-    def counting(name):
-        original = getattr(verify, name)
+    def counting(owner, name):
+        original = getattr(owner, name)
 
         def wrapper(*args):
             counts[name] += 1
             return original(*args)
-        return wrapper
+        monkeypatch.setattr(owner, name, wrapper)
 
-    for name in counts:
-        monkeypatch.setattr(verify, name, counting(name))
+    counting(verify, "eval_classical")
+    counting(verify, "tropicalize_series")
+    counting(PowerSeries, "__mul__")
     assert verify_ft(3, 4, 18, 9, DEFAULT_SEED).passed
-    assert counts == {"eval_classical": 4, "tropicalize_series": 4}
+    assert counts == {"eval_classical": 0, "tropicalize_series": 4, "__mul__": 4}
 
 
 def test_solve_linear_packs_each_coefficient_once_per_width(monkeypatch):
     """On a dense Q(zeta_5) equation (N = 60, integer g_k of one digit),
-    the recurrence and its residual check put 7,436 operands through `dot`'s
-    Kronecker path; each element keeps its packing while the rounded width
-    stays, so only 926 of them are packed, not all 7,436."""
+    the recurrence and the g*x of its certificate put 7,316 operands through
+    `dot`'s Kronecker path; each element keeps its packing while the rounded
+    width stays, so only 922 of them are packed, not all 7,316."""
     rng = rng_for("dense-packings")
     digits = [k for k in range(-9, 10) if k]
     g = tuple(tuple(Fraction(rng.choice(digits)) for _ in range(4)) for _ in range(60))
@@ -362,7 +425,7 @@ def test_solve_linear_packs_each_coefficient_once_per_width(monkeypatch):
 
     monkeypatch.setattr(FieldElem, "_packed", counted)
     solve_linear(ode)
-    assert counts == {"operands": 7436, "packings": 926}
+    assert counts == {"operands": 7316, "packings": 922}
     assert 4 * counts["packings"] <= counts["operands"]
 
 
