@@ -29,7 +29,7 @@ from .radius import (
     radius_from_rule,
     radius_window_estimate,
 )
-from .semiring import NatValuation, TropNum, format_rational, parse_rational
+from .semiring import NatValuation, TropNum, format_rational, is_prime, parse_rational
 from .series import sigma0, tropicalize_series
 from .verify import (
     DEFAULT_SEED,
@@ -258,6 +258,9 @@ def cmd_verify_ft(args) -> int:
 
 def cmd_selftest(args) -> int:
     n, m = _window(args.p, args.truncation, args.order)
+    # exp(zeta t^p) has support at multiples of p, and d^m f reads x^(m+1)
+    if is_prime(args.p) and m >= n - n % args.p:
+        raise ValueError(f"selftest needs --order < p * floor(--truncation / p) = {n - n % args.p}")
     report = reproduce_exponential_example(args.p, n, m)
     print(report.format_text())
     _write_json(args.json, {"command": "selftest", **report.to_dict()})

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, 
 from .errors import MissingVariable, TruncationExhausted
 from .fields import FieldBackend, FieldElem
 from .semiring import TropNum
-from .series import LeadingTerm, PowerSeries, TropSeries
+from .series import Beyond, PowerSeries, TropSeries, rank2_val
 
 
 class ExponentMatrix(NamedTuple):
@@ -67,21 +67,10 @@ class ExponentMatrix(NamedTuple):
             merged[ij] = merged.get(ij, 0) + e
         return ExponentMatrix(self.degree + other.degree, tuple(sorted(merged.items())))
 
-    def bump(self, i: int, j: int) -> "ExponentMatrix":
-        """Leibniz step: one factor x_i^(j) becomes x_i^(j+1).
-
-        (i, j+1) sorts right after (i, j), so the entries are edited where
-        (i, j) stands, in one pass.
-        """
-        ij = (i, j)
-        for k, (key, _) in enumerate(self.entries):
-            if key == ij:
-                return ExponentMatrix(self.degree, _bump_at(self.entries, k))
-        raise ValueError(f"no factor x_{i + 1}^({j}) to differentiate")
-
 
 def _bump_at(entries, k: int):
-    """The entries with one factor of entry k, x_i^(j), made x_i^(j+1)."""
+    """The Leibniz step: the entries with one factor of entry k, x_i^(j), made
+    x_i^(j+1), which sorts right after it, so the entries are edited in place."""
     (i, j), e = entries[k]
     up = (i, j + 1)
     rest = k + 1
@@ -181,8 +170,9 @@ class DiffPoly:
         for lam, a in self.terms:
             out.append((lam, a.derivative()))
             a_low = a.truncate(n)
-            out.extend((lam.bump(i, j), a_low if e == 1 else a_low.scale(e))
-                       for (i, j), e in lam.entries)
+            out.extend((ExponentMatrix(lam.degree, _bump_at(lam.entries, k)),
+                        a_low if e == 1 else a_low.scale(e))
+                       for k, (_, e) in enumerate(lam.entries))
         return DiffPoly.make(self.backend, self.nvars, n, out)
 
 
@@ -207,12 +197,11 @@ def tropicalize_poly(f: Union[DiffPoly, Poly]) -> Poly:
     """Apply the rank-2 valuation coefficientwise, as raw pairs; a jet holds its value.
 
     Every coefficient of a DiffPoly or jet is nonzero inside its window, so
-    no rank-2 value here is truncation-limited, and the terms are in graded
-    order already, so they are kept as they stand.
+    no rank-2 value here is a `Beyond`, and the terms are in graded order
+    already, so they are kept as they stand.
     """
     return Poly(f.nvars, tuple(
-        (lam, a.value if a.__class__ is Jet else (a.terms[0][0], a.terms[0][1].valuation().value))
-        for lam, a in f.terms))
+        (lam, a.value if a.__class__ is Jet else rank2_val(a)) for lam, a in f.terms))
 
 
 def constant_terms(f: Union[DiffPoly, Poly]) -> Poly:
@@ -251,16 +240,16 @@ def eval_classical(f: DiffPoly, a: Sequence[PowerSeries]) -> PowerSeries:
     return total
 
 
-LeadingProvider = Callable[[int, int], object]  # the raw x_i^(j), or a flagged LeadingTerm
+LeadingProvider = Callable[[int, int], object]  # the raw x_i^(j), or a Beyond
 
 
 def evaluate(g: Poly, leading: LeadingProvider) -> EvalReport:
     """Tropical evaluation of g on raw values, each x_i^(j) read once from `leading`.
 
     A TropNum coefficient is read as its value.  Each monomial weighs
-    coeff * prod x_i^(j)^e.  A weight with a flagged factor reads as
+    coeff * prod x_i^(j)^e.  A weight with a `Beyond` factor reads as
     infinite; when its known part (the rest) is finite, the first coordinate
-    of its true value is at least that of the known part plus, per flagged
+    of its true value is at least that of the known part plus, per `Beyond`
     factor, e times the first exponent past that factor's window.  The
     report is `ambiguous` when such a bound does not exceed a finite minimum.
     """
@@ -275,7 +264,7 @@ def evaluate(g: Poly, leading: LeadingProvider) -> EvalReport:
                 x = read[ij]
             except KeyError:
                 x = read[ij] = leading(*ij)
-            if x.__class__ is LeadingTerm:
+            if x.__class__ is Beyond:
                 beyond += e * x.beyond
                 flagged = True
             elif w is None or x is None:

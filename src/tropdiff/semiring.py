@@ -231,21 +231,6 @@ def v_p(n: int, p: int) -> int:
     return count
 
 
-def digit_sum(m: int, p: int) -> int:
-    total = 0
-    while m:
-        m, r = divmod(m, p)
-        total += r
-    return total
-
-
-def v_p_factorial(m: int, p: int) -> int:
-    """v_p(m!) by Legendre's closed form (m - digit_sum_p(m)) / (p - 1)."""
-    if m < 0:
-        raise ValueError("factorial valuation needs m >= 0")
-    return (m - digit_sum(m, p)) // (p - 1)
-
-
 # Every odd composite below _MR_LIMIT is a Miller-Rabin witness to one of
 # the 13 primes 2..41 (Sorenson and Webster, 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -306,8 +291,13 @@ class NatValuation:
         return TropNum(self.e * v_p(n, self.p))
 
     def factorials(self, n: int) -> list[int]:
-        """v(0!), ..., v(n!) in units of 1/e, all 0 in trivial mode; [] for n = -1."""
-        return [0 if self.p is None else self.e * v_p_factorial(m, self.p) for m in range(n + 1)]
+        """v(0!), ..., v(n!) in units of 1/e, by v(m!) = v((m-1)!) + v(m);
+        all 0 in trivial mode, [] for n = -1."""
+        out = [0] * (n + 1)
+        if self.p is not None:
+            for m in range(1, n + 1):
+                out[m] = out[m - 1] + self.e * v_p(m, self.p)
+        return out
 
     def to_units(self, w: TropNum) -> TropNum:
         """A value read as rationals, in units of 1/e: a rank-1 value and the

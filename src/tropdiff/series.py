@@ -6,14 +6,13 @@ coefficients of t^0 .. t^N.  A series stores only its support, the nonzero
 Binary operations truncate to the smaller window; each differentiation
 loses one degree.  A window that is all zero (classical) or all infinite
 (tropical) cannot determine the leading term of the underlying infinite
-series, so leading-term extraction returns an infinity flagged
-`truncation_limited` instead of failing.
+series, so leading-term extraction returns a `Beyond` instead of failing.
 
 A tropical series counts its coefficients in the unit 1/e of its
 `nat_val` (see `semiring`): the valuations of a classical series over a
 field with value group (1/e)Z are ints, and so are the second coordinates
 of the rank-2 leading terms read off either kind of series.  Exponents of
-t, and so `LeadingTerm.beyond`, are not scaled.
+t, and so `Beyond.beyond`, are not scaled.
 """
 
 from __future__ import annotations
@@ -37,17 +36,12 @@ from .semiring import (
 
 
 @dataclass(frozen=True, slots=True)
-class LeadingTerm:
-    """Leading term of a truncated series; flagged when the window is empty.
+class Beyond:
+    """The leading term of a series whose window holds no nonzero / finite
+    coefficient: the true series may still have support from exponent
+    `beyond`, the first index past the window, on."""
 
-    A flagged infinity means every coefficient inside the truncation window
-    was zero / infinite -- the true series may still have support beyond it,
-    from exponent `beyond` (the first index past the window) on.
-    """
-
-    value: TropNum
-    truncation_limited: bool = False
-    beyond: int = 0
+    beyond: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,7 +220,7 @@ class TropSeries:
     0 <= k <= truncation; every other coefficient in the window is infinite.
     As for `PowerSeries`, equal series have equal fields and `coeffs` is the
     derived dense view.  Truncation -1 (an empty window) marks a series
-    differentiated past its data; its leading term is a flagged infinity.
+    differentiated past its data; its leading term is a `Beyond`.
     """
 
     nat_val: NatValuation
@@ -307,7 +301,7 @@ class TropSeries:
 
         Read from a table of j = 0 .. K (K the last finite index) built on the
         first call.  Every j > K leaves no finite coefficient in the window:
-        a flagged infinity (LeadingTerm), true leading exponent >= N - j + 1.
+        a `Beyond`, true leading exponent >= N - j + 1.
         """
         table = self._leading
         if table is None:
@@ -315,12 +309,7 @@ class TropSeries:
             object.__setattr__(self, "_leading", table)
         if j < len(table):
             return table[j]
-        return LeadingTerm(T_INF, True, max(self.truncation - j + 1, 0))
-
-    def diff_leading(self, j: int) -> LeadingTerm:
-        """`leading(j)` as a LeadingTerm."""
-        w = self.leading(j)
-        return w if w.__class__ is LeadingTerm else LeadingTerm(TropNum(w))
+        return Beyond(max(self.truncation - j + 1, 0))
 
     def _leading_table(self) -> tuple[tuple, ...]:
         """Phi(d_v^j S) for j = 0 .. K in closed form, walking the terms backwards.
@@ -354,12 +343,13 @@ def tropicalize_series(a: PowerSeries) -> TropSeries:
                       tuple((k, c.valuation()) for k, c in a.terms))
 
 
-def rank2_val(a: PowerSeries) -> LeadingTerm:
-    """Rank-2 valuation (t-order, valuation of the leading coefficient in units of 1/e)."""
+def rank2_val(a: PowerSeries):
+    """Rank-2 valuation as the raw pair (t-order, valuation of the leading
+    coefficient in units of 1/e), or a `Beyond` for a series zero in its window."""
     if a.is_zero:
-        return LeadingTerm(T_INF, True, a.truncation + 1)
+        return Beyond(a.truncation + 1)
     k, c = a.terms[0]
-    return LeadingTerm(TropNum((k, c.valuation().value)))
+    return k, c.valuation().value
 
 
 def psi_one(a: Sequence[FieldElem], backend: FieldBackend) -> PowerSeries:

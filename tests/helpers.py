@@ -20,7 +20,7 @@ from tropdiff.diffpoly import (
 from tropdiff.fields import FieldBackend, FieldElem, ResidueElem, power, residue
 from tropdiff.initial import initial_form, initial_system_monomial_check, is_monomial
 from tropdiff.semiring import NatValuation, T_INF, TropNum, Trop2, is_prime
-from tropdiff.series import LeadingTerm, PowerSeries, TropSeries
+from tropdiff.series import Beyond, PowerSeries, TropSeries
 
 SEED = 20260810
 
@@ -199,22 +199,22 @@ def tropically_vanishes(addends: Sequence[TropNum]) -> VanishReport:
 
 def reference_evaluate(g: Poly, leading) -> EvalReport:
     """`diffpoly.evaluate` on TropNum arithmetic: coefficients are TropNums
-    and `leading(i, j)` gives a LeadingTerm, read once per factor.
+    and `leading(i, j)` gives a raw value or a `Beyond`, read once per factor.
 
-    A weight with a flagged factor reads as infinite; a bound is the first
-    coordinate of its known part plus e times `beyond` per flagged factor,
+    A weight with a `Beyond` factor reads as infinite; a bound is the first
+    coordinate of its known part plus e times `beyond` per such factor,
     and a known part that is infinite gives none.
     """
     weights, bounds = [], []
     for lam, coeff in g.terms:
         w, beyond, flagged = coeff, 0, False
         for (i, j), e in lam.entries:
-            lt = leading(i, j)
-            if lt.truncation_limited:
-                beyond += e * lt.beyond
+            x = leading(i, j)
+            if x.__class__ is Beyond:
+                beyond += e * x.beyond
                 flagged = True
             else:
-                w = w * lt.value ** e
+                w = w * TropNum(x) ** e
         if flagged and not w.is_inf:
             bounds.append(first_coordinate(w) + beyond)
         weights.append(T_INF if flagged else w)
@@ -239,6 +239,22 @@ def vanishes_by_removal(addends) -> bool:
     return True
 
 
+def digit_sum(m: int, p: int) -> int:
+    """The sum of the base-p digits of m >= 0."""
+    total = 0
+    while m:
+        m, r = divmod(m, p)
+        total += r
+    return total
+
+
+def v_p_factorial(m: int, p: int) -> int:
+    """v_p(m!) by Legendre's closed form (m - digit_sum_p(m)) / (p - 1)."""
+    if m < 0:
+        raise ValueError("factorial valuation needs m >= 0")
+    return (m - digit_sum(m, p)) // (p - 1)
+
+
 def v_p_factorial_iter(m: int, p: int) -> int:
     """v_p(m!) as the iterative sum of floor(m / p^k)."""
     total = 0
@@ -258,12 +274,13 @@ def diff_n(s: TropSeries, j: int) -> TropSeries:
     return trop_from_ref(s.nat_val, ref)
 
 
-def leading(s: TropSeries) -> LeadingTerm:
-    """Phi: (first finite exponent, its coefficient) in T_2; flagged if none."""
+def leading(s: TropSeries):
+    """Phi: the raw pair (first finite exponent, its coefficient), or a
+    `Beyond` past the window if the window holds none."""
     for k, c in enumerate(s.coeffs):
         if not c.is_inf:
-            return LeadingTerm(Trop2((Fraction(k), c.value)))
-    return LeadingTerm(T_INF, True, s.truncation + 1)
+            return k, c.value
+    return Beyond(s.truncation + 1)
 
 
 def vp_factorial_bruteforce(m: int, p: int) -> int:
@@ -382,8 +399,8 @@ def initial_form_literal(f: DiffPoly, s) -> "Poly":
         shift, scalar = shift0, scalar0
         for (i, j), e in lam.entries:
             w = leading(diff_n(s[i], j))
-            assert not w.truncation_limited
-            sh, sc = section_phi(w.value, backend)
+            assert w.__class__ is not Beyond
+            sh, sc = section_phi(TropNum(w), backend)
             shift += sh * e
             scalar = scalar * sc ** e
         c = Laurent.from_power_series(coeff).shift_scale(shift, scalar)

@@ -677,20 +677,36 @@ def _write(tmp_path, name, record) -> str:
     return str(path)
 
 
-@pytest.mark.parametrize("window, least", [(["3", "--order", "9"], 9), (["1", "--order", "0"], 2)],
+@pytest.mark.parametrize("window, bound", [(["3", "--order", "9"], 3), (["1", "--order", "0"], 0)],
                          ids=["order-above-truncation", "truncation-below-p-1"])
-def test_selftest_refuses_a_window_that_cannot_hold_the_example(capsys, tmp_path, window, least):
-    """d^m f cannot be derived in a window N < m, and a window N < p - 1
-    cuts g's t^(p-1) term, leaving the equation x' alone: both are refused
-    with exit 2, naming the flags, and write no report.  N = p - 1 and
-    m = N still run, and their failures are flagged truncation-limited."""
+def test_selftest_refuses_a_window_that_cannot_hold_the_example(capsys, tmp_path, window, bound):
+    """exp(zeta t^p) has support only at multiples of p, and d^m f reads
+    x^(m+1), so a window needs m < p * floor(N / p): one above m inside it.
+    A window N < m, one N < p, and N = m = p - 1 are refused with exit 2,
+    naming the bound, and write no report."""
     report = tmp_path / "selftest.json"
-    assert main(["selftest", "--p", "3", "--json", str(report), "--truncation", *window]) == 2
-    assert capsys.readouterr() == (
-        "", f"tropdiff: selftest needs --truncation >= max(--order, p - 1) = {least}\n")
-    assert not report.exists()
-    assert main(["selftest", "--p", "3", "--truncation", "2", "--order", "2"]) == 1
-    assert "truncation-limited)\noverall: FAILED\n" in capsys.readouterr().out
+    for argv, least in ((window, bound), (["2", "--order", "2"], 0)):
+        assert main(["selftest", "--p", "3", "--json", str(report), "--truncation", *argv]) == 2
+        assert capsys.readouterr() == (
+            "", f"tropdiff: selftest needs --order < p * floor(--truncation / p) = {least}\n")
+        assert not report.exists()
+
+
+def test_selftest_passes_on_every_window_it_accepts(capsys, tmp_path):
+    """Over p in {2, 3, 5, 7, 11}, p - 1 <= N <= 3p + 1 and 0 <= m <= N, a
+    window with m < p * floor(N / p) passes (exit 0, report written), and
+    every other exits 2 and writes no report."""
+    report = tmp_path / "selftest.json"
+    for p in (2, 3, 5, 7, 11):
+        for n in range(p - 1, 3 * p + 2):
+            for m in range(n + 1):
+                accepted = m < p * (n // p)
+                argv = ["selftest", "--p", str(p), "--truncation", str(n), "--order", str(m),
+                        "--json", str(report)]
+                assert main(argv) == (0 if accepted else 2), argv
+                assert report.exists() == accepted, argv
+                report.unlink(missing_ok=True)
+                assert ("overall: ALL PASS" in capsys.readouterr().out) == accepted, argv
 
 
 def test_solve_linear_encodes_the_solution_once(monkeypatch, capsys, tmp_path):

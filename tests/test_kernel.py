@@ -23,7 +23,7 @@ from tropdiff.diffpoly import (
     tropicalize_poly,
 )
 from tropdiff.semiring import T_INF, TropNum
-from tropdiff.series import LeadingTerm, psi_trop_inverse
+from tropdiff.series import Beyond, psi_trop_inverse
 from tropdiff.verify import check_truncation_vectors, t0_face
 
 from helpers import (
@@ -52,27 +52,22 @@ def finite(rank: int):
 @st.composite
 def kernel_cases(draw):
     """(nvars, x_i^(j) values, terms) of one rank: each value finite, an
-    unflagged infinity (None) or a flagged LeadingTerm; exponents up to 3."""
+    infinity (None) or a `Beyond`; exponents up to 3."""
     rank, nvars = draw(st.sampled_from((1, 2))), draw(st.integers(1, 2))
     variables = [(i, j) for i in range(nvars) for j in range(3)]
     values = {}
     for ij in variables:
         kind = draw(st.sampled_from(("finite", "finite", "inf", "flagged")))
         values[ij] = (draw(finite(rank)) if kind == "finite" else None if kind == "inf"
-                      else LeadingTerm(T_INF, True, draw(st.integers(0, 5))))
+                      else Beyond(draw(st.integers(0, 5))))
     monomials = st.dictionaries(st.sampled_from(variables), st.integers(1, 3),
                                 max_size=3).map(ExponentMatrix.make)
     return nvars, values, draw(st.dictionaries(monomials, finite(rank), max_size=5))
 
 
-def as_leading_term(x) -> LeadingTerm:
-    """A kernel provider value as the reference reads it."""
-    return x if x.__class__ is LeadingTerm else LeadingTerm(TropNum(x))
-
-
 X00, X01, X10 = ExponentMatrix.var(0, 0), ExponentMatrix.var(0, 1), ExponentMatrix.var(1, 0)
-ALL_INFINITE = (2, {(0, 0): None, (0, 1): LeadingTerm(T_INF, True, 2), (0, 2): None,
-                    (1, 0): LeadingTerm(T_INF, True, 0), (1, 1): None, (1, 2): None},
+ALL_INFINITE = (2, {(0, 0): None, (0, 1): Beyond(2), (0, 2): None,
+                    (1, 0): Beyond(0), (1, 1): None, (1, 2): None},
                 {X00: (0, 1), X01 * X10: (1, Fraction(1, 2)), X00 * X10: (0, 0)})
 
 
@@ -81,10 +76,10 @@ ALL_INFINITE = (2, {(0, 0): None, (0, 1): LeadingTerm(T_INF, True, 2), (0, 2): N
 @example(ALL_INFINITE)
 def test_raw_kernel_matches_the_tropnum_reference(case):
     """Equal reports whether the coefficients are raw or TropNums, on sums
-    with ties, unflagged infinities, flagged factors and all-infinite sums."""
+    with ties, infinities, `Beyond` factors and all-infinite sums."""
     nvars, values, terms = case
     g = Poly.make(nvars, terms)
-    want = reference_evaluate(g.map(TropNum), lambda i, j: as_leading_term(values[(i, j)]))
+    want = reference_evaluate(g.map(TropNum), lambda i, j: values[(i, j)])
     assert evaluate(g, lambda i, j: values[(i, j)]) == want
     assert evaluate(g.map(TropNum), lambda i, j: values[(i, j)]) == want
 
@@ -96,7 +91,7 @@ def test_all_infinite_sum_is_attained_by_every_monomial():
     report = evaluate(g, lambda i, j: values[(i, j)])
     assert report.value == T_INF and report.vanishes and not report.ambiguous
     assert report.attainment == tuple(lam for lam, _ in g.terms)
-    assert report.truncation_limited  # x_1' and x_2 are flagged with finite known parts
+    assert report.truncation_limited  # x_1' and x_2 are `Beyond`s with finite known parts
 
 
 def test_infinite_factor_beside_a_flagged_one_bounds_nothing():
@@ -105,14 +100,13 @@ def test_infinite_factor_beside_a_flagged_one_bounds_nothing():
     taken (the sum of an infinite known part and `beyond` used to raise
     TypeError)."""
     g = Poly.make(2, {X00 * X10: (0, 0), X01: (2, 1)})
-    values = {(0, 0): None, (1, 0): LeadingTerm(T_INF, True, 0), (0, 1): (0, 0)}
+    values = {(0, 0): None, (1, 0): Beyond(0), (0, 1): (0, 0)}
     for coeffs in (g, g.map(TropNum)):
         report = evaluate(coeffs, lambda i, j: values[(i, j)])
         assert report.value == TropNum((2, 1)) and report.attainment == (X01,)
         assert not report.vanishes and not report.ambiguous
         assert not report.truncation_limited
-    assert reference_evaluate(g.map(TropNum),
-                              lambda i, j: as_leading_term(values[(i, j)])) == report
+    assert reference_evaluate(g.map(TropNum), lambda i, j: values[(i, j)]) == report
 
 
 BACKENDS = (TRIVIAL, PADIC3, EISEN3, EISEN5)
@@ -139,7 +133,7 @@ def test_derived_families_match_the_reference(backend, seed, truncation, nvars):
         assert eval_tropical(g, s) == want
         face = t0_face(g)
         if all(j < len(b[i]) for lam, _ in face.terms for (i, j), _ in lam.entries):
-            faces.append(reference_evaluate(face.map(TropNum), lambda i, j: LeadingTerm(b[i][j])))
+            faces.append(reference_evaluate(face.map(TropNum), lambda i, j: b[i][j].value))
             assert evaluate(face, at_vector(b)) == faces[-1]
     if len(faces) == len(system):
         assert check_truncation_vectors(system, s).reports == tuple(faces)

@@ -18,13 +18,14 @@ from tropdiff.radius import (
     radius_from_rule,
     radius_window_estimate,
 )
-from tropdiff.semiring import T_INF, NatValuation, TropNum, digit_sum
+from tropdiff.semiring import T_INF, NatValuation, TropNum
 from tropdiff.series import PowerSeries, TropSeries, tropicalize_series
 from tropdiff.verify import exp_equation, exp_rule, exp_tropical_closed_form, solve_linear
 
 from helpers import (
     PADIC3,
     TRIVIAL,
+    digit_sum,
     exact_log_ratio_by_roots,
     integer_root_bisect,
     integer_root_newton,

@@ -11,19 +11,19 @@ from tropdiff.semiring import (
     T_INF,
     TropNum,
     Trop2,
-    digit_sum,
     format_ratio,
     is_prime,
     v_p,
-    v_p_factorial,
 )
 
 from helpers import (
+    digit_sum,
     rng_for,
     rand_trop_num,
     rand_trop2,
     trop_sum,
     tropically_vanishes,
+    v_p_factorial,
     v_p_factorial_iter,
     vanishes_by_removal,
     vp_factorial_bruteforce,
@@ -161,6 +161,21 @@ def test_legendre_matches_iterative_and_bruteforce():
             assert v_p_factorial(m, p) == v_p_factorial_iter(m, p)
         for m in range(0, 200):
             assert v_p_factorial(m, p) == vp_factorial_bruteforce(m, p)
+
+
+def test_factorials_are_the_running_sum_of_v():
+    """v(m!) summed from v(m) equals e times the iterative sum of floor(m / p^k)
+    and Legendre's closed form, for every m <= 10,000; the trivial mode is
+    all 0, and n = -1 gives no entry."""
+    for p in (2, 3, 5, 7):
+        for e in sorted({1, p - 1}):
+            table = NatValuation(p, e).factorials(10_000)
+            assert len(table) == 10_001
+            assert all(table[m] == e * v_p_factorial_iter(m, p) == e * v_p_factorial(m, p)
+                       for m in range(10_001))
+        assert NatValuation(p).factorials(-1) == []
+    assert NatValuation(None).factorials(6) == [0] * 7
+    assert NatValuation(None).factorials(-1) == []
 
 
 def test_digit_sum():

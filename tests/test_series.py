@@ -9,10 +9,9 @@ from tropdiff.semiring import (
     TRIVIAL_NAT_VAL,
     TropNum,
     Trop2,
-    v_p_factorial,
 )
 from tropdiff.series import (
-    LeadingTerm,
+    Beyond,
     PowerSeries,
     TropSeries,
     psi_one,
@@ -51,14 +50,9 @@ def tser(nat_val, truncation, entries):
 
 def test_phi_leading_examples():
     s = tser(V3, 8, {1: 0, 3: 1})
-    assert leading(s).value == Trop2.of(1, 0)
-    assert not leading(s).truncation_limited
-
-    empty = TropSeries.inf(V3, 5)
-    lt = leading(empty)
-    assert lt.value.is_inf and lt.truncation_limited
-
-    assert leading(tser(V3, 4, {0: 5, 2: 1})).value == Trop2.of(0, 5)
+    assert leading(s) == (1, 0)
+    assert leading(TropSeries.inf(V3, 5)) == Beyond(6)
+    assert leading(tser(V3, 4, {0: 5, 2: 1})) == (0, 5)
 
 
 def test_trop_diff_examples():
@@ -67,15 +61,15 @@ def test_trop_diff_examples():
     assert d.truncation == 7
     assert d == tser(V3, 7, {0: 0, 2: 2})  # v_3(3) = 1 lifts the t^3 slot
     d3 = diff_n(s, 3)
-    assert leading(d3).value == Trop2.of(0, 2)
+    assert leading(d3) == (0, 2)
 
     only_const = tser(TRIVIAL_NAT_VAL, 4, {0: 7})
     assert only_const.diff().is_inf
 
-    # differentiating past the window leaves an empty, flagged series
+    # differentiating past the window leaves an empty series, whose leading term is a Beyond
     exhausted = tser(V3, 0, {0: 1}).diff()
     assert exhausted.truncation == -1
-    assert leading(exhausted).truncation_limited
+    assert leading(exhausted) == Beyond(0)
 
 
 def test_tropicalize_series_examples():
@@ -99,10 +93,9 @@ def test_tropicalize_series_examples():
 
 def test_rank2_val_examples():
     a = PowerSeries.monomial(EISEN3, 6, EISEN3.elem(-3) * EISEN3.zeta(), 2)
-    assert rank2_val(a).value == EISEN3.nat_val.to_units(Trop2.of(2, Fraction(3, 2)))
-    assert rank2_val(PowerSeries.one(PADIC3, 4)).value == Trop2.of(0, 0)
-    lt = rank2_val(PowerSeries.zero(PADIC3, 4))
-    assert lt.value.is_inf and lt.truncation_limited
+    assert rank2_val(a) == EISEN3.nat_val.to_units(Trop2.of(2, Fraction(3, 2))).value == (2, 3)
+    assert rank2_val(PowerSeries.one(PADIC3, 4)) == (0, 0)
+    assert rank2_val(PowerSeries.zero(PADIC3, 4)) == Beyond(5)
 
 
 def test_psi_examples():
@@ -145,11 +138,11 @@ def test_sigma_examples():
 def test_bool_series():
     # Grigoriev series: trivial-valuation series with coefficients in {0, inf}
     b = tser(TRIVIAL_NAT_VAL, 5, {0: 0, 3: 0})
-    assert sigma0(leading(b).value) == TropNum.of(0)
+    assert sigma0(TropNum(leading(b))) == TropNum.of(0)
     assert b.diff() == tser(TRIVIAL_NAT_VAL, 4, {2: 0})
     assert b.diff().diff().diff() == tser(TRIVIAL_NAT_VAL, 2, {0: 0})
     assert b.coeffs[0] == TropNum.of(0)
-    assert leading(TropSeries.inf(TRIVIAL_NAT_VAL, 3)).truncation_limited
+    assert leading(TropSeries.inf(TRIVIAL_NAT_VAL, 3)) == Beyond(4)
 
 
 def test_series_arithmetic():
@@ -256,7 +249,7 @@ def check_psi_roundtrips(count=1000):
 
 
 def check_diff_leading_closed_form(count=20):
-    """Phi(d_v^j S) read in closed form equals differentiating j times, flag included.
+    """Phi(d_v^j S) read in closed form equals differentiating j times, `Beyond` included.
 
     Windows run from truncation -1 up; series are dense, sparse or all
     infinite, over NatValuation None, 2, 3 and 5.  The per-series table is
@@ -277,12 +270,12 @@ def check_diff_leading_closed_form(count=20):
             js = list(range(truncation + 4))
             rng.shuffle(js)
             for j in [truncation + 3] + js + js:
-                assert s.diff_leading(j) == leading(diff_n(fresh, j))
-                assert b.diff_leading(j) == leading(diff_n(b, j))
+                assert s.leading(j) == leading(diff_n(fresh, j))
+                assert b.leading(j) == leading(diff_n(b, j))
                 # Grigoriev reading: the first support index past j, shifted
                 shifted = [k - j for k in support if k >= j]
-                expected = TropNum.of(min(shifted)) if shifted else T_INF
-                assert sigma0(b.diff_leading(j).value) == expected
+                expected = (min(shifted), 0) if shifted else Beyond(max(truncation - j + 1, 0))
+                assert b.leading(j) == expected
             assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
             assert {fresh: True}[s]
 
@@ -292,25 +285,24 @@ def test_diff_leading_closed_form():
 
 
 def test_leading_table_stops_at_last_finite_index(monkeypatch):
-    """A sparse series reads its factorial valuations only up to its last finite index."""
-    import tropdiff.semiring as semiring_module
-
+    """A sparse series asks for its factorial valuations once, up to its last finite index."""
     calls = []
+    factorials = NatValuation.factorials
 
-    def counting(m, p):
-        calls.append(m)
-        return v_p_factorial(m, p)
+    def counting(self, n):
+        calls.append(n)
+        return factorials(self, n)
 
-    monkeypatch.setattr(semiring_module, "v_p_factorial", counting)
+    monkeypatch.setattr(NatValuation, "factorials", counting)
     s = TropSeries.monomial(V3, 100000, TropNum.of(0), 5)
     # d_v^2 t^5 = 20 t^3, and v_3(20) = 0
-    assert s.diff_leading(2) == LeadingTerm(Trop2((3, 0)))
-    assert sorted(calls) == list(range(6))
-    assert s.diff_leading(5) == LeadingTerm(Trop2((0, 1)))  # v_3(5!) = 1
-    assert s.diff_leading(6) == LeadingTerm(T_INF, True, 100000 - 6 + 1)
-    assert s.diff_leading(100001) == LeadingTerm(T_INF, True, 0)
-    assert s.diff_leading(200000) == LeadingTerm(T_INF, True, 0)
-    assert len(calls) == 6
+    assert s.leading(2) == (3, 0)
+    assert calls == [5]
+    assert s.leading(5) == (0, 1)  # v_3(5!) = 1
+    assert s.leading(6) == Beyond(100000 - 6 + 1)
+    assert s.leading(100001) == Beyond(0)
+    assert s.leading(200000) == Beyond(0)
+    assert calls == [5]
 
 
 def test_enhancement_commutation():

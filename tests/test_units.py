@@ -22,6 +22,7 @@ from tropdiff import cli, files
 from tropdiff.diffpoly import derived_system, eval_tropical, is_tropical_solution, tropicalize_poly
 from tropdiff.fields import FieldBackend
 from tropdiff.semiring import T_INF, TropNum, format_rational
+from tropdiff.series import Beyond
 
 from helpers import (
     rand_elem,
@@ -91,11 +92,8 @@ def test_leading_table_and_files_match_rational_oracle(backend, seed, truncation
     ref = dense_ref(record)
     for j in range(truncation + 3):
         lt, past = rational_leading(ref, nv.p, j)
-        got = s.diff_leading(j)
-        assert got.value == in_units(nv, lt)
-        assert got.truncation_limited == (lt is None)
-        if lt is None:
-            assert got.beyond == past
+        got = s.leading(j)
+        assert got == (Beyond(past) if lt is None else in_units(nv, lt).value)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
