@@ -22,14 +22,13 @@ TropNum arithmetic.  A TropNum is built where a value leaves: the report's.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from math import comb, perm
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import MissingVariable, TruncationExhausted
 from .fields import FieldBackend, FieldElem
-from .semiring import TropNum
+from .semiring import Frozen, TropNum
 from .series import Beyond, PowerSeries, TropSeries, rank2_val
 
 
@@ -95,8 +94,7 @@ def _sorted_terms(terms: Mapping[ExponentMatrix, object]):
     return tuple(sorted(kept, key=itemgetter(0)))
 
 
-@dataclass(frozen=True, slots=True)
-class Poly:
+class Poly(Frozen):
     """Sparse polynomial in the x_i^(j) with coefficients of one type.
 
     The coefficients carry their own ring: tropical values (raw or TropNum),
@@ -106,8 +104,12 @@ class Poly:
     order they are given.
     """
 
-    nvars: int
-    terms: tuple[tuple[ExponentMatrix, object], ...]
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms: tuple[tuple[ExponentMatrix, object], ...]):
+        set_nvars, set_terms = self._setters
+        set_nvars(self, nvars)
+        set_terms(self, terms)
 
     @staticmethod
     def make(nvars: int, terms: Mapping[ExponentMatrix, object]) -> "Poly":
@@ -123,18 +125,14 @@ class Poly:
                                       if not _is_additive_identity(d := fn(c))))
 
 
-@dataclass(frozen=True, slots=True)
-class DiffPoly:
+class DiffPoly(Frozen):
     """Differential polynomial with truncated power-series coefficients.
 
     All coefficients share the polynomial's truncation; terms whose
     coefficient vanishes inside the window are dropped on construction.
     """
 
-    backend: FieldBackend
-    nvars: int
-    truncation: int
-    terms: tuple[tuple[ExponentMatrix, PowerSeries], ...]
+    __slots__ = ("backend", "nvars", "truncation", "terms")  # terms: ((lam, series), ...)
 
     @staticmethod
     def make(backend: FieldBackend, nvars: int, truncation: int,
@@ -176,8 +174,7 @@ class DiffPoly:
         return DiffPoly.make(self.backend, self.nvars, n, out)
 
 
-@dataclass(frozen=True, slots=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Result of a tropical evaluation: minimum value, argmin set, vanishing flag.
 
     `truncation_limited` records that some needed leading term came from an
@@ -339,8 +336,8 @@ class Jet(NamedTuple):
     The coefficient is the sum of C(k, a) * count * c^(a) over its sources
     (c, a, count), c a coefficient of f by degree (see `derived_system`).
     `value` is its raw rank-2 value; its t^j coefficients are summed on demand.
-    A NamedTuple: one is made per term of every d^k f, twice as fast as a
-    frozen dataclass.
+    A NamedTuple: one is made per term of every d^k f, and one `tuple.__new__`
+    builds it faster than an `__init__` that fills four slots.
     """
 
     value: tuple[int, object]
@@ -425,8 +422,7 @@ def derived_system(f: DiffPoly, m: int) -> list:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class SolutionReport:
+class SolutionReport(NamedTuple):
     """Per-equation tropical-vanishing table for a candidate solution."""
 
     reports: tuple[EvalReport, ...]

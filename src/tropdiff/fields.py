@@ -45,12 +45,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from .errors import NegativeValuation, NonIntegralExponent, ZeroInput
 from .semiring import (
+    Frozen,
     NatValuation,
     Rat,
     TRIVIAL_NAT_VAL,
@@ -63,21 +63,22 @@ from .semiring import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class FieldBackend:
-    """Tag selecting one of the three coefficient-field implementations."""
+class FieldBackend(Frozen):
+    """Tag selecting one of the three coefficient-field implementations:
+    `kind` is "trivial", "padic" or "eisenstein"."""
 
-    kind: str  # "trivial" | "padic" | "eisenstein"
-    p: Optional[int] = None
+    __slots__ = ("kind", "p", "_nat_val")
 
-    def __post_init__(self):
-        if self.kind not in ("trivial", "padic", "eisenstein"):
-            raise ValueError(f"unknown field backend {self.kind!r}")
-        if self.kind == "trivial":
-            if self.p is not None:
+    def __init__(self, kind: str, p: Optional[int] = None):
+        if kind not in ("trivial", "padic", "eisenstein"):
+            raise ValueError(f"unknown field backend {kind!r}")
+        if kind == "trivial":
+            if p is not None:
                 raise ValueError("the trivial backend takes no prime")
-        elif self.p is None or not is_prime(self.p):
-            raise ValueError(f"backend {self.kind!r} needs a prime, got {self.p!r}")
+        elif p is None or not is_prime(p):
+            raise ValueError(f"backend {kind!r} needs a prime, got {p!r}")
+        e = p - 1 if kind == "eisenstein" else 1
+        Frozen.__init__(self, kind, p, TRIVIAL_NAT_VAL if p is None else NatValuation(p, e))
 
     @property
     def degree(self) -> int:
@@ -86,15 +87,13 @@ class FieldBackend:
     @property
     def ramification(self) -> int:
         """Index e of the value group (1/e)Z; 1 for the unramified backends."""
-        return self.p - 1 if self.kind == "eisenstein" else 1
+        return self._nat_val.e
 
     @property
     def nat_val(self) -> NatValuation:
         """The valuation on N matching this field's tropical differential, in
-        units of 1/e."""
-        if self.kind == "trivial":
-            return TRIVIAL_NAT_VAL
-        return NatValuation(self.p, self.ramification)
+        units of 1/e; built once, with the backend."""
+        return self._nat_val
 
     def elem(self, x: Rat, den: int = 1) -> "FieldElem":
         """The rational x / den (den > 0), normalized once on the integers."""
@@ -147,8 +146,7 @@ class FieldBackend:
         return f"Q(zeta), zeta^{self.p - 1} = -{self.p} ({self.p}-adic valuation)"
 
 
-@dataclass(frozen=True, slots=True)
-class FieldElem:
+class FieldElem(Frozen):
     """Exact element of a valued-field backend: num[i] / den is the coefficient of zeta^i.
 
     Build elements through the backend (`elem`, `from_coeffs`, `zeta`) or
@@ -156,19 +154,20 @@ class FieldElem:
     docstring; the fields are never set directly.
     """
 
-    backend: FieldBackend
-    num: tuple[int, ...]
-    den: int
-    # `dot`'s memo (bit length, width, packed num), unset until used; outside the value.
-    _pack: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+    # _pack: `dot`'s memo (bit length, width, packed num), None until used; outside the value
+    __slots__ = ("backend", "num", "den", "_pack")
 
-    def __reduce__(self):  # copies and pickles leave the memo behind
-        return FieldElem, (self.backend, self.num, self.den)
+    def __init__(self, backend: FieldBackend, num: tuple[int, ...], den: int):
+        set_backend, set_num, set_den, set_pack = self._setters
+        set_backend(self, backend)
+        set_num(self, num)
+        set_den(self, den)
+        set_pack(self, None)
 
     def _num_bits(self) -> int:
         """Bit length of the largest numerator, memoized in `_pack`."""
-        if not hasattr(self, "_pack"):
-            object.__setattr__(self, "_pack", (max(map(int.bit_length, self.num)), 0, 0))
+        if self._pack is None:
+            self._setters[3](self, (max(map(int.bit_length, self.num)), 0, 0))
         return self._pack[0]
 
     def _packed(self, width: int) -> int:
@@ -178,7 +177,7 @@ class FieldElem:
             packed = 0
             for c in reversed(self.num):
                 packed = (packed << width) + c
-            object.__setattr__(self, "_pack", (n, width, packed))
+            self._setters[3](self, (n, width, packed))
         return packed
 
     def _check(self, other: "FieldElem"):
@@ -445,15 +444,18 @@ def _normal(backend: FieldBackend, num: tuple[int, ...], den: int) -> FieldElem:
     return FieldElem(backend, num, den)
 
 
-@dataclass(frozen=True, slots=True)
-class ResidueElem:
+class ResidueElem(Frozen):
     """Element of the residue field, on the integers: F_p (p a prime), the
     value in 0 .. p-1 over den 1, or Q (p = None), the rational value / den
     in lowest terms with den > 0."""
 
-    p: Optional[int]
-    value: int
-    den: int = 1
+    __slots__ = ("p", "value", "den")
+
+    def __init__(self, p: Optional[int], value: int, den: int = 1):
+        set_p, set_value, set_den = self._setters
+        set_p(self, p)
+        set_value(self, value)
+        set_den(self, den)
 
     @staticmethod
     def of(p: Optional[int], num: int, den: int = 1) -> "ResidueElem":

@@ -11,8 +11,7 @@ solution check, so both verdicts on S rest on the same evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .diffpoly import DiffPoly, EvalReport, Poly, SolutionReport
 from .errors import TruncationAmbiguous
@@ -47,8 +46,7 @@ def initial_form(f: Union[DiffPoly, Poly], report: EvalReport) -> Poly:
                                for lam in report.attainment))
 
 
-@dataclass(frozen=True, slots=True)
-class MonomialCheckReport:
+class MonomialCheckReport(NamedTuple):
     """Monomial-freeness verdict for the derived family of a generating set."""
 
     order: int

@@ -27,12 +27,11 @@ series in its unit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import BadBase, InvalidRule, TrivialBackend
-from .semiring import NatValuation, Rat, TropNum, format_rational, is_prime, max_str_digits
+from .semiring import Frozen, NatValuation, Rat, TropNum, format_rational, is_prime, max_str_digits
 from .series import PowerSeries, TropSeries, tropicalize_series
 
 LogValue = Union[Fraction, float]  # float: the infinity marker, or an inexact base change
@@ -40,21 +39,18 @@ LogValue = Union[Fraction, float]  # float: the infinity marker, or an inexact b
 LOG_INF = float("inf")
 
 
-@dataclass(frozen=True, slots=True)
-class RadiusRule:
+class RadiusRule(Frozen):
     """Coefficient law supported on an arithmetic progression of exponents."""
 
-    stride: int
-    slope: Fraction
-    offset: Fraction = Fraction(0)
-    factorial_correction: bool = False
-    p: Optional[int] = None
+    __slots__ = ("stride", "slope", "offset", "factorial_correction", "p")
 
-    def __post_init__(self):
-        if self.stride < 1:
+    def __init__(self, stride: int, slope: Fraction, offset: Fraction = Fraction(0),
+                 factorial_correction: bool = False, p: Optional[int] = None):
+        if stride < 1:
             raise InvalidRule("stride must be a positive natural")
-        if self.factorial_correction and (self.p is None or not is_prime(self.p)):
+        if factorial_correction and (p is None or not is_prime(p)):
             raise InvalidRule("factorial correction needs a prime p")
+        Frozen.__init__(self, stride, slope, offset, factorial_correction, p)
 
     def series(self, nat_val: NatValuation, truncation: int) -> TropSeries:
         """The rule's series in window `truncation`, in the unit 1/e of `nat_val`,
@@ -69,8 +65,7 @@ class RadiusRule:
             (self.stride * m, TropNum(slope * m + offset - vfact[m])) for m in range(count)))
 
 
-@dataclass(frozen=True, slots=True)
-class RadiusEstimate:
+class RadiusEstimate(NamedTuple):
     """Log-space radius with its guarantee level."""
 
     log_radius: LogValue
@@ -155,8 +150,7 @@ def _log(c: Fraction) -> float:
     return math.log(c.numerator) - math.log(c.denominator)
 
 
-@dataclass(frozen=True, slots=True)
-class BaseChange:
+class BaseChange(NamedTuple):
     """The same radius value expressed in two bases: r = c^log_c = c'^log_cprime."""
 
     base: Fraction

@@ -23,6 +23,9 @@ input file can give, stays a `Fraction` in the same unit.  t-exponents
 the text of a rational straight into units, `to_text` writes a value in
 units as that text, and `to_units` scales a value held as rationals (a
 radius rule's).  `TropNum.parse` and `str` are the unit-1 reader and writer.
+
+`Frozen`, the base of the program's immutable value types, lives here, in
+the module that every other one imports.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ import functools
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional, Union
 
 from .errors import ZeroInput
@@ -143,8 +146,50 @@ def _int_str(n: int) -> str:
         return ("-" if n < 0 else "") + str(build(abs(n), bits))
 
 
-@dataclass(frozen=True, slots=True)
-class TropNum:
+class Frozen:
+    """Base of the immutable value types: a frozen dataclass without its machinery.
+
+    A subclass names its fields in `__slots__`, then any memo slots, whose
+    names start with "_".  `Frozen.__init__` fills the slots in that order
+    through `_setters`, the setters of their descriptors, which a hot type's
+    own `__init__` calls directly; only a memo is set later.  The value,
+    `_value`, is the tuple of the fields: equality (within one class), hash
+    and repr read it alone, and a copy or pickle is rebuilt from it, through
+    `__init__`, with its memos unset.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        get = attrgetter(*fields)
+        cls._value = property((lambda self: (get(self),)) if len(fields) == 1 else get)
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+    def __init__(self, *values):
+        for set_slot, value in zip(self._setters, values, strict=True):
+            set_slot(self, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{name!r} of a {self.__class__.__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._value == other._value if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._value)
+
+    def __repr__(self):
+        pairs = zip(self._fields, self._value)
+        return f"{self.__class__.__qualname__}({', '.join(f'{n}={v!r}' for n, v in pairs)})"
+
+    def __reduce__(self):
+        return self.__class__, self._value
+
+
+class TropNum(Frozen):
     """Element of T or T_2: a rational (rank 1), a pair of rationals (rank 2),
     or infinity (None), which belongs to both.
 
@@ -152,7 +197,10 @@ class TropNum:
     `*` of a rank-1 and a rank-2 value raises TypeError.
     """
 
-    value: Union[None, Rat, tuple[Rat, Rat]]
+    __slots__ = ("value",)
+
+    def __init__(self, value: Union[None, Rat, tuple[Rat, Rat]]):
+        self._setters[0](self, value)
 
     @staticmethod
     def of(a: Rat, b: Optional[Rat] = None) -> "TropNum":
@@ -265,8 +313,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class NatValuation:
+class NatValuation(Frozen):
     """Valuation on the naturals selecting a tropical differential d_v, in units of 1/e.
 
     p = None is the trivial mode (every positive natural maps to 0); a prime
@@ -274,14 +321,14 @@ class NatValuation:
     with value group (1/e)Z, counted in units of 1/e.  Zero maps to infinity.
     """
 
-    p: Optional[int] = None
-    e: int = 1
+    __slots__ = ("p", "e")
 
-    def __post_init__(self):
-        if self.p is not None and not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.e < 1 or (self.p is None and self.e != 1):
-            raise ValueError(f"no valuation in units of 1/{self.e} for p = {self.p}")
+    def __init__(self, p: Optional[int] = None, e: int = 1):
+        if p is not None and not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if e < 1 or (p is None and e != 1):
+            raise ValueError(f"no valuation in units of 1/{e} for p = {p}")
+        Frozen.__init__(self, p, e)
 
     def __call__(self, n: int) -> TropNum:
         if n == 0:

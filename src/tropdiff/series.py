@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import TruncationExhausted
 from .fields import FieldBackend, FieldElem, dot, power
 from .semiring import (
+    Frozen,
     NatValuation,
     T_INF,
     TRIVIAL_NAT_VAL,
@@ -35,17 +35,15 @@ from .semiring import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Beyond:
+class Beyond(Frozen):
     """The leading term of a series whose window holds no nonzero / finite
     coefficient: the true series may still have support from exponent
     `beyond`, the first index past the window, on."""
 
-    beyond: int
+    __slots__ = ("beyond",)
 
 
-@dataclass(frozen=True, slots=True)
-class PowerSeries:
+class PowerSeries(Frozen):
     """Truncated element of K[[t]], stored as its nonzero terms.
 
     `terms` is ((k, c_k), ...) sorted by k, with every c_k nonzero and
@@ -54,15 +52,18 @@ class PowerSeries:
     `coeffs` is the derived dense view.
     """
 
-    backend: FieldBackend
-    truncation: int
-    terms: tuple[tuple[int, FieldElem], ...]
+    __slots__ = ("backend", "truncation", "terms")
 
-    def __post_init__(self):
-        if self.truncation < 0:
+    def __init__(self, backend: FieldBackend, truncation: int,
+                 terms: tuple[tuple[int, FieldElem], ...]):
+        if truncation < 0:
             raise ValueError("classical series need truncation >= 0")
-        if self.terms and not 0 <= self.terms[0][0] <= self.terms[-1][0] <= self.truncation:
+        if terms and not 0 <= terms[0][0] <= terms[-1][0] <= truncation:
             raise ValueError("term degrees must lie in 0 .. truncation")
+        set_backend, set_truncation, set_terms = self._setters
+        set_backend(self, backend)
+        set_truncation(self, truncation)
+        set_terms(self, terms)
 
     @staticmethod
     def from_coeffs(backend: FieldBackend, truncation: int, coeffs: Iterable[FieldElem]) -> "PowerSeries":
@@ -211,8 +212,7 @@ def _pairs(a, lookup, k):
             yield x, y
 
 
-@dataclass(frozen=True, slots=True)
-class TropSeries:
+class TropSeries(Frozen):
     """Truncated tropical power series with a tropical differential d_v,
     stored as its finite terms.
 
@@ -223,19 +223,17 @@ class TropSeries:
     differentiated past its data; its leading term is a `Beyond`.
     """
 
-    nat_val: NatValuation
-    truncation: int
-    terms: tuple[tuple[int, TropNum], ...]
-    # Memo of `_leading_table`, set on the first `leading` call; not part of
-    # the value, so equality, hashing and repr ignore it.
-    _leading: Optional[tuple[tuple, ...]] = field(
-        default=None, init=False, repr=False, compare=False)
+    # _leading: memo of `_leading_table`, None until the first `leading` call;
+    # not part of the value, so equality, hashing and repr ignore it
+    __slots__ = ("nat_val", "truncation", "terms", "_leading")
 
-    def __post_init__(self):
-        if self.truncation < -1:
+    def __init__(self, nat_val: NatValuation, truncation: int,
+                 terms: tuple[tuple[int, TropNum], ...]):
+        if truncation < -1:
             raise ValueError("tropical series need truncation >= -1")
-        if self.terms and not 0 <= self.terms[0][0] <= self.terms[-1][0] <= self.truncation:
+        if terms and not 0 <= terms[0][0] <= terms[-1][0] <= truncation:
             raise ValueError("term degrees must lie in 0 .. truncation")
+        Frozen.__init__(self, nat_val, truncation, terms, None)
 
     @staticmethod
     def from_coeffs(nat_val: NatValuation, truncation: int, coeffs: Iterable[TropNum]) -> "TropSeries":
@@ -306,7 +304,7 @@ class TropSeries:
         table = self._leading
         if table is None:
             table = self._leading_table()
-            object.__setattr__(self, "_leading", table)
+            self._setters[3](self, table)
         if j < len(table):
             return table[j]
         return Beyond(max(self.truncation - j + 1, 0))

@@ -12,9 +12,8 @@ solution, initial form, radius, and Grigoriev-mode projection.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .diffpoly import (
     DiffPoly,
@@ -32,7 +31,7 @@ from .errors import NotAClassicalSolution, TruncationExhausted
 from .fields import FieldBackend, FieldElem, ResidueElem, dot
 from .initial import initial_form, initial_system_monomial_check
 from .radius import RadiusRule, radius_from_rule, radius_window_estimate
-from .semiring import NatValuation
+from .semiring import Frozen, NatValuation
 from .series import (
     PowerSeries,
     TropSeries,
@@ -53,17 +52,15 @@ def default_window(p: Optional[int], truncation: Optional[int] = None,
             3 * scale if order is None else order)
 
 
-@dataclass(frozen=True, slots=True)
-class LinearODE:
+class LinearODE(Frozen):
     """First-order linear scalar equation x' = g x with initial value c0."""
 
-    g: PowerSeries
-    c0: FieldElem
-    truncation: int
+    __slots__ = ("g", "c0", "truncation")
 
-    def __post_init__(self):
-        if self.g.truncation < self.truncation - 1:
+    def __init__(self, g: PowerSeries, c0: FieldElem, truncation: int):
+        if g.truncation < truncation - 1:
             raise TruncationExhausted("right-hand side g must be truncated to >= N-1")
+        Frozen.__init__(self, g, c0, truncation)
 
     def as_diffpoly(self) -> DiffPoly:
         """The defining polynomial x' - g*x."""
@@ -125,8 +122,7 @@ def exp_tropical_closed_form(p: int, truncation: int) -> TropSeries:
     return exp_rule(p).series(FieldBackend("eisenstein", p).nat_val, truncation)
 
 
-@dataclass(frozen=True, slots=True)
-class FTStep:
+class FTStep(NamedTuple):
     """One named pass/fail line of a verification report.
 
     `rows` holds an optional table (one string per line), e.g. the per-order
@@ -139,8 +135,7 @@ class FTStep:
     rows: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class FTReport:
+class FTReport(NamedTuple):
     """Machine-readable verification report; every claim carries N and m."""
 
     title: str

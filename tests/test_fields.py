@@ -441,12 +441,12 @@ def test_dot_reuses_packings_only_at_their_width():
         assert sum(w != v for w, v in zip(widths, widths[1:])) > 10
         for name, y in elems.items():
             again = backend.from_coeffs(refs[name])
-            assert hasattr(y, "_pack") and not hasattr(again, "_pack")
+            assert y._pack is not None and again._pack is None
             assert y == again and again == y and (hash(y), repr(y)) == fresh[name]
             assert hash(again) == fresh[name][0] and repr(again) == fresh[name][1]
             for copied in (copy.copy(y), copy.deepcopy(y), pickle.loads(pickle.dumps(y))):
                 assert_same(copied, y)
-                assert not hasattr(copied, "_pack")
+                assert copied._pack is None
 
 
 def test_dot_mixed_backends_raise():
